@@ -5,7 +5,8 @@ reports two independent rank readouts at each weight: the numerical rank
 of the fitted prediction matrix, and the count of residual singular
 values left above the shrinkage level by the dual solve. At an exact
 optimum the two coincide, and raising the weight should step the rank
-down toward the planted latent rank.
+down toward the planted latent rank. Each row also gives the solve's inner
+iterations and how many of its outer rounds ended at max_inner.
 
 Usage:
     python3 scripts/rank_sweep.py [--n 60] [--d 8] [--tasks 4]
@@ -52,7 +53,8 @@ def main() -> None:
     print("centered response spectrum:",
           " ".join(f"{s:.2f}" for s in sig))
     print(f"{'nuclear wt':>10} {'lambda':>9} {'active':>6} "
-          f"{'pred rank':>9} {'retained':>8} {'gap':>9} {'time':>6}")
+          f"{'pred rank':>9} {'retained':>8} {'gap':>9} {'inner':>6} "
+          f"{'cap hits':>8} {'time':>6}")
     for rho in np.geomspace(0.05, 0.8 * sig[0], args.n_weights):
         spec = MatrixSpec(responses=ds.response, rho_nuclear=float(rho),
                           eta_l2=1e-2)
@@ -69,6 +71,7 @@ def main() -> None:
         agree = "=" if pred_rank == retained else " "
         print(f"{rho:10.3f} {0.15 * lm:9.3f} {len(res.model.active):6d} "
               f"{pred_rank:7d} {agree} {retained:8d} {res.state.gap:9.2e} "
+              f"{res.state.inner_iterations:6d} {res.state.inner_cap_hits:8d} "
               f"{dt:5.1f}s")
 
 

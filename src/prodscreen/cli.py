@@ -80,7 +80,6 @@ def _add_common(p, needs_lambda=True):
                    help="drop atom columns at least this similar to an earlier one")
     p.add_argument("--prune-child", type=float, default=0.0,
                    help="skip candidates this similar to both parents (0 disables)")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="output directory")
 
 

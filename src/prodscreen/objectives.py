@@ -116,6 +116,52 @@ def _sv_excess(R: np.ndarray, rho: float) -> np.ndarray:
     return ((R @ Q) * f) @ Q.T
 
 
+def _sv_excess_jacobian(R: np.ndarray, rho: float):
+    """Generalized Jacobian of R -> sum (sigma - rho)_+ u q^T at R, as a
+    matvec H -> J[H], from one thin SVD R = U diag(sigma) Q^T.
+
+    With f(s) = (s - rho)_+ and A = U^T H Q, the U-block of J[H] takes the
+    divided differences (f_i - f_j)/(s_i - s_j) on the symmetric part of A
+    and (f_i + f_j)/(s_i + s_j) on the skew part, and the part of H outside
+    the span of U is scaled by f(s)/s.  A wide R (n < T) is handled through
+    its transpose, where that outside part lies in the column space.
+    Pairs are resolved by which side of rho they sit on, so ties and zero
+    singular values never divide: both above rho gives 1 on the symmetric
+    part, both at or below gives 0 everywhere, and a straddling pair gives
+    (s_i - rho)/(s_i - s_j) with s_i > rho >= s_j.  At sigma = rho the
+    element with derivative 0 is taken.  Every coefficient lies in [0, 1],
+    so J is symmetric PSD and bounded by the identity, which it equals at
+    rho = 0."""
+    if rho == 0.0:
+        return lambda H: H
+    if R.shape[0] < R.shape[1]:
+        jt = _sv_excess_jacobian(R.T, rho)
+        return lambda H: jt(H.T).T
+    U, sig, Qt = np.linalg.svd(R, full_matrices=False)
+    live = sig > rho
+    f = np.where(live, sig - rho, 0.0)
+    scale = f / np.where(live, sig, 1.0)
+    li, lj = live[:, None], live[None, :]
+    cross = li & ~lj
+    gaps = np.where(cross, sig[:, None] - sig[None, :], 1.0)
+    straddle = np.where(cross, f[:, None] / gaps, 0.0)
+    sym = np.where(li & lj, 1.0, straddle + straddle.T)
+    either = li | lj
+    skew = np.where(either, (f[:, None] + f[None, :])
+                    / np.where(either, sig[:, None] + sig[None, :], 1.0), 0.0)
+    # J[H] = (U (C_A * A + C_At * A^T) + H Q diag(scale)) Q^T: the U-block
+    # coefficients, less the scale that H Q diag(scale) adds back inside U
+    C_A = 0.5 * (sym + skew) - scale[None, :]
+    C_At = 0.5 * (sym - skew)
+
+    def jv(H):
+        HQ = H @ Qt.T
+        A = U.T @ HQ
+        return (U @ (C_A * A + C_At * A.T) + HQ * scale) @ Qt
+
+    return jv
+
+
 class ReducedDual:
     """Dual problem restricted to a list of active interaction columns."""
 
@@ -343,16 +389,23 @@ class _MatrixReduced(ReducedDual):
         return _sv_excess(self.Yc - alpha, self.rho) - self.F @ self.primal_map(alpha)
 
     def hessian_matvec(self, alpha):
+        """Negative Hessian: the singular-value soft-threshold Jacobian at
+        Yc - alpha plus F J_g F^T / eta, where J_g is the Jacobian of the
+        row-wise group soft threshold, (1 - thr/|z|) I + thr z z^T/|z|^3
+        on rows with |z| > thr."""
+        spectral = _sv_excess_jacobian(self.Yc - alpha, self.rho)
         Z = self.dots(alpha)
         norms = np.linalg.norm(Z, axis=1) if Z.shape[0] else np.zeros(0)
-        live = np.zeros_like(norms)
         on = norms > self.thr
-        live[on] = (norms[on] - self.thr[on]) / norms[on]
-        F = self.F
+        FB = self.F[:, on]
+        dirs = Z[on] / norms[on, None]
+        coef = self.thr[on] / norms[on]
         eta = self.eta
 
         def hv(v):
-            return v + F @ (live[:, None] * (F.T @ v)) / eta
+            G = FB.T @ v
+            G = (1.0 - coef)[:, None] * G + (coef * np.sum(dirs * G, axis=1))[:, None] * dirs
+            return spectral(v) + FB @ G / eta
 
         return hv
 
@@ -361,7 +414,7 @@ class _MatrixReduced(ReducedDual):
 
     def primal_value(self, W) -> float:
         P = self.F @ W if W.shape[0] else np.zeros_like(self.Yc)
-        sig, _ = _gram_singulars(P)
+        sig = np.linalg.svd(P, compute_uv=False)
         r = self.Yc - P
         loss = 0.5 * float(np.sum(r * r)) + self.rho * float(sig.sum())
         group = float(self.thr @ np.linalg.norm(W, axis=1)) if W.shape[0] else 0.0
@@ -415,9 +468,11 @@ def rank_report(spec: MatrixSpec, A: AtomicMatrix, alpha: np.ndarray, model):
         P = F @ model.coefficients
     else:
         P = np.zeros_like(Yc)
-    sig_p, _ = _gram_singulars(P)
+    # singular values straight from the matrix: through the Gram P^T P an
+    # exact zero comes back near sqrt(eps) * sigma_1, above the rank cutoff
+    sig_p = np.linalg.svd(P, compute_uv=False)
     top = sig_p.max(initial=0.0)
     pred_rank = int(np.sum(sig_p > 1e-8 * top)) if top > 0 else 0
-    sig_r, _ = _gram_singulars(Yc - alpha)
+    sig_r = np.linalg.svd(Yc - alpha, compute_uv=False)
     retained = int(np.sum(sig_r > spec.rho_nuclear))
     return pred_rank, retained

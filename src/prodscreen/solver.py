@@ -72,6 +72,7 @@ class DualState:
     outer_iterations: int
     converged: bool
     stalled: bool
+    inner_cap_hits: int
 
 
 @dataclass
@@ -227,8 +228,10 @@ def _polish(red, alpha, value: float, h: float, cfg: SolverConfig, tol: float):
     gradient still carries signal, so steps are accepted on gradient-norm
     decrease instead, guarded against value regressions above noise scale.
     Directions come from a finite-difference Newton model of the gradient
-    (exact where the prescribed curvature operator is only an upper bound),
-    falling back to the operator step when the model is unavailable.
+    on the free coordinates, falling back to the objective's curvature
+    operator when the model is unavailable.  Every objective's operator is
+    an exact generalized Jacobian, so the model differs from it only where
+    a kink lies within the difference step.
     """
     iters = 0
     guard = 1e-12 * (1.0 + abs(value))
@@ -268,10 +271,14 @@ def _polish(red, alpha, value: float, h: float, cfg: SolverConfig, tol: float):
 
 
 def _inner_ascent(red, alpha, h: float, cfg: SolverConfig, tol: float):
-    """Run quasi-Newton ascent until the projected gradient is below tol."""
+    """Run quasi-Newton ascent until the projected gradient is below tol.
+
+    The last returned flag is True when the loop ran out of max_inner steps
+    without reaching tol or stalling."""
     value = red.value(alpha)
     iters = 0
     stalled = False
+    capped = False
     for _ in range(cfg.max_inner):
         grad = red.gradient(alpha)
         mask = red.free_mask(alpha, grad)
@@ -288,7 +295,9 @@ def _inner_ascent(red, alpha, h: float, cfg: SolverConfig, tol: float):
             iters += extra
             break
         alpha, value = res.alpha, res.value
-    return alpha, value, h, iters, stalled
+    else:
+        capped = True
+    return alpha, value, h, iters, stalled, capped
 
 
 def solve(obj, A: AtomicMatrix, schedule: PenaltySchedule, alpha0=None,
@@ -312,6 +321,7 @@ def solve(obj, A: AtomicMatrix, schedule: PenaltySchedule, alpha0=None,
     inner_tol = cfg.kkt_tol
     expansions = 0
     total_inner = 0
+    cap_hits = 0
     converged = False
     stalled = False
     log: list[tuple] = []
@@ -323,8 +333,9 @@ def solve(obj, A: AtomicMatrix, schedule: PenaltySchedule, alpha0=None,
 
     for outer in range(1, cfg.max_outer + 1):
         red = obj.reduced(list(active.values()))
-        alpha, dval, h, inners, stalled = _inner_ascent(red, alpha, h, cfg, inner_tol)
+        alpha, dval, h, inners, stalled, capped = _inner_ascent(red, alpha, h, cfg, inner_tol)
         total_inner += inners
+        cap_hits += capped
 
         check = screen(A, obj.screen_weights(alpha), schedule, scfg)
         missing = [e for e in check.emitted if e.feature_set.atoms not in active]
@@ -355,6 +366,6 @@ def solve(obj, A: AtomicMatrix, schedule: PenaltySchedule, alpha0=None,
     state = DualState(alpha=alpha, dots=red.dots(alpha), dual_value=dval,
                       primal_value=pval, gap=gap, h=h,
                       inner_iterations=total_inner, outer_iterations=outer,
-                      converged=converged, stalled=stalled)
+                      converged=converged, stalled=stalled, inner_cap_hits=cap_hits)
     return SolveResult(state=state, model=model, screen_result=check,
                        predicted=predicted, expansions=expansions, log=log)

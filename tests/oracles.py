@@ -161,6 +161,55 @@ def solve_group_primal(P, Y, lam_vec, eta, max_iter=60000):
     return W, obj(W)
 
 
+def svt(X, rho):
+    """Singular-value soft threshold: the prox of rho times the nuclear norm."""
+    U, s, Vt = np.linalg.svd(X, full_matrices=False)
+    return (U * np.maximum(s - rho, 0.0)) @ Vt
+
+
+def solve_matrix_primal(P, Y, lam_vec, eta, rho, max_iter=60000):
+    """min 0.5||Y - P W||_F^2 + rho ||P W||_* + sum lam_u ||W_u|| + eta/2 ||W||_F^2.
+
+    The nuclear norm sits on P W, so W has no closed-form prox; FISTA runs
+    on the Fenchel dual instead, with the nuclear norm's dual variable beta
+    kept apart:
+
+        min 0.5||Y - alpha - beta||^2 + sum (||P_u^T alpha|| - lam_u)_+^2 / (2 eta)
+        over alpha and ||beta||_2 <= rho.
+
+    The prox of the spectral-ball constraint is X - svt(X, rho), by Moreau's
+    identity.  Returns (W, primal value, dual value): W is the group soft
+    threshold of P^T alpha over eta, and the dual value, 0.5||Y||^2 minus
+    the split objective, bounds the optimum from below.
+    """
+    L = 2.0 + np.linalg.norm(P, 2) ** 2 / eta
+
+    def coefficients(alpha):
+        V = P.T @ alpha
+        norms = np.linalg.norm(V, axis=1)
+        scale = np.zeros_like(norms)
+        live = norms > lam_vec
+        scale[live] = 1.0 - lam_vec[live] / norms[live]
+        return scale[:, None] * V / eta
+
+    def split_obj(x):
+        R = Y - x[0] - x[1]
+        shr = np.maximum(np.linalg.norm(P.T @ x[0], axis=1) - lam_vec, 0.0)
+        return float(0.5 * np.sum(R * R) + 0.5 * (shr @ shr) / eta)
+
+    def grad(x):
+        R = Y - x[0] - x[1]
+        return np.stack([P @ coefficients(x[0]) - R, -R])
+
+    def prox(x, _):
+        return np.stack([x[0], x[1] - svt(x[1], rho)])
+
+    x = _fista(prox, grad, L, np.zeros((2,) + Y.shape), max_iter, objective=split_obj)
+    W = coefficients(x[0])
+    primal = matrix_objective(P, Y, lam_vec, eta, rho, W)
+    return W, primal, float(0.5 * np.sum(Y * Y)) - split_obj(x)
+
+
 def basket_objective(P, tau, lam_vec, gamma, b):
     r = np.maximum(tau - P @ b, 0.0)
     return float(0.5 * r @ r + lam_vec @ b + 0.5 * gamma * b @ b)

@@ -137,6 +137,16 @@ def test_unknown_command_and_help(capsys):
     capsys.readouterr()
 
 
+def test_fit_commands_take_no_seed(tmp_path, capsys):
+    trans = tmp_path / "t.txt"
+    trans.write_text("a b\na b c\nb c\na\n")
+    out = tmp_path / "out"
+    assert main(["fit-basket", "--data", str(trans), "--lambda", "1.0",
+                 "--seed", "3", "--out", str(out)]) == 1
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_screen_matches_enumeration(tmp_path, capsys):
     rng = np.random.default_rng(13)
     d, n = 5, 14

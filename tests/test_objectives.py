@@ -141,6 +141,82 @@ def test_hessian_symmetry(rng):
         assert np.max(np.abs(H - H.T)) < 1e-10
 
 
+def _fd_curvature(red, alpha, eps=1e-6):
+    """Central-difference Jacobian of -gradient, one column per entry."""
+    H = np.zeros((alpha.size, alpha.size))
+    for i in range(alpha.size):
+        e = np.zeros(alpha.shape)
+        e.flat[i] = eps
+        H[:, i] = (red.gradient(alpha - e) - red.gradient(alpha + e)).ravel() / (2 * eps)
+    return H
+
+
+@pytest.mark.parametrize("n, T", [(12, 3), (5, 7)])
+def test_matrix_hessian_matches_fd_jacobian(rng, n, T):
+    """hessian_matvec is the exact negative Hessian of the reduced matrix
+    dual, away from kinks: singular values below, straddling and above the
+    nuclear weight, the weight at zero, and rows with n < T; every case has
+    live group rows.  The operator is also symmetric PSD."""
+    X, A = random_binary(rng, n, 3, density=0.6)
+    Y = rng.standard_normal((n, T))
+    U = rng.standard_normal((n, T))
+    sig_u = np.linalg.svd(U, compute_uv=False)
+    rho = 0.8
+    regimes = {"below": 0.1 * rho / sig_u.max(),
+               "mixed": rho / np.sqrt(sig_u.max() * sig_u.min()),
+               "above": 10.0 * rho / sig_u.min()}
+    seen = set()
+    for weight in (rho, 0.0):
+        obj = matrix_dual(MatrixSpec(responses=Y, rho_nuclear=weight, eta_l2=0.05), A)
+        for name, s in regimes.items():
+            alpha = obj.Yc - s * U  # residual Yc - alpha = s U
+            sig = np.linalg.svd(obj.Yc - alpha, compute_uv=False)
+            assert np.min(np.abs(sig - weight)) > 1e-3
+            if not weight:
+                seen.add("zero weight")
+            elif np.all(sig < weight):
+                seen.add("below")
+            elif np.all(sig > weight):
+                seen.add("above")
+            else:
+                seen.add("mixed")
+            top = np.linalg.norm(X.T @ alpha, axis=1).max()
+            red = _reduced_at(obj, A, PenaltySchedule.flat(0.5 * top), alpha)
+            norms = np.linalg.norm(red.dots(alpha), axis=1)
+            assert np.any(norms > red.thr)
+            assert np.min(np.abs(norms - red.thr)) > 1e-3
+            H = _dense_hessian(red, alpha)
+            fd = _fd_curvature(red, alpha)
+            assert np.max(np.abs(H - fd)) <= 1e-6 * (1 + np.max(np.abs(fd))), name
+            assert np.max(np.abs(H - H.T)) < 1e-10
+            assert np.linalg.eigvalsh(0.5 * (H + H.T)).min() >= -1e-10
+    assert seen == {"below", "mixed", "above", "zero weight"}
+
+
+@pytest.mark.parametrize("spectrum, rho, wide", [
+    ([3.0, 3.0, 1.0], 2.0, False),   # tied singular values above rho
+    ([3.0, 1.5, 0.0], 1.0, False),   # a zero singular value
+    ([3.0, 0.0, 0.0], 1.0, False),   # tied zeros
+    ([2.5, 2.5, 0.5], 1.0, True),    # n < T, with a tie
+])
+def test_sv_excess_jacobian_ties_and_zeros(rng, spectrum, rho, wide):
+    """Ties and zero singular values are no kinks of the singular-value
+    soft threshold, so its Jacobian there matches central differences."""
+    from prodscreen.objectives import _sv_excess_jacobian
+    Uo = np.linalg.qr(rng.standard_normal((6, 3)))[0]
+    Vo = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    R = (Uo * spectrum) @ Vo.T
+    if wide:
+        R = R.T
+    jv = _sv_excess_jacobian(R, rho)
+    eps = 1e-6
+    for i in range(R.size):
+        E = np.zeros(R.shape)
+        E.flat[i] = 1.0
+        fd = (oc.svt(R + eps * E, rho) - oc.svt(R - eps * E, rho)) / (2 * eps)
+        assert np.max(np.abs(jv(E) - fd)) < 1e-7
+
+
 def test_dual_value_constants_at_empty_model(rng):
     """With nothing active, the dual optimum equals the zero-model primal:
     the additive constants are kept, so values match across the gap."""
@@ -315,6 +391,32 @@ def test_matrix_against_cvxpy_sdp(rng):
     assert ours == pytest.approx(prob.value, rel=2e-5, abs=2e-5)
 
 
+@pytest.mark.parametrize("n, d, T, rho, eta, share", [
+    (12, 4, 1, 0.5, 0.05, 0.35),
+    (10, 3, 3, 0.6, 0.1, 0.4),
+])
+def test_matrix_against_fista_oracle(rng, n, d, T, rho, eta, share):
+    """Full objective value against the offline dual-FISTA oracle on the
+    materialized lattice; T = 1 makes the nuclear term a plain l2 norm of
+    the scores, T = 3 is a genuine nuclear norm."""
+    X, A = random_binary(rng, n, d)
+    Y = 2.0 * rng.standard_normal((n, T))
+    spec = MatrixSpec(responses=Y, rho_nuclear=rho, eta_l2=eta, fit_intercept=False)
+    obj = matrix_dual(spec, A)
+    sched = PenaltySchedule.flat(share * lambda_max(obj, A, PenaltySchedule.flat(1.0)))
+    res = solve(obj, A, sched, cfg=SolverConfig(kkt_tol=1e-8))
+    assert res.state.converged and res.model.n_active
+
+    subsets, P = oc.materialize(X)
+    lam_vec = oc.threshold_vector(subsets, sched)
+    _, primal, dual = oc.solve_matrix_primal(P, Y, lam_vec, eta, rho)
+    assert primal - dual <= 1e-7 * (1.0 + abs(primal))
+    emb = oc.embed_model(res.model, subsets, T=T)
+    ours = oc.matrix_objective(P, Y, lam_vec, eta, rho, emb)
+    assert ours == pytest.approx(primal, rel=1e-6, abs=1e-6)
+    assert ours >= dual - 1e-9 * (1.0 + abs(dual))
+
+
 def test_intercept_centering(rng):
     X, A = random_binary(rng, 16, 4)
     Y = rng.standard_normal((16, 2)) + np.array([3.0, -1.0])
@@ -358,3 +460,21 @@ def test_rank_report_consistency(rng):
         ranks.append(pred_rank)
     assert ranks[0] == 4        # no nuclear shrinkage: full response rank
     assert ranks[1] == ranks[2] == 2   # threshold recovers the planted rank
+
+
+def test_rank_report_reads_exact_rank_one():
+    """A prediction matrix that is exactly rank 1 reads as rank 1.  Squared
+    through P^T P, its zero singular values come back near sqrt(eps) times
+    the top one, above the 1e-8 relative cutoff, in about half of these
+    draws."""
+    from prodscreen import FeatureSet, PrimalModel
+    rng = np.random.default_rng(11)
+    X, A = random_binary(rng, 60, 4, density=0.5)
+    sets = [FeatureSet((j,)) for j in range(4)]
+    for _ in range(40):
+        W = np.outer(rng.standard_normal(4), rng.standard_normal(4))
+        model = PrimalModel.from_coefficients("matrix", sets, W)
+        Y = rng.standard_normal((60, 4))
+        spec = MatrixSpec(responses=Y, rho_nuclear=0.0, eta_l2=1e-2, fit_intercept=False)
+        pred_rank, _ = rank_report(spec, A, Y, model)
+        assert pred_rank == 1

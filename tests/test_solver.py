@@ -4,8 +4,8 @@ from scipy.optimize import minimize_scalar
 
 from prodscreen import (AtomicMatrix, BasketSpec, LogisticSpec, MatrixSpec,
                         PenaltySchedule, ScreenConfig, SolverConfig, basket_dual,
-                        cg_solve, line_search, logistic_dual, matrix_dual,
-                        qn_step, solve)
+                        cg_solve, lambda_max, line_search, logistic_dual, matrix_dual,
+                        qn_step, solve, synth_planted)
 from prodscreen.solver import LineSearchResult
 
 
@@ -201,3 +201,38 @@ def test_hessian_matvec_matches_columnwise_sum(rng):
         col = red.F[:, j]
         expect = expect + col * (col @ v) / obj.spec.tau_l2
     assert np.max(np.abs(hv(v) - expect)) < 1e-10 * (1 + np.max(np.abs(expect)))
+
+
+def _rank_sweep_instance():
+    """scripts/rank_sweep.py's default instance and its six nuclear weights."""
+    planted = [((0, 1), 6.0), ((2,), 5.0), ((3, 4), 5.5), ((6, 7), 6.0)]
+    ds = synth_planted(909, 60, 8, planted, noise=0.02, kind="matrix",
+                       n_tasks=4, latent_rank=2)
+    top = np.linalg.svd(ds.response - ds.response.mean(axis=0), compute_uv=False)[0]
+    return ds, np.geomspace(0.05, 0.8 * top, 6)
+
+
+def _rank_sweep_solve(ds, rho, cfg):
+    shape = PenaltySchedule.geometric(1.0, 2.0)
+    obj = matrix_dual(MatrixSpec(responses=ds.response, rho_nuclear=float(rho),
+                                 eta_l2=1e-2), ds.matrix)
+    sched = shape.with_base(0.15 * lambda_max(obj, ds.matrix, shape))
+    return solve(obj, ds.matrix, sched, None, None, cfg)
+
+
+def test_inner_cap_hits_are_counted():
+    ds, rhos = _rank_sweep_instance()
+    res = _rank_sweep_solve(ds, rhos[4], SolverConfig(kkt_tol=1e-8, max_inner=3))
+    assert res.state.inner_cap_hits > 0
+    assert res.state.inner_cap_hits <= res.state.outer_iterations
+
+
+def test_rank_sweep_solves_stay_under_inner_cap():
+    """With the exact spectral curvature, every rank_sweep weight converges
+    well inside the cap: no outer round ends at max_inner."""
+    ds, rhos = _rank_sweep_instance()
+    for rho in rhos:
+        res = _rank_sweep_solve(ds, rho, SolverConfig(kkt_tol=1e-8, max_inner=2000))
+        assert res.state.converged, rho
+        assert res.state.inner_cap_hits == 0, rho
+        assert res.state.inner_iterations <= 200, rho
