@@ -4,14 +4,12 @@ Subcommands: fit-basket, fit-logistic, fit-matrix, screen, predict, synth.
 Fits write model.json, interactions.jsonl, and log.tsv into --out (plus
 path.tsv when --path is given).  Exit status is 0 for a converged fit, 2
 for a best-effort fit that did not certify convergence, 1 for input errors.
-The environment variable FCK_THREADS caps linear-algebra thread counts.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -24,23 +22,6 @@ from .objectives import (BasketSpec, LogisticSpec, MatrixSpec, basket_dual,
 from .path import PathConfig, predict, run_path
 from .screening import PenaltySchedule, ScreenConfig, screen
 from .solver import LOG_HEADER, SolverConfig, solve
-
-
-def _apply_thread_cap():
-    raw = os.environ.get("FCK_THREADS")
-    if not raw:
-        return
-    try:
-        limit = int(raw)
-    except ValueError:
-        raise ValueError(f"FCK_THREADS must be an integer, got {raw!r}") from None
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(limit)
-    except ImportError:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(limit)
 
 
 def _parse_penalty(text: str, lam: float) -> PenaltySchedule:
@@ -96,7 +77,10 @@ def _write_items(A: AtomicMatrix, out: Path):
 
 
 def _write_fit(out: Path, res, A: AtomicMatrix):
-    res.model.save(out / "model.json")
+    doc = res.model.to_json_dict()
+    if A.item_names is not None:  # so that predict can map new data by name
+        doc["item_names"] = list(A.item_names)
+    (out / "model.json").write_text(json.dumps(doc, indent=1) + "\n")
     with open(out / "interactions.jsonl", "w") as fh:
         for line in res.screen_result.to_jsonl(A.item_names):
             fh.write(line + "\n")
@@ -199,12 +183,31 @@ def _cmd_screen(args):
     return 0
 
 
+def _columns_by_name(A: AtomicMatrix, names, args) -> AtomicMatrix:
+    """The columns of new data in the order of a model's item names.  A token
+    absent from new transactions is an empty column; a missing CSV header is
+    an input error."""
+    index = {t: j for j, t in enumerate(A.item_names)}
+    if args.format == "csv":
+        missing = [t for t in names if t not in index]
+        if missing:
+            raise ValueError(
+                f"{args.data}: no column {missing[0]!r}, which the model was fitted on")
+        return A.select([index[t] for t in names])
+    empty = np.zeros(0, dtype=np.int64)
+    tidlists = [A.tidlist(index[t]) if t in index else empty for t in names]
+    return AtomicMatrix.from_tidlists(tidlists, A.n_rows, item_names=names)
+
+
 def _cmd_predict(args):
-    model = PrimalModel.load(args.model)
+    doc = json.loads(Path(args.model).read_text())
+    model = PrimalModel.from_json_dict(doc)
     if args.format == "transactions":
         A = load_transactions(args.data)
     else:
         A, _ = load_dense(args.data, 0)
+    if doc.get("item_names") is not None:  # models built in the library map by position
+        A = _columns_by_name(A, doc["item_names"], args)
     scores = predict(model, A)
     np.savetxt(sys.stdout, np.atleast_2d(scores.T).T, fmt="%.10g", delimiter="\t")
     return 0
@@ -306,7 +309,6 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 0 if e.code in (0, None) else 1
     try:
-        _apply_thread_cap()
         return args.fn(args)
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -1,8 +1,8 @@
 """Regularization paths over the implicit interaction space.
 
 The largest useful penalty level is the best ratio statistic(u) / rho(|u|)
-over the whole lattice, found by branch and bound with the same closure
-bound that drives screening.  The path then walks a geometric grid downward,
+over the whole lattice, found by the screen's own walk with a level that
+rises to each ratio it meets.  The path then walks a geometric grid downward,
 warm-starting each solve from the previous dual point; the screen run at the
 warm start predicts the next active set, and the ratio of predicted to
 converged support sizes measures how well the prediction anticipated the
@@ -11,15 +11,14 @@ solution.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import AtomicMatrix, FeatureSet, interaction_column
+from .data import AtomicMatrix, interaction_column
 from .duality import PrimalModel
-from .screening import PenaltySchedule, ScreenConfig, _Cand, _combine, _stat_bound
+from .screening import PenaltySchedule, ScreenConfig, critical_lambda
 from .solver import SolverConfig, solve
 
 __all__ = [
@@ -48,43 +47,10 @@ class PathConfig:
 
 def lambda_max(obj, A: AtomicMatrix, schedule: PenaltySchedule,
                scfg: ScreenConfig | None = None) -> float:
-    """Smallest base penalty at which no interaction enters the model.
-
-    Maximizes statistic(u) / rho(|u|) over the lattice at the objective's
-    empty-model dual point.  A subtree is skipped once its closure bound
-    over the next order's rho cannot beat the best ratio found so far; the
-    returned value is independent of traversal order.
-    """
-    cfg = obj.screen_config(scfg)
-    w = obj.screen_weights(obj.alpha0())
-    best = 0.0
-    seeds = []
-    for j in range(A.n_cols):
-        col = A.column(j)
-        stat, bound = _stat_bound(col, w, cfg)
-        best = max(best, stat)  # rho(1) = 1
-        seeds.append(_Cand((j,), j, col, bound))
-    seeds.sort(key=lambda c: (-c.bound, c.ext))
-    stack = [seeds] if A.n_cols > 1 and cfg.max_order > 1 else []
-    while stack:
-        cls = stack.pop()
-        order_child = len(cls[0].atoms) + 1
-        rho_child = schedule.rho(order_child)
-        rho_next = schedule.rho(order_child + 1) if order_child < cfg.max_order else None
-        for k in range(len(cls)):
-            parent = cls[k]
-            children = []
-            for idx in range(k + 1, len(cls)):
-                sib = cls[idx]
-                fs = FeatureSet(tuple(sorted(parent.atoms + (sib.ext,))))
-                col = _combine(A, parent, sib, fs)
-                stat, bound = _stat_bound(col, w, cfg)
-                best = max(best, stat / rho_child)
-                if rho_next is not None and bound / rho_next > best:
-                    children.append(_Cand(fs.atoms, sib.ext, col, bound))
-            if len(children) > 1:
-                stack.append(children)
-    return best
+    """Smallest base penalty at which no interaction enters the model: the
+    critical level of the screen at the objective's empty-model dual point."""
+    return critical_lambda(A, obj.screen_weights(obj.alpha0()), schedule,
+                           obj.screen_config(scfg))
 
 
 @dataclass

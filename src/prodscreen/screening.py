@@ -11,7 +11,9 @@ c_t <= c_u entrywise whenever t is a superset of u, the quantity
 dominates the statistic of every superset of u, so a node whose bound falls
 below the next order's threshold closes its whole subtree.  The walk mirrors
 frequent-itemset mining: candidates of order k+1 are unions of two order-k
-sets sharing a prefix, and binary columns are intersected tidlists.
+sets sharing a prefix, and binary columns are intersected tidlists.  The
+same walk, with a level that rises to the best ratio found so far, gives
+the critical penalty at which nothing is emitted.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ __all__ = [
     "ScreenResult",
     "closure_bound",
     "screen",
+    "critical_lambda",
     "verify_kkt",
     "dedup_atoms",
     "frequent_itemsets",
@@ -132,7 +135,6 @@ class ScreenResult:
     emitted: tuple[Emitted, ...]
     explored_count: int
     pruned_by_closure: int
-    pruned: tuple[FeatureSet, ...]
 
     def feature_sets(self) -> tuple[FeatureSet, ...]:
         return tuple(e.feature_set for e in self.emitted)
@@ -173,18 +175,18 @@ def closure_bound(col: Column, w: DualWeights, cfg: ScreenConfig | None = None) 
 
 @dataclass
 class _Cand:
-    atoms: tuple[int, ...]
+    atoms: tuple[int, ...]  # in join order, not sorted
     ext: int  # the atom this candidate added to its class prefix
     column: Column
     bound: float
 
 
-def _combine(A: AtomicMatrix, parent: _Cand, sibling: _Cand, fs: FeatureSet) -> Column:
+def _combine(A: AtomicMatrix, parent: _Cand, sibling: _Cand) -> Column:
     if A.is_binary:
         tid = np.intersect1d(parent.column.tidlist, sibling.column.tidlist, assume_unique=True)
-        return Column(fs, A.n_rows, tidlist=tid)
+        return Column(None, A.n_rows, tidlist=tid)
     vals = parent.column.values * A.atom_values(sibling.ext)
-    return Column(fs, A.n_rows, values=vals)
+    return Column(None, A.n_rows, values=vals)
 
 
 def _too_similar(child: Column, parent: _Cand, level: float) -> bool:
@@ -196,6 +198,70 @@ def _too_similar(child: Column, parent: _Cand, level: float) -> bool:
     return cosine(child.values, parent.column.values) > level
 
 
+class _Walk:
+    """One depth-first pass over the prefix classes at penalty level ``lam``.
+
+    Iterating yields ``(atoms, column, stat, threshold)`` for every node
+    whose statistic exceeds lam * rho(k), with atoms in join order.  All
+    atoms seed the walk; a node of order k >= 2 closes its subtree when its
+    bound is at most lam * rho(k + 1).  The caller may raise ``lam`` between
+    yields, and every later comparison uses the new level.  ``explored``
+    counts the nodes built and ``pruned`` the subtrees closed.
+    """
+
+    def __init__(self, A: AtomicMatrix, weights: DualWeights, schedule: PenaltySchedule,
+                 cfg: ScreenConfig, lam: float):
+        if weights.n_rows != A.n_rows:
+            raise ValueError("dual weights and matrix disagree on row count")
+        self.A, self.weights, self.schedule, self.cfg = A, weights, schedule, cfg
+        self.lam = lam
+        self.explored = 0
+        self.pruned = 0
+
+    def __iter__(self):
+        A, w, cfg, rho = self.A, self.weights, self.cfg, self.schedule.rho
+        prune_level = cfg.child_parent_prune
+        seeds: list[_Cand] = []
+        rho_1 = rho(1)
+        for j in range(A.n_cols):
+            col = A.column(j)
+            stat, bound = _stat_bound(col, w, cfg)
+            self.explored += 1
+            thr = self.lam * rho_1
+            if stat > thr:
+                yield (j,), col, stat, thr
+            seeds.append(_Cand((j,), j, col, bound))
+        seeds.sort(key=lambda c: (-c.bound, c.ext))
+
+        stack = [seeds] if A.n_cols > 1 and cfg.max_order > 1 else []
+        while stack:
+            cls = stack.pop()
+            order = len(cls[0].atoms) + 1
+            rho_k = rho(order)
+            rho_next = rho(order + 1) if order < cfg.max_order else None
+            for k, parent in enumerate(cls):
+                children: list[_Cand] = []
+                for sib in cls[k + 1:]:
+                    col = _combine(A, parent, sib)
+                    self.explored += 1
+                    if prune_level > 0.0 and _too_similar(col, parent, prune_level) \
+                            and _too_similar(col, sib, prune_level):
+                        continue
+                    stat, bound = _stat_bound(col, w, cfg)
+                    atoms = parent.atoms + (sib.ext,)
+                    thr = self.lam * rho_k
+                    if stat > thr:
+                        yield atoms, col, stat, thr
+                    if rho_next is None:
+                        continue
+                    if bound > self.lam * rho_next:
+                        children.append(_Cand(atoms, sib.ext, col, bound))
+                    else:
+                        self.pruned += 1
+                if len(children) > 1:
+                    stack.append(children)
+
+
 def screen(A: AtomicMatrix, weights: DualWeights, schedule: PenaltySchedule,
            cfg: ScreenConfig | None = None) -> ScreenResult:
     """Emit every interaction whose statistic exceeds its threshold.
@@ -205,60 +271,36 @@ def screen(A: AtomicMatrix, weights: DualWeights, schedule: PenaltySchedule,
     bound clears the next order's threshold.  Output is sorted by atom tuple
     and identical across runs on identical input.
     """
-    cfg = cfg or ScreenConfig()
-    if weights.n_rows != A.n_rows:
-        raise ValueError("dual weights and matrix disagree on row count")
+    walk = _Walk(A, weights, schedule, cfg or ScreenConfig(), schedule.base_lambda)
     emitted: list[Emitted] = []
-    pruned: list[FeatureSet] = []
-    explored = 0
-    pruned_closure = 0
-    prune_level = cfg.child_parent_prune
-
-    seeds: list[_Cand] = []
-    thr1 = schedule.threshold(1)
-    for j in range(A.n_cols):
-        col = A.column(j)
-        stat, bound = _stat_bound(col, weights, cfg)
-        explored += 1
-        if stat > thr1:
-            emitted.append(Emitted(col.owner, col, thr1, stat))
-        seeds.append(_Cand((j,), j, col, bound))
-    seeds.sort(key=lambda c: (-c.bound, c.ext))
-
-    stack: list[list[_Cand]] = []
-    if A.n_cols > 1 and cfg.max_order > 1:
-        stack.append(seeds)
-    while stack:
-        cls = stack.pop()
-        order_child = len(cls[0].atoms) + 1
-        thr_child = schedule.threshold(order_child)
-        thr_next = schedule.threshold(order_child + 1) if order_child < cfg.max_order else None
-        for k in range(len(cls)):
-            parent = cls[k]
-            children: list[_Cand] = []
-            for idx in range(k + 1, len(cls)):
-                sib = cls[idx]
-                fs = FeatureSet(tuple(sorted(parent.atoms + (sib.ext,))))
-                col = _combine(A, parent, sib, fs)
-                explored += 1
-                if prune_level > 0.0 and _too_similar(col, parent, prune_level) \
-                        and _too_similar(col, sib, prune_level):
-                    continue
-                stat, bound = _stat_bound(col, weights, cfg)
-                if stat > thr_child:
-                    emitted.append(Emitted(fs, col, thr_child, stat))
-                if thr_next is not None:
-                    if bound > thr_next:
-                        children.append(_Cand(fs.atoms, sib.ext, col, bound))
-                    else:
-                        pruned_closure += 1
-                        pruned.append(fs)
-            if len(children) > 1:
-                stack.append(children)
+    for atoms, col, stat, thr in walk:
+        col.owner = FeatureSet(tuple(sorted(atoms)))
+        emitted.append(Emitted(col.owner, col, thr, stat))
     emitted.sort(key=lambda e: e.feature_set.atoms)
     for a, b in zip(emitted, emitted[1:]):
         assert a.feature_set.atoms != b.feature_set.atoms, "duplicate emission"
-    return ScreenResult(tuple(emitted), explored, pruned_closure, tuple(pruned))
+    return ScreenResult(tuple(emitted), walk.explored, walk.pruned)
+
+
+def critical_lambda(A: AtomicMatrix, weights: DualWeights, schedule: PenaltySchedule,
+                    cfg: ScreenConfig | None = None) -> float:
+    """Smallest base penalty at which ``screen`` emits nothing: the largest
+    statistic(u) / rho(|u|) over the lattice.
+
+    The walk starts at level 0 and rises to each ratio it meets, so a
+    subtree closes once its bound cannot beat the best ratio so far; the
+    result does not depend on traversal order.  The child-parent shortcut
+    is off here, so the level is exact.
+    """
+    cfg = replace(cfg or ScreenConfig(), child_parent_prune=0.0)
+    walk = _Walk(A, weights, schedule, cfg, 0.0)
+    for atoms, _, stat, _ in walk:
+        rho = schedule.rho(len(atoms))
+        lam = stat / rho
+        while stat > lam * rho:  # the quotient rounded down: step up to the screen's test
+            lam = math.nextafter(lam, math.inf)
+        walk.lam = lam
+    return walk.lam
 
 
 def verify_kkt(A: AtomicMatrix, weights: DualWeights, schedule: PenaltySchedule,

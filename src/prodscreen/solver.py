@@ -190,35 +190,6 @@ def line_search(red, alpha, value: float, direction, gradient_dir, h: float,
 
 _POLISH_MAX = 20
 _POLISH_BACKTRACKS = 8
-_POLISH_SIZE_CAP = 600
-
-
-def _fd_newton_direction(red, alpha, grad, mask, h: float):
-    """Newton step for grad = 0 using a finite-difference curvature model
-    restricted to the free coordinates.  The model is symmetrized and
-    damped; None signals that the factorization is unusable."""
-    idx = np.flatnonzero(mask.ravel())
-    if idx.size == 0 or idx.size > _POLISH_SIZE_CAP:
-        return None
-    base = alpha.ravel()
-    eps = 1e-7 * (1.0 + float(np.max(np.abs(base))))
-    H = np.empty((idx.size, idx.size))
-    for col, j in enumerate(idx):
-        e = np.zeros(base.size)
-        e[j] = eps
-        gp = red.gradient((base + e).reshape(alpha.shape)).ravel()
-        gm = red.gradient((base - e).reshape(alpha.shape)).ravel()
-        H[:, col] = (gm[idx] - gp[idx]) / (2.0 * eps)
-    H = 0.5 * (H + H.T) + h * np.eye(idx.size)
-    try:
-        step = np.linalg.solve(H, grad.ravel()[idx])
-    except np.linalg.LinAlgError:
-        return None
-    if not np.all(np.isfinite(step)):
-        return None
-    direction = np.zeros(base.size)
-    direction[idx] = step
-    return direction.reshape(alpha.shape)
 
 
 def _polish(red, alpha, value: float, h: float, cfg: SolverConfig, tol: float):
@@ -227,11 +198,8 @@ def _polish(red, alpha, value: float, h: float, cfg: SolverConfig, tol: float):
     Near the maximum the dual value is flat to double precision while the
     gradient still carries signal, so steps are accepted on gradient-norm
     decrease instead, guarded against value regressions above noise scale.
-    Directions come from a finite-difference Newton model of the gradient
-    on the free coordinates, falling back to the objective's curvature
-    operator when the model is unavailable.  Every objective's operator is
-    an exact generalized Jacobian, so the model differs from it only where
-    a kink lies within the difference step.
+    Directions are damped Newton steps on the free coordinates, from the
+    objective's curvature operator, which is an exact generalized Jacobian.
     """
     iters = 0
     guard = 1e-12 * (1.0 + abs(value))
@@ -243,9 +211,7 @@ def _polish(red, alpha, value: float, h: float, cfg: SolverConfig, tol: float):
         gn = math.sqrt(_vdot(g, g))
         if gn <= 0.1 * tol:
             break
-        direction = _fd_newton_direction(red, alpha, g, mask, h)
-        if direction is None:
-            direction = qn_step(grad, red.hessian_matvec(alpha), mask, h, cfg)
+        direction = qn_step(grad, red.hessian_matvec(alpha), mask, h, cfg)
         accepted = False
         t = 1.0
         for _ in range(_POLISH_BACKTRACKS):

@@ -205,6 +205,51 @@ def test_predict_cli_roundtrip(tmp_path, capsys):
     assert np.allclose(got, predict(model, A), atol=1e-9)
 
 
+def test_predict_maps_items_by_name(tmp_path, capsys):
+    """New transactions whose first-seen item order differs from the training
+    file's are scored by item name; an unknown token adds nothing."""
+    train = tmp_path / "train.txt"
+    train.write_text("a b\na b c\nb c\na\na b\na\nc\na b\n")
+    fit = tmp_path / "fit"
+    assert main(["fit-basket", "--data", str(train), "--lambda", "1.0", "--tau", "1.0",
+                 "--out", str(fit)]) == 0
+    doc = json.loads((fit / "model.json").read_text())
+    assert doc["item_names"] == ["a", "b", "c"]
+    coef = {frozenset(doc["item_names"][a] for a in e["atoms"]): e["coef"]
+            for e in doc["entries"]}
+    assert len(coef) > 1 and len(set(coef.values())) == len(coef)  # a mix-up shows
+    rows = [["c"], ["b"], ["a"], ["b", "a"], ["d", "c"], []]
+    new = tmp_path / "new.txt"
+    new.write_text("\n".join(" ".join(r) for r in rows) + "\n")
+    capsys.readouterr()
+    assert main(["predict", "--model", str(fit / "model.json"), "--data", str(new)]) == 0
+    got = [float(v) for v in capsys.readouterr().out.split()]
+    want = [sum(c for items, c in coef.items() if items <= set(r)) for r in rows]
+    assert got == pytest.approx(want, abs=1e-9)
+
+
+def test_predict_maps_csv_headers_by_name(tmp_path, capsys):
+    data, _ = _synth_csv(tmp_path)
+    fit = tmp_path / "fit"
+    assert main(["fit-logistic", "--data", str(data), "--format", "csv",
+                 "--lambda", "2.0", "--out", str(fit)]) == 0
+    A, _ = load_dense(data, 1)
+    want = predict(PrimalModel.load(fit / "model.json"), A)
+    lines = [line.split(",") for line in data.read_text().splitlines()]
+    shuffled = tmp_path / "shuffled.csv"
+    shuffled.write_text("".join(",".join(row[::-1]) + "\n" for row in lines))
+    capsys.readouterr()
+    assert main(["predict", "--model", str(fit / "model.json"),
+                 "--data", str(shuffled), "--format", "csv"]) == 0
+    got = np.array([float(v) for v in capsys.readouterr().out.split()])
+    assert np.allclose(got, want, atol=1e-9)
+    short = tmp_path / "short.csv"
+    short.write_text("".join(",".join(row[1:]) + "\n" for row in lines))
+    assert main(["predict", "--model", str(fit / "model.json"),
+                 "--data", str(short), "--format", "csv"]) == 1
+    assert "'x0'" in capsys.readouterr().err
+
+
 def test_dedup_writes_kept_columns(tmp_path, capsys):
     trans = tmp_path / "t.txt"
     # b duplicates a exactly; c is distinct
@@ -216,14 +261,6 @@ def test_dedup_writes_kept_columns(tmp_path, capsys):
     assert "kept 2 of 3" in capsys.readouterr().err
     kept = json.loads((fit / "kept_columns.json").read_text())
     assert kept == [0, 2]
-
-
-def test_thread_cap_env(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("FCK_THREADS", "zilch")
-    assert main(["synth", "--n", "10", "--d", "3", "--out", str(tmp_path)]) == 1
-    assert "FCK_THREADS" in capsys.readouterr().err
-    monkeypatch.setenv("FCK_THREADS", "1")
-    assert main(["synth", "--n", "10", "--d", "3", "--out", str(tmp_path)]) == 0
 
 
 def test_basket_synth_roundtrips_through_transactions(tmp_path):

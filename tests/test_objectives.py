@@ -338,69 +338,17 @@ def test_hierarchy_under_increasing_penalty(rng):
                     assert sub in active, (atoms, sub)
 
 
-def test_matrix_against_cvxpy_socp(rng):
-    """T = 1 turns the nuclear term into a plain l2 norm of the scores:
-    cross-check the full objective value on an interior-point solve."""
-    cvxpy = pytest.importorskip("cvxpy")
-    X, A = random_binary(rng, 12, 4)
-    Y = rng.standard_normal((12, 1)) * 2.0
-    spec = MatrixSpec(responses=Y, rho_nuclear=0.5, eta_l2=0.05, fit_intercept=False)
-    obj = matrix_dual(spec, A)
-    sched = PenaltySchedule.flat(
-        0.35 * lambda_max(obj, A, PenaltySchedule.flat(1.0)))
-    res = solve(obj, A, sched, cfg=SolverConfig(kkt_tol=1e-8))
-    assert res.state.converged
-
-    subsets, P = oc.materialize(X)
-    lam_vec = oc.threshold_vector(subsets, sched)
-    w = cvxpy.Variable(len(subsets))
-    objective = (0.5 * cvxpy.sum_squares(Y[:, 0] - P @ w)
-                 + spec.rho_nuclear * cvxpy.norm2(P @ w)
-                 + lam_vec @ cvxpy.abs(w)
-                 + 0.5 * spec.eta_l2 * cvxpy.sum_squares(w))
-    prob = cvxpy.Problem(cvxpy.Minimize(objective))
-    prob.solve(solver="CLARABEL")
-    emb = oc.embed_model(res.model, subsets, T=1)
-    ours = oc.matrix_objective(P, Y, lam_vec, spec.eta_l2, spec.rho_nuclear, emb)
-    assert ours == pytest.approx(prob.value, rel=1e-6, abs=1e-6)
-
-
-def test_matrix_against_cvxpy_sdp(rng):
-    """Small multi-response instance with a genuine nuclear norm."""
-    cvxpy = pytest.importorskip("cvxpy")
-    X, A = random_binary(rng, 10, 3)
-    Y = rng.standard_normal((10, 3))
-    spec = MatrixSpec(responses=Y, rho_nuclear=0.6, eta_l2=0.1, fit_intercept=False)
-    obj = matrix_dual(spec, A)
-    sched = PenaltySchedule.flat(
-        0.4 * lambda_max(obj, A, PenaltySchedule.flat(1.0)))
-    res = solve(obj, A, sched, cfg=SolverConfig(kkt_tol=1e-8))
-    assert res.state.converged
-
-    subsets, P = oc.materialize(X)
-    lam_vec = oc.threshold_vector(subsets, sched)
-    W = cvxpy.Variable((len(subsets), 3))
-    objective = (0.5 * cvxpy.sum_squares(Y - P @ W)
-                 + spec.rho_nuclear * cvxpy.normNuc(P @ W)
-                 + cvxpy.sum(cvxpy.multiply(lam_vec, cvxpy.norm(W, 2, axis=1)))
-                 + 0.5 * spec.eta_l2 * cvxpy.sum_squares(W))
-    prob = cvxpy.Problem(cvxpy.Minimize(objective))
-    prob.solve(solver="SCS", eps_abs=1e-9, eps_rel=1e-9, max_iters=200000)
-    emb = oc.embed_model(res.model, subsets, T=3)
-    ours = oc.matrix_objective(P, Y, lam_vec, spec.eta_l2, spec.rho_nuclear, emb)
-    assert ours == pytest.approx(prob.value, rel=2e-5, abs=2e-5)
-
-
-@pytest.mark.parametrize("n, d, T, rho, eta, share", [
-    (12, 4, 1, 0.5, 0.05, 0.35),
-    (10, 3, 3, 0.6, 0.1, 0.4),
+@pytest.mark.parametrize("n, d, T, rho, eta, share, scale", [
+    pytest.param(12, 4, 1, 0.5, 0.05, 0.35, 2.0, id="12-4-1-0.5-0.05-0.35"),
+    pytest.param(10, 3, 3, 0.6, 0.1, 0.4, 2.0, id="10-3-3-0.6-0.1-0.4"),
+    pytest.param(10, 3, 3, 0.6, 0.1, 0.4, 1.0, id="10-3-3-0.6-0.1-0.4-unit"),
 ])
-def test_matrix_against_fista_oracle(rng, n, d, T, rho, eta, share):
+def test_matrix_against_fista_oracle(rng, n, d, T, rho, eta, share, scale):
     """Full objective value against the offline dual-FISTA oracle on the
     materialized lattice; T = 1 makes the nuclear term a plain l2 norm of
-    the scores, T = 3 is a genuine nuclear norm."""
+    the scores, T = 3 is a genuine nuclear norm, at two response scales."""
     X, A = random_binary(rng, n, d)
-    Y = 2.0 * rng.standard_normal((n, T))
+    Y = scale * rng.standard_normal((n, T))
     spec = MatrixSpec(responses=Y, rho_nuclear=rho, eta_l2=eta, fit_intercept=False)
     obj = matrix_dual(spec, A)
     sched = PenaltySchedule.flat(share * lambda_max(obj, A, PenaltySchedule.flat(1.0)))

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import oracles as oc
 from prodscreen import (AtomicMatrix, BasketSpec, FeatureSet, LogisticSpec,
                         MatrixSpec, PathConfig, PenaltySchedule, PrimalModel,
                         ScreenConfig, SolverConfig, basket_dual, lambda_max,
                         logistic_dual, matrix_dual, metrics_auc, metrics_r2,
-                        predict, run_path, solve, synth_planted)
+                        predict, run_path, screen, solve, synth_planted)
 from prodscreen.data import interaction_column
 from conftest import random_binary
 
@@ -71,6 +73,48 @@ def test_above_lambda_max_solves_empty(rng):
     res = solve(obj, A, PenaltySchedule.flat(lm * 1.01))
     assert res.state.converged
     assert res.model.n_active == 0
+
+
+def _lambda_max_instance(seed, kind, shape):
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(6, 30)), int(rng.integers(2, 7))
+    if seed % 2:
+        X = rng.random((n, d))
+    else:
+        X = (rng.random((n, d)) < 0.5).astype(float)
+    A = AtomicMatrix.from_dense(X)
+    if kind == "basket":
+        obj = basket_dual(BasketSpec(tau_target=float(rng.uniform(1.0, 10.0))), A)
+    elif kind == "logistic":
+        obj = logistic_dual(LogisticSpec(labels=(rng.random(n) < 0.5).astype(float)), A)
+    else:
+        obj = matrix_dual(MatrixSpec(responses=rng.standard_normal((n, 2)),
+                                     rho_nuclear=float(rng.uniform(0.0, 1.0))), A)
+    base = float(rng.uniform(1.0, 2.0))
+    sched = {"flat": PenaltySchedule.flat(1.0),
+             "geometric": PenaltySchedule.geometric(1.0, base),
+             "supergeometric": PenaltySchedule.supergeometric(
+                 1.0, base, float(rng.uniform(1.0, 2.0)))}[shape]
+    return A, obj, sched
+
+
+@given(st.integers(0, 10 ** 6), st.sampled_from(("basket", "logistic", "matrix")),
+       st.sampled_from(("flat", "geometric", "supergeometric")))
+@example(734, "logistic", "geometric")
+@example(666, "matrix", "supergeometric")
+@settings(max_examples=60, deadline=None)
+def test_screen_at_lambda_max_is_empty(seed, kind, shape):
+    """lambda_max and screen run the same walk: at lambda_max the screen
+    emits nothing, and a hair below it emits at least one set.  The two
+    examples are instances where the ratio stat / rho rounds down, so the
+    quotient alone would let its own set through."""
+    A, obj, sched = _lambda_max_instance(seed, kind, shape)
+    lm = lambda_max(obj, A, sched)
+    assume(lm > 0.0)
+    w = obj.screen_weights(obj.alpha0())
+    cfg = obj.screen_config()
+    assert screen(A, w, sched.with_base(lm), cfg).emitted == ()
+    assert screen(A, w, sched.with_base(lm * (1.0 - 1e-9)), cfg).emitted
 
 
 # --------------------------------------------------------------- run_path --

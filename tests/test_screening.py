@@ -73,7 +73,10 @@ def test_screen_four_transactions(four_transactions):
     assert got == [(0,), (0, 1), (1,), (1, 2), (2,)]
     assert res.explored_count == 6          # 3 singletons + 3 pairs
     assert res.pruned_by_closure == 1       # {a,c} closes its subtree
-    assert [f.atoms for f in res.pruned] == [(0, 2)]
+    X = np.column_stack([A.atom_values(j) for j in range(A.n_cols)])
+    subsets, P = oc.materialize(X)
+    low = [u for u, b in zip(subsets, oc.closure_bounds(P, np.ones(4), "nonneg")) if b <= 1.5]
+    assert low == [(0, 1, 2), (0, 2)]       # {a,c} and its one superset, never built
     stats = {e.feature_set.atoms: e.stat for e in res.emitted}
     assert stats[(0, 1)] == pytest.approx(2.0)
     assert all(e.threshold == 1.5 for e in res.emitted)
@@ -225,7 +228,9 @@ def test_screen_matches_enumeration(seed, mode):
 @given(st.integers(0, 10 ** 6))
 @settings(max_examples=40, deadline=None)
 def test_pruned_subtrees_are_empty(seed):
-    """Any closure-pruned node certifies all its supersets below threshold."""
+    """Any node whose bound is at most the next order's threshold, which
+    includes every node the walk closes, has all its supersets below
+    threshold; and the walk closes no more nodes than there are of these."""
     rng = np.random.default_rng(seed)
     n, d = int(rng.integers(4, 16)), int(rng.integers(3, 7))
     X = (rng.random((n, d)) < 0.5).astype(float)
@@ -235,12 +240,13 @@ def test_pruned_subtrees_are_empty(seed):
     res = screen(A, DualWeights.from_alpha(alpha), sched)
     subsets, P = oc.materialize(X)
     stats = oc.enumerate_stats(P, alpha, "signed")
-    idx = {s: i for i, s in enumerate(subsets)}
-    for fs in res.pruned:
-        u = set(fs.atoms)
-        for s in subsets:
-            if u < set(s):
-                assert stats[idx[s]] <= sched.threshold(len(s)) + 1e-9
+    bounds = oc.closure_bounds(P, alpha, "signed")
+    closable = [v for v, b in zip(subsets, bounds) if b <= sched.threshold(len(v) + 1)]
+    assert res.pruned_by_closure <= sum(len(v) >= 2 for v in closable)
+    for v in closable:
+        for s, stat in zip(subsets, stats):
+            if set(v) < set(s):
+                assert stat <= sched.threshold(len(s)) + 1e-9
 
 
 def test_explored_bounded_by_emitted_subtrees(four_transactions):
