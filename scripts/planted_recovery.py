@@ -40,7 +40,7 @@ def main() -> None:
     ds = synth_planted(args.seed, args.n, args.d, planted,
                        noise=args.noise, kind="logistic")
     n_train = int(0.7 * args.n)
-    X = np.column_stack([ds.matrix.atom_values(j) for j in range(args.d)])
+    X = ds.matrix.atom_matrix()
     A_tr = AtomicMatrix.from_dense(X[:n_train])
     A_te = AtomicMatrix.from_dense(X[n_train:])
     y_tr = ds.response[:n_train]

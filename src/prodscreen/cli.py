@@ -183,17 +183,10 @@ def _cmd_screen(args):
     return 0
 
 
-def _columns_by_name(A: AtomicMatrix, names, args) -> AtomicMatrix:
-    """The columns of new data in the order of a model's item names.  A token
-    absent from new transactions is an empty column; a missing CSV header is
-    an input error."""
+def _transactions_by_name(A: AtomicMatrix, names) -> AtomicMatrix:
+    """New transactions with their columns in the order of a model's item
+    names; a token absent from the new data is an empty column."""
     index = {t: j for j, t in enumerate(A.item_names)}
-    if args.format == "csv":
-        missing = [t for t in names if t not in index]
-        if missing:
-            raise ValueError(
-                f"{args.data}: no column {missing[0]!r}, which the model was fitted on")
-        return A.select([index[t] for t in names])
     empty = np.zeros(0, dtype=np.int64)
     tidlists = [A.tidlist(index[t]) if t in index else empty for t in names]
     return AtomicMatrix.from_tidlists(tidlists, A.n_rows, item_names=names)
@@ -202,12 +195,13 @@ def _columns_by_name(A: AtomicMatrix, names, args) -> AtomicMatrix:
 def _cmd_predict(args):
     doc = json.loads(Path(args.model).read_text())
     model = PrimalModel.from_json_dict(doc)
+    names = doc.get("item_names")  # models built in the library map by position
     if args.format == "transactions":
         A = load_transactions(args.data)
-    else:
-        A, _ = load_dense(args.data, 0)
-    if doc.get("item_names") is not None:  # models built in the library map by position
-        A = _columns_by_name(A, doc["item_names"], args)
+        if names is not None:
+            A = _transactions_by_name(A, names)
+    else:  # only the named columns are read, so response columns may stay in the file
+        A, _ = load_dense(args.data, 0, columns=names)
     scores = predict(model, A)
     np.savetxt(sys.stdout, np.atleast_2d(scores.T).T, fmt="%.10g", delimiter="\t")
     return 0
@@ -237,7 +231,7 @@ def _cmd_synth(args):
     else:
         resp = np.atleast_2d(ds.response.T).T
         header = [f"x{j}" for j in range(A.n_cols)] + [f"y{t}" for t in range(resp.shape[1])]
-        dense = np.column_stack([A.atom_values(j) for j in range(A.n_cols)])
+        dense = A.atom_matrix()
         with open(out / "data.csv", "w") as fh:
             fh.write(",".join(header) + "\n")
             for i in range(A.n_rows):

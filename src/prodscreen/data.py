@@ -164,6 +164,7 @@ class AtomicMatrix:
         if item_names is not None and len(item_names) != self.n_cols:
             raise ValueError("item_names length must equal column count")
         self.item_names = list(item_names) if item_names is not None else None
+        self._bits = None
 
     @classmethod
     def from_tidlists(cls, tidlists, n_rows, item_names=None):
@@ -193,13 +194,20 @@ class AtomicMatrix:
             raise ValueError("dense matrix has no tidlists")
         return self._tidlists[j]
 
-    def atom_values(self, j: int) -> np.ndarray:
-        """Dense values of atom column j."""
+    def atom_matrix(self) -> np.ndarray:
+        """The n x d atom matrix: bool for binary data, float for dense.
+
+        Binary data builds it from the tidlists on first use and keeps it;
+        dense data returns its own array.  Do not write to it.
+        """
         if self._dense is not None:
-            return self._dense[:, j]
-        v = np.zeros(self.n_rows)
-        v[self._tidlists[j]] = 1.0
-        return v
+            return self._dense
+        if self._bits is None:
+            bits = np.zeros((self.n_rows, self.n_cols), dtype=bool)
+            for j, t in enumerate(self._tidlists):
+                bits[t, j] = True
+            self._bits = bits
+        return self._bits
 
     def column(self, j: int) -> Column:
         if not 0 <= j < self.n_cols:
@@ -288,9 +296,11 @@ def load_transactions(path) -> AtomicMatrix:
     return AtomicMatrix(n, tidlists=tidlists, item_names=names)
 
 
-def load_dense(path, response_cols: int = 0):
+def load_dense(path, response_cols: int = 0, columns=None):
     """Read a CSV with a header row; the last ``response_cols`` columns are
-    responses.  Feature entries must lie in [0, 1]; exact 0/1 feature data is
+    responses, and the others are features unless ``columns`` names the
+    feature headers to read, in its order (other columns are then not
+    read).  Feature entries must lie in [0, 1]; exact 0/1 feature data is
     stored as tidlists.  Returns ``(AtomicMatrix, responses)`` with responses
     of shape (n, response_cols).
     """
@@ -306,24 +316,34 @@ def load_dense(path, response_cols: int = 0):
     width = len(header)
     if response_cols < 0 or response_cols >= width:
         raise ValueError(f"response_cols={response_cols} out of range for {width} columns")
-    n_feat = width - response_cols
-    data = np.empty((len(raw), width))
+    if columns is None:
+        feats = list(range(width - response_cols))
+    else:
+        index = {name: j for j, name in enumerate(header)}
+        missing = [c for c in columns if c not in index]
+        if missing:
+            raise ValueError(f"{path}: no column {missing[0]!r}")
+        feats = [index[c] for c in columns]
+    take = feats + list(range(width - response_cols, width))
+    n_feat = len(feats)
+    data = np.empty((len(raw), len(take)))
     for i, row in enumerate(raw):
         if len(row) != width:
             raise ValueError(f"{path}: row {i + 2} has {len(row)} fields, expected {width}")
-        for j, cell in enumerate(row):
+        for k, j in enumerate(take):
+            cell = row[j]
             try:
                 v = float(cell)
             except ValueError:
                 raise ValueError(
                     f"{path}: row {i + 2}, column {header[j]!r}: not a number: {cell!r}"
                 ) from None
-            if j < n_feat and not 0.0 <= v <= 1.0:
+            if k < n_feat and not 0.0 <= v <= 1.0:
                 raise ValueError(
                     f"{path}: row {i + 2}, column {header[j]!r}: value {v} outside [0, 1]"
                 )
-            data[i, j] = v
-    A = AtomicMatrix.from_dense(data[:, :n_feat], item_names=header[:n_feat])
+            data[i, k] = v
+    A = AtomicMatrix.from_dense(data[:, :n_feat], item_names=[header[j] for j in feats])
     return A, data[:, n_feat:]
 
 
@@ -340,9 +360,10 @@ def interaction_column(A: AtomicMatrix, u) -> Column:
         for t in tids[1:]:
             acc = np.intersect1d(acc, t, assume_unique=True)
         return Column(fs, A.n_rows, tidlist=acc)
-    acc = A.atom_values(fs.atoms[0]).copy()
+    X = A.atom_matrix()
+    acc = X[:, fs.atoms[0]].copy()
     for a in fs.atoms[1:]:
-        acc *= A.atom_values(a)
+        acc *= X[:, a]
     return Column(fs, A.n_rows, values=acc)
 
 
@@ -362,12 +383,14 @@ def jaccard(a: Column, b: Column) -> float:
     return inter / (na + nb - inter)
 
 
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity of two dense vectors; 1.0 when both are zero."""
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 and nb == 0.0:
-        return 1.0
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(a @ b) / (na * nb)
+def cosine(a: np.ndarray, b: np.ndarray):
+    """Cosine similarity of two dense vectors, or of each row of ``a`` with
+    ``b`` (one vector, or an array of the same shape); 1.0 where both are
+    zero and 0.0 where only one is.  Every sum runs along the last axis, so
+    a row scores the same alone and in a batch.
+    """
+    dot = (a * b).sum(axis=-1)
+    na, nb = np.broadcast_arrays(np.sqrt((a * a).sum(axis=-1)), np.sqrt((b * b).sum(axis=-1)))
+    out = np.where((na == 0.0) & (nb == 0.0), 1.0, 0.0)
+    np.divide(dot, na * nb, out=out, where=(na != 0.0) & (nb != 0.0))
+    return float(out) if out.ndim == 0 else out

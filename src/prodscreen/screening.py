@@ -10,8 +10,14 @@ c_t <= c_u entrywise whenever t is a superset of u, the quantity
 
 dominates the statistic of every superset of u, so a node whose bound falls
 below the next order's threshold closes its whole subtree.  The walk mirrors
-frequent-itemset mining: candidates of order k+1 are unions of two order-k
-sets sharing a prefix, and binary columns are intersected tidlists.  The
+frequent-itemset mining (Eclat): the children of a node are its unions with
+each later sibling of its prefix class, and all of them are scored in one
+batch.  The batch gathers the atom matrix at the parent's support rows
+(its tidlist for binary data, every row times the parent's values for
+dense data) and the siblings' atoms, and reduces that block against
+[alpha_+, alpha_-] in a fixed order, so a node's statistic does not
+depend on its batch.  The atoms themselves are one such batch.  Only
+emitted nodes and children that stay open get a column of their own.  The
 same walk, with a level that rises to the best ratio found so far, gives
 the critical penalty at which nothing is emitted.
 """
@@ -105,7 +111,7 @@ class ScreenConfig:
     to both of its generating parents (0 disables; it trades exactness for
     speed on data with heavily correlated columns, so it is off by default).
     nonneg_dual asserts alpha >= 0, which tightens the closure bound to
-    c^T alpha.  group_mode treats the dual as (n, T) and screens row norms.
+    c^T alpha; the walk rejects a dual with a negative entry.  group_mode treats the dual as (n, T) and screens row norms.
     """
 
     max_order: int = 20
@@ -149,28 +155,26 @@ class ScreenResult:
             )
 
 
-def _stat_bound(col: Column, w: DualWeights, cfg: ScreenConfig):
-    """Inclusion statistic and superset bound for one column."""
-    p, m = split_dots(col, w)
+def _stat_bound(p: np.ndarray, m: np.ndarray, cfg: ScreenConfig):
+    """Inclusion statistics and superset bounds of k columns from their dots
+    p = C^T pos and m = C^T neg, both (k, T) with T = 1 outside group mode.
+    Group norms are one BLAS dot per row, the same bits as ``v @ v``."""
     if cfg.group_mode:
-        p = np.atleast_1d(np.asarray(p, dtype=float))
-        m = np.atleast_1d(np.asarray(m, dtype=float))
         diff = p - m
-        stat = float(math.sqrt(float(diff @ diff)))
         hi = np.maximum(p, m)
-        bound = float(math.sqrt(float(hi @ hi)))
-        return stat, bound
-    p = float(p)
-    m = float(m)
+        return (np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0]),
+                np.sqrt(np.matmul(hi[:, None, :], hi[:, :, None])[:, 0, 0]))
+    t = (p - m)[:, 0]
     if cfg.nonneg_dual:
-        t = p - m
         return t, t
-    return abs(p - m), max(p, m)
+    return np.abs(t), np.maximum(p, m)[:, 0]
 
 
 def closure_bound(col: Column, w: DualWeights, cfg: ScreenConfig | None = None) -> float:
     """Upper bound on the statistic of every superset of the column's owner."""
-    return _stat_bound(col, w, cfg or ScreenConfig())[1]
+    p, m = split_dots(col, w)
+    _, bound = _stat_bound(np.reshape(p, (1, -1)), np.reshape(m, (1, -1)), cfg or ScreenConfig())
+    return float(bound[0])
 
 
 @dataclass
@@ -178,24 +182,9 @@ class _Cand:
     atoms: tuple[int, ...]  # in join order, not sorted
     ext: int  # the atom this candidate added to its class prefix
     column: Column
-    bound: float
 
 
-def _combine(A: AtomicMatrix, parent: _Cand, sibling: _Cand) -> Column:
-    if A.is_binary:
-        tid = np.intersect1d(parent.column.tidlist, sibling.column.tidlist, assume_unique=True)
-        return Column(None, A.n_rows, tidlist=tid)
-    vals = parent.column.values * A.atom_values(sibling.ext)
-    return Column(None, A.n_rows, values=vals)
-
-
-def _too_similar(child: Column, parent: _Cand, level: float) -> bool:
-    if child.tidlist is not None:
-        pn = parent.column.support_size
-        cn = child.support_size
-        sim = 1.0 if pn == 0 else cn / pn  # child support is nested in parent support
-        return sim > level
-    return cosine(child.values, parent.column.values) > level
+_CHUNK = 1 << 18  # float64 entries per product temporary, 2 MB
 
 
 class _Walk:
@@ -204,34 +193,89 @@ class _Walk:
     Iterating yields ``(atoms, column, stat, threshold)`` for every node
     whose statistic exceeds lam * rho(k), with atoms in join order.  All
     atoms seed the walk; a node of order k >= 2 closes its subtree when its
-    bound is at most lam * rho(k + 1).  The caller may raise ``lam`` between
-    yields, and every later comparison uses the new level.  ``explored``
-    counts the nodes built and ``pruned`` the subtrees closed.
+    bound is at most lam * rho(k + 1).  A parent's children are scored in
+    one batch.  The caller may raise ``lam`` between yields: each yield is
+    tested at the level current at its turn, and a batch's closure tests
+    run after its yields.  ``explored`` counts the nodes whose statistic
+    was computed and ``pruned`` the subtrees closed.
     """
 
     def __init__(self, A: AtomicMatrix, weights: DualWeights, schedule: PenaltySchedule,
                  cfg: ScreenConfig, lam: float):
         if weights.n_rows != A.n_rows:
             raise ValueError("dual weights and matrix disagree on row count")
-        self.A, self.weights, self.schedule, self.cfg = A, weights, schedule, cfg
+        if cfg.nonneg_dual and np.any(weights.neg > 0):
+            raise ValueError("nonneg_dual needs a dual without negative entries")
+        self.A, self.schedule, self.cfg = A, schedule, cfg
         self.lam = lam
         self.explored = 0
         self.pruned = 0
+        n = A.n_rows
+        self._W = np.hstack([weights.pos.reshape(n, -1), weights.neg.reshape(n, -1)])
+        self._X = A.atom_matrix()
+
+    def _batch(self, parent: _Cand | None, sibs: list[_Cand]):
+        """Statistics, bounds and child-parent skip mask of the children
+        parent + sibling.ext, one per sibling; no parent means the atoms.
+
+        The gather takes the siblings' atoms at the parent's support rows:
+        its tidlist for binary data, every row times the parent's values
+        for dense data.  One product with [pos, neg] and a sum over rows
+        follow.  Each child's dots are running sums in row order, so they
+        do not depend on how many children share the batch or on the
+        chunking.
+        """
+        col = parent.column if parent is not None else None
+        rows = col.tidlist if col is not None else None
+        W = self._W if rows is None else self._W[rows]
+        exts = np.array([s.ext for s in sibs], dtype=np.int64)
+        k, K = len(sibs), W.shape[1]
+        dots = np.empty((k, K))
+        level = self.cfg.child_parent_prune if parent is not None else 0.0
+        skip = np.zeros(k, dtype=bool)
+        step = max(1, _CHUNK // max(1, W.size))
+        X = self._X if rows is None else self._X.take(rows, axis=0)
+        for a in range(0, k, step):
+            G = X.take(exts[a:a + step], axis=1)  # (rows, children), C order
+            G = G * col.values[:, None] if rows is None and col is not None \
+                else G.astype(np.float64)
+            # K >= 2 keeps every reduction a running sum, even for one child
+            dots[a:a + step] = (W[:, :, None] * G[:, None, :]).sum(axis=0).T
+            if level > 0.0:
+                skip[a:a + step] = _too_similar(G, col, sibs[a:a + step], level)
+        T = K // 2
+        stat, bound = _stat_bound(dots[:, :T], dots[:, T:], self.cfg)
+        return stat, bound, skip
+
+    def _child(self, parent: _Cand | None, j: int) -> Column:
+        if parent is None:
+            return self.A.column(j)
+        col = parent.column
+        if col.tidlist is not None:
+            rows = col.tidlist
+            return Column(None, self.A.n_rows, tidlist=rows[self._X[rows, j]])
+        return Column(None, self.A.n_rows, values=col.values * self._X[:, j])
+
+    def _emit(self, parent: _Cand | None, sibs: list[_Cand], stat, live, rho_k: float,
+              built: dict):
+        """Yield the live children whose statistic clears lam * rho_k, each
+        tested at the level current at its turn; their columns go to
+        ``built`` by batch index."""
+        prefix = parent.atoms if parent is not None else ()
+        for i in np.nonzero(live & (stat > self.lam * rho_k))[0].tolist():
+            thr = self.lam * rho_k
+            if stat[i] > thr:
+                j = sibs[i].ext
+                built[i] = col = self._child(parent, j)
+                yield prefix + (j,), col, float(stat[i]), thr
 
     def __iter__(self):
-        A, w, cfg, rho = self.A, self.weights, self.cfg, self.schedule.rho
-        prune_level = cfg.child_parent_prune
-        seeds: list[_Cand] = []
-        rho_1 = rho(1)
-        for j in range(A.n_cols):
-            col = A.column(j)
-            stat, bound = _stat_bound(col, w, cfg)
-            self.explored += 1
-            thr = self.lam * rho_1
-            if stat > thr:
-                yield (j,), col, stat, thr
-            seeds.append(_Cand((j,), j, col, bound))
-        seeds.sort(key=lambda c: (-c.bound, c.ext))
+        A, cfg, rho = self.A, self.cfg, self.schedule.rho
+        atoms = [_Cand((j,), j, A.column(j)) for j in range(A.n_cols)]
+        stat, bound, _ = self._batch(None, atoms)
+        self.explored += A.n_cols
+        yield from self._emit(None, atoms, stat, np.ones(A.n_cols, dtype=bool), rho(1), {})
+        seeds = [atoms[j] for j in np.lexsort((np.arange(A.n_cols), -bound)).tolist()]
 
         stack = [seeds] if A.n_cols > 1 and cfg.max_order > 1 else []
         while stack:
@@ -239,27 +283,39 @@ class _Walk:
             order = len(cls[0].atoms) + 1
             rho_k = rho(order)
             rho_next = rho(order + 1) if order < cfg.max_order else None
-            for k, parent in enumerate(cls):
-                children: list[_Cand] = []
-                for sib in cls[k + 1:]:
-                    col = _combine(A, parent, sib)
-                    self.explored += 1
-                    if prune_level > 0.0 and _too_similar(col, parent, prune_level) \
-                            and _too_similar(col, sib, prune_level):
-                        continue
-                    stat, bound = _stat_bound(col, w, cfg)
-                    atoms = parent.atoms + (sib.ext,)
-                    thr = self.lam * rho_k
-                    if stat > thr:
-                        yield atoms, col, stat, thr
-                    if rho_next is None:
-                        continue
-                    if bound > self.lam * rho_next:
-                        children.append(_Cand(atoms, sib.ext, col, bound))
-                    else:
-                        self.pruned += 1
-                if len(children) > 1:
-                    stack.append(children)
+            for k, parent in enumerate(cls[:-1]):
+                sibs = cls[k + 1:]
+                stat, bound, skip = self._batch(parent, sibs)
+                self.explored += len(sibs)
+                live = ~skip
+                built: dict[int, Column] = {}
+                yield from self._emit(parent, sibs, stat, live, rho_k, built)
+                if rho_next is None:
+                    continue
+                keep = np.nonzero(live & (bound > self.lam * rho_next))[0].tolist()
+                self.pruned += int(np.count_nonzero(live)) - len(keep)
+                if len(keep) > 1:
+                    stack.append([
+                        _Cand(parent.atoms + (sibs[i].ext,), sibs[i].ext,
+                              built[i] if i in built else self._child(parent, sibs[i].ext))
+                        for i in keep])
+
+
+def _too_similar(G: np.ndarray, parent: Column, sibs: list[_Cand], level: float) -> np.ndarray:
+    """Which children, the columns of G, are more than ``level`` similar to
+    both of their generating parents: by support ratio for binary data (a
+    child's support is nested in each parent's), by cosine for dense data."""
+    if parent.tidlist is not None:
+        counts = G.sum(axis=0)
+        sizes = np.array([s.column.support_size for s in sibs])
+        pn = parent.support_size
+        to_parent = counts / pn if pn else np.ones(len(sibs))
+        to_sib = np.divide(counts, sizes, out=np.ones(len(sibs)), where=sizes > 0)
+    else:
+        children = np.ascontiguousarray(G.T)
+        to_parent = cosine(children, parent.values)
+        to_sib = cosine(children, np.stack([s.column.values for s in sibs]))
+    return (to_parent > level) & (to_sib > level)
 
 
 def screen(A: AtomicMatrix, weights: DualWeights, schedule: PenaltySchedule,

@@ -3,14 +3,20 @@
 Everything here works on the fully materialized interaction matrix (all
 2^d - 1 product columns), so it is only usable at toy scale, which is the
 point: results from the implicit-lattice solver must match these within
-tight tolerances.
+tight tolerances.  The one exception is the reference walk, the lattice
+walk one node at a time, which the library's batched walk must match
+node for node.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
+
+from prodscreen.data import Column, cosine, split_dots
 
 
 def all_subsets(d: int):
@@ -55,6 +61,113 @@ def closure_bounds(P: np.ndarray, alpha: np.ndarray, mode: str = "signed"):
     if mode == "nonneg":
         return P.T @ alpha
     return np.maximum(P.T @ pos, P.T @ neg)
+
+
+# ------------------------------------------------------- reference walk ---
+
+def _node_stat_bound(col, w, cfg):
+    """Statistic and superset bound of one column, as floats."""
+    p, m = split_dots(col, w)
+    if cfg.group_mode:
+        p = np.atleast_1d(np.asarray(p, dtype=float))
+        m = np.atleast_1d(np.asarray(m, dtype=float))
+        diff = p - m
+        hi = np.maximum(p, m)
+        return math.sqrt(float(diff @ diff)), math.sqrt(float(hi @ hi))
+    p, m = float(p), float(m)
+    if cfg.nonneg_dual:
+        return p - m, p - m
+    return abs(p - m), max(p, m)
+
+
+def _too_similar(child, parent_col, level):
+    if child.tidlist is not None:
+        pn = parent_col.support_size
+        return (1.0 if pn == 0 else child.support_size / pn) > level
+    return cosine(child.values, parent_col.values) > level
+
+
+def reference_walk(A, weights, schedule, cfg, lam):
+    """The lattice walk one node at a time: a Column and two dots per node.
+
+    A generator of ``(atoms, stat, threshold)`` in join order, like the
+    library's batched walk, with the same pruning rules; it returns
+    ``(explored, pruned)``.  ``lam`` is a one-element list the caller may
+    raise between yields.
+    """
+    explored = pruned = 0
+    X = A.atom_matrix()
+    seeds = []
+    for j in range(A.n_cols):
+        col = A.column(j)
+        stat, bound = _node_stat_bound(col, weights, cfg)
+        explored += 1
+        thr = lam[0] * schedule.rho(1)
+        if stat > thr:
+            yield (j,), stat, thr
+        seeds.append(((j,), j, col, bound))
+    seeds.sort(key=lambda c: (-c[3], c[1]))
+    stack = [seeds] if A.n_cols > 1 and cfg.max_order > 1 else []
+    while stack:
+        cls = stack.pop()
+        order = len(cls[0][0]) + 1
+        rho_k = schedule.rho(order)
+        rho_next = schedule.rho(order + 1) if order < cfg.max_order else None
+        for k, (atoms, _, pcol, _) in enumerate(cls):
+            children = []
+            for _, ext, scol, _ in cls[k + 1:]:
+                if A.is_binary:
+                    tid = np.intersect1d(pcol.tidlist, scol.tidlist, assume_unique=True)
+                    col = Column(None, A.n_rows, tidlist=tid)
+                else:
+                    col = Column(None, A.n_rows, values=pcol.values * X[:, ext])
+                explored += 1
+                level = cfg.child_parent_prune
+                if level > 0.0 and _too_similar(col, pcol, level) \
+                        and _too_similar(col, scol, level):
+                    continue
+                stat, bound = _node_stat_bound(col, weights, cfg)
+                thr = lam[0] * rho_k
+                if stat > thr:
+                    yield atoms + (ext,), stat, thr
+                if rho_next is None:
+                    continue
+                if bound > lam[0] * rho_next:
+                    children.append((atoms + (ext,), ext, col, bound))
+                else:
+                    pruned += 1
+            if len(children) > 1:
+                stack.append(children)
+    return explored, pruned
+
+
+def reference_screen(A, weights, schedule, cfg):
+    """(emitted, explored, pruned) of the reference walk at the schedule's
+    base; emitted holds (sorted atoms, stat, threshold) sorted by atoms."""
+    walk = reference_walk(A, weights, schedule, cfg, [schedule.base_lambda])
+    emitted = []
+    while True:
+        try:
+            atoms, stat, thr = next(walk)
+        except StopIteration as stop:
+            explored, pruned = stop.value
+            break
+        emitted.append((tuple(sorted(atoms)), stat, thr))
+    return sorted(emitted), explored, pruned
+
+
+def reference_critical_lambda(A, weights, schedule, cfg):
+    """Largest stat / rho over the lattice by the reference walk, stepped up
+    where the quotient rounds down, as ``critical_lambda`` defines it."""
+    cfg = replace(cfg, child_parent_prune=0.0)
+    lam = [0.0]
+    for atoms, stat, _ in reference_walk(A, weights, schedule, cfg, lam):
+        rho = schedule.rho(len(atoms))
+        level = stat / rho
+        while stat > level * rho:
+            level = math.nextafter(level, math.inf)
+        lam[0] = level
+    return lam[0]
 
 
 # ----------------------------------------------------------------- fista ---

@@ -30,7 +30,7 @@ def _report(num, label, ok, detail):
 
 
 def _dense_of(A):
-    return np.column_stack([A.atom_values(j) for j in range(A.n_cols)])
+    return A.atom_matrix().astype(float)
 
 
 def _random_binary(rng, n, d, density=0.35):

@@ -250,6 +250,41 @@ def test_predict_maps_csv_headers_by_name(tmp_path, capsys):
     assert "'x0'" in capsys.readouterr().err
 
 
+def test_predict_reads_only_model_columns(tmp_path, capsys):
+    """A fit-matrix model scores the CSV it was fitted on: the response
+    columns, whose values lie outside [0, 1], are not read."""
+    data, _ = _synth_csv(tmp_path, kind="matrix", n=60, d=6, tasks=2)
+    fit = tmp_path / "fit"
+    assert main(["fit-matrix", "--data", str(data), "--format", "csv",
+                 "--responses", "2", "--lambda", "2.0", "--out", str(fit)]) == 0
+    assert np.any(load_dense(data, 2)[1] < 0.0)
+    capsys.readouterr()
+    assert main(["predict", "--model", str(fit / "model.json"),
+                 "--data", str(data), "--format", "csv"]) == 0
+    got = np.loadtxt(capsys.readouterr().out.splitlines())
+    features = tmp_path / "features.csv"
+    features.write_text("".join(",".join(line.split(",")[:-2]) + "\n"
+                                for line in data.read_text().splitlines()))
+    assert main(["predict", "--model", str(fit / "model.json"),
+                 "--data", str(features), "--format", "csv"]) == 0
+    want = np.loadtxt(capsys.readouterr().out.splitlines())
+    assert got.shape == (60, 2)
+    assert np.array_equal(got, want)
+
+
+def test_screen_nonneg_rejects_negative_dual(tmp_path, capsys):
+    trans = tmp_path / "t.txt"
+    trans.write_text("0 1 2 3\n3\n1 2\n0\n0 1 3\n1 2 3\n")
+    alpha_file = tmp_path / "alpha.txt"
+    np.savetxt(alpha_file, np.array([2.0, 2.0, -2.0, 0.0, -3.0, -3.0]))
+    assert main(["screen", "--data", str(trans), "--alpha", str(alpha_file),
+                 "--lambda", "1", "--mode", "nonneg"]) == 1
+    assert "negative" in capsys.readouterr().err
+    np.savetxt(alpha_file, np.array([2.0, 2.0, 2.0, 0.0, 3.0, 3.0]))
+    assert main(["screen", "--data", str(trans), "--alpha", str(alpha_file),
+                 "--lambda", "1", "--mode", "nonneg"]) == 0
+
+
 def test_dedup_writes_kept_columns(tmp_path, capsys):
     trans = tmp_path / "t.txt"
     # b duplicates a exactly; c is distinct

@@ -14,7 +14,7 @@ from conftest import random_binary
 
 
 def _dense_of(A):
-    return np.column_stack([A.atom_values(j) for j in range(A.n_cols)])
+    return A.atom_matrix().astype(float)
 
 
 # ------------------------------------------------------------- lambda_max --

@@ -9,6 +9,7 @@ import oracles as oc
 from prodscreen import (AtomicMatrix, DualWeights, FeatureSet, PenaltySchedule,
                         ScreenConfig, closure_bound, dedup_atoms,
                         frequent_itemsets, interaction_column, screen, verify_kkt)
+from prodscreen import screening
 from prodscreen.data import Column
 
 
@@ -73,7 +74,7 @@ def test_screen_four_transactions(four_transactions):
     assert got == [(0,), (0, 1), (1,), (1, 2), (2,)]
     assert res.explored_count == 6          # 3 singletons + 3 pairs
     assert res.pruned_by_closure == 1       # {a,c} closes its subtree
-    X = np.column_stack([A.atom_values(j) for j in range(A.n_cols)])
+    X = A.atom_matrix().astype(float)
     subsets, P = oc.materialize(X)
     low = [u for u, b in zip(subsets, oc.closure_bounds(P, np.ones(4), "nonneg")) if b <= 1.5]
     assert low == [(0, 1, 2), (0, 2)]       # {a,c} and its one superset, never built
@@ -261,10 +262,124 @@ def test_explored_bounded_by_emitted_subtrees(four_transactions):
 
 def test_frequent_itemsets_match_enumeration(four_transactions):
     A = four_transactions
-    X = np.column_stack([A.atom_values(j) for j in range(A.n_cols)])
+    X = A.atom_matrix().astype(float)
     subsets, P = oc.materialize(X)
     support = P.sum(axis=0)
     for lam in (0.5, 1.5, 2.5):
         got = frequent_itemsets(A, lam)
         expect = [(s, c) for s, c in zip(subsets, support) if c > lam]
         assert [(fs.atoms, s) for fs, s in got] == [(s, c) for s, c in expect]
+
+
+# ------------------------------------------------------------ batched walk --
+
+def _weights(rng, n, mode, integer):
+    shape = (n, int(rng.integers(1, 4))) if mode == "group" else (n,)
+    alpha = rng.integers(-3, 4, size=shape).astype(float) if integer \
+        else rng.standard_normal(shape)
+    return DualWeights.from_alpha(np.abs(alpha) if mode == "nonneg" else alpha)
+
+
+@given(seed=st.integers(0, 10 ** 6), values=st.sampled_from(["binary", "quarters", "uniform"]),
+       mode=st.sampled_from(["signed", "nonneg", "group"]),
+       kind=st.sampled_from(["flat", "geometric", "supergeometric"]), integer=st.booleans(),
+       max_order=st.sampled_from([20, 1, 2, 3]), prune=st.sampled_from([0.0, 0.5, 0.8, 0.95]),
+       frac=st.floats(0.05, 0.95))
+@settings(max_examples=120, deadline=None)
+def test_batched_walk_matches_reference(seed, values, mode, kind, integer, max_order, prune,
+                                        frac):
+    """screen and critical_lambda against the per-node reference walk: the
+    same emitted sets, thresholds and counts; stats exact where the
+    arithmetic is (integer weights on 0/1 or quarter values), else to 1e-12.
+    0/1 data runs both as tidlists and as a dense matrix.  Group stats of
+    tidlists with T >= 2 are exact too: both walks sum the rows in order
+    and take each norm with one BLAS dot."""
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(3, 30)), int(rng.integers(1, 7))
+    X = (rng.random((n, d)) < rng.uniform(0.3, 0.8)).astype(float)
+    if values == "quarters":
+        X *= rng.integers(1, 5, size=(n, d)) / 4
+    elif values == "uniform":
+        X *= rng.random((n, d))
+    mats = [AtomicMatrix(n, dense=X)]
+    if values == "binary":
+        mats.append(AtomicMatrix.from_dense(X))
+        assert mats[1].is_binary
+    w = _weights(rng, n, mode, integer)
+    shape = {"flat": PenaltySchedule.flat(1.0), "geometric": PenaltySchedule.geometric(1.0, 1.3),
+             "supergeometric": PenaltySchedule.supergeometric(1.0, 1.4, 1.5)}[kind]
+    cfg = ScreenConfig(max_order=max_order, child_parent_prune=prune,
+                       nonneg_dual=mode == "nonneg", group_mode=mode == "group")
+    for A in mats:
+        exact = (integer and values != "uniform") or \
+            (A.is_binary and mode == "group" and w.pos.shape[1] >= 2)
+        lam_ref = oc.reference_critical_lambda(A, w, shape, cfg)
+        lam = screening.critical_lambda(A, w, shape, cfg)
+        if exact:
+            assert lam == lam_ref
+        else:
+            assert lam == pytest.approx(lam_ref, rel=1e-12, abs=0.0)
+        sched = shape.with_base(frac * lam_ref if lam_ref > 0 else 1.0)
+        want, explored, pruned = oc.reference_screen(A, w, sched, cfg)
+        res = screen(A, w, sched, cfg)
+        assert [e.feature_set.atoms for e in res.emitted] == [u for u, _, _ in want]
+        assert [e.threshold for e in res.emitted] == [t for _, _, t in want]
+        assert (res.explored_count, res.pruned_by_closure) == (explored, pruned)
+        got = [e.stat for e in res.emitted]
+        if exact:
+            assert got == [v for _, v, _ in want]
+        else:
+            assert got == pytest.approx([v for _, v, _ in want], rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("chunk", [1, 1000, 5000])
+@pytest.mark.parametrize("mode", ["signed", "group"])
+@pytest.mark.parametrize("binary", [True, False])
+def test_node_stats_do_not_depend_on_batch_width(monkeypatch, chunk, mode, binary):
+    """A node scores the same bits in a batch of any width: a screen whose
+    batches are cut into chunks (one child each at chunk=1) equals the
+    unchunked one, and critical_lambda, whose batches are narrowed by its
+    rising level, finds exactly the largest ratio of a full screen."""
+    rng = np.random.default_rng(11)
+    n, d = 300, 8
+    X = (rng.random((n, d)) < 0.7).astype(float)
+    A = AtomicMatrix.from_dense(X if binary else X * rng.random((n, d)))
+    assert A.is_binary == binary
+    w = _weights(rng, n, mode, integer=False)
+    shape = PenaltySchedule.geometric(1.0, 1.2)
+    cfg = ScreenConfig(group_mode=mode == "group")
+    whole = screen(A, w, shape.with_base(1e-9), cfg)
+    assert len(whole.emitted) == 2 ** d - 1  # every node scored in a full batch
+    monkeypatch.setattr(screening, "_CHUNK", chunk)
+    cut = screen(A, w, shape.with_base(1e-9), cfg)
+    assert [(e.feature_set.atoms, e.stat) for e in cut.emitted] == \
+        [(e.feature_set.atoms, e.stat) for e in whole.emitted]
+    best = max(whole.emitted, key=lambda e: e.stat / shape.rho(e.feature_set.order))
+    rho = shape.rho(best.feature_set.order)
+    lam = best.stat / rho
+    while best.stat > lam * rho:
+        lam = np.nextafter(lam, np.inf)
+    assert screening.critical_lambda(A, w, shape, cfg) == lam
+
+
+def test_nonneg_screen_rejects_negative_dual():
+    """With nonneg_dual the closure bound is c^T alpha, which does not bound
+    the supersets once alpha has negative entries: {0, 1} and {0, 3} score
+    -1 (their row 4 carries -3) while their supersets {0,1,2}, {0,2,3} and
+    {0,1,2,3} score 2, so a walk that trusted the bound would miss them."""
+    X = np.array([[1, 1, 1, 1], [0, 0, 0, 1], [0, 1, 1, 0],
+                  [1, 0, 0, 0], [1, 1, 0, 1], [0, 1, 1, 1]], dtype=float)
+    alpha = np.array([2.0, 2.0, -2.0, 0.0, -3.0, -3.0])
+    subsets, P = oc.materialize(X)
+    stats = dict(zip(subsets, oc.enumerate_stats(P, alpha, "nonneg")))
+    assert [stats[u] for u in [(0, 1), (0, 3)]] == [-1.0, -1.0]
+    assert [stats[u] for u in [(0, 1, 2), (0, 2, 3), (0, 1, 2, 3)]] == [2.0, 2.0, 2.0]
+    w = DualWeights.from_alpha(alpha)
+    flat, cfg = PenaltySchedule.flat(1.0), ScreenConfig(nonneg_dual=True)
+    for A in (AtomicMatrix.from_dense(X), AtomicMatrix(6, dense=X)):
+        with pytest.raises(ValueError, match="negative"):
+            screen(A, w, flat, cfg)
+        with pytest.raises(ValueError, match="negative"):
+            screening.critical_lambda(A, w, flat, cfg)
+    ok = screen(AtomicMatrix.from_dense(X), DualWeights.from_alpha(np.abs(alpha)), flat, cfg)
+    assert ok.emitted
