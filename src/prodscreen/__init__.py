@@ -3,7 +3,7 @@
 The feature space is every non-empty product of atom columns, 2^d - 1
 candidates in all; it is searched, never materialized.  Training runs in
 the Fenchel dual: a screen walks the interaction lattice and certifies all
-but a small active set to carry zero weight, a quasi-Newton ascent solves
+but a small active set to carry zero weight, a damped Newton ascent solves
 the reduced dual, and re-screening at the solution either certifies
 optimality or grows the active set.
 """

@@ -120,7 +120,7 @@ def _run_fit(args, obj, A, schedule_shape):
     _write_fit(out, res, A)
     st = res.state
     print(f"lambda {args.lam:g}: active {res.model.n_active}, gap {st.gap:.3e}, "
-          f"{'converged' if st.converged else 'not converged'}")
+          f"{st.stop_reason}")
     return 0 if st.converged else 2
 
 

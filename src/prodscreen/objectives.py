@@ -8,6 +8,7 @@ products inside the penalty dead zone, and they contribute nothing to value,
 gradient, or curvature.  All three expose the same surface to the solver:
 
     value / gradient / hessian_matvec   on the reduced problem,
+    newton_direction                    its damped Newton step,
     project / free_mask                 for the feasible set,
     primal_map / primal_value           to recover and score coefficients.
 
@@ -25,6 +26,7 @@ from scipy.special import xlogy
 from .data import AtomicMatrix, DualWeights, FeatureSet, interaction_column
 from .duality import primal_basket, primal_logistic, primal_matrix
 from .screening import Emitted, PenaltySchedule, ScreenConfig
+from .solver import qn_step
 
 __all__ = [
     "BasketSpec",
@@ -179,6 +181,50 @@ class ReducedDual:
     def dots(self, alpha):
         return self.F.T @ alpha
 
+    def _curvature(self, alpha):
+        """(D, live, c) with negative Hessian D + F_B F_B^T / c, where D is
+        a diagonal (vector or scalar) and F_B the columns flagged live."""
+        raise NotImplementedError
+
+    def hessian_matvec(self, alpha):
+        """v -> (D + F_B F_B^T / c) v, the negative Hessian at alpha."""
+        diag, live, c = self._curvature(alpha)
+        FB = self.F[:, live]
+
+        def hv(v):
+            return diag * v + FB @ (FB.T @ v) / c
+
+        return hv
+
+    def newton_direction(self, alpha, grad, mask, h: float, cfg):
+        """Solution x of (H + h I) x = grad on the free coordinates (mask),
+        with x = 0 on the others; the masked gradient when x is not finite
+        or not an ascent direction.
+
+        By Woodbury, with E = D + h, w = mask / E and G = sqrt(w) F_B,
+        x = w g - sqrt(w) G S^-1 G^T (sqrt(w) g) where S = c I + G^T G is
+        m x m for m live columns.  S >= c I, so its solve stays well
+        conditioned however large D grows at the faces of the feasible box.
+        ``cfg`` is unused here: the solve is exact.  (numpy's LU solve, not
+        scipy's Cholesky: importing scipy.linalg costs about 6 MB of
+        resident memory, and at m of a few hundred the solve is not where
+        the time goes.)
+        """
+        diag, live, c = self._curvature(alpha)
+        g = np.where(mask, grad, 0.0)
+        w = np.where(mask, 1.0 / (diag + h), 0.0)
+        x = w * g
+        if live.any():
+            sw = np.sqrt(w)
+            G = self.F[:, live]
+            G *= sw[:, None]
+            S = G.T @ G
+            S[np.diag_indices_from(S)] += c
+            x -= sw * (G @ np.linalg.solve(S, G.T @ (sw * g)))
+        if not np.all(np.isfinite(x)) or float(np.vdot(x, g)) <= 0.0:
+            return g
+        return x
+
     def project(self, alpha):
         return self.obj.project(alpha)
 
@@ -238,16 +284,9 @@ class _BasketReduced(ReducedDual):
     def gradient(self, alpha):
         return self.tau - alpha - self.F @ self.primal_map(alpha)
 
-    def hessian_matvec(self, alpha):
+    def _curvature(self, alpha):
         z = self.dots(alpha) - self.thr
-        live = (z > 0.0) & (z < self.gamma)
-        FB = self.F[:, live]
-        g = self.gamma
-
-        def hv(v):
-            return v + FB @ (FB.T @ v) / g
-
-        return hv
+        return 1.0, (z > 0.0) & (z < self.gamma), self.gamma
 
     def free_mask(self, alpha, grad):
         if not self.obj.enforce_nonneg:
@@ -311,17 +350,9 @@ class _LogisticReduced(ReducedDual):
         s = np.clip(self.y - alpha, _EPS, 1.0 - _EPS)
         return np.log(s / (1.0 - s)) - self.F @ self.primal_map(alpha)
 
-    def hessian_matvec(self, alpha):
+    def _curvature(self, alpha):
         s = np.clip(self.y - alpha, _EPS, 1.0 - _EPS)
-        diag = 1.0 / s + 1.0 / (1.0 - s)
-        live = np.abs(self.dots(alpha)) > self.thr
-        FB = self.F[:, live]
-        tau = self.tau
-
-        def hv(v):
-            return diag * v + FB @ (FB.T @ v) / tau
-
-        return hv
+        return 1.0 / s + 1.0 / (1.0 - s), np.abs(self.dots(alpha)) > self.thr, self.tau
 
     def free_mask(self, alpha, grad):
         lo = self.y - 1.0
@@ -408,6 +439,11 @@ class _MatrixReduced(ReducedDual):
             return spectral(v) + FB @ G / eta
 
         return hv
+
+    def newton_direction(self, alpha, grad, mask, h: float, cfg):
+        """CG on the curvature operator: the spectral Jacobian is not a
+        diagonal plus low rank, so there is no direct solve."""
+        return qn_step(grad, self.hessian_matvec(alpha), mask, h, cfg)
 
     def free_mask(self, alpha, grad):
         return np.ones_like(alpha, dtype=bool)

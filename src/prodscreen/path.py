@@ -67,6 +67,7 @@ class PathPoint:
     converged: bool
     wall_time: float
     ratio: float
+    stop_reason: str
 
 
 @dataclass
@@ -76,11 +77,12 @@ class PathResult:
 
     def tsv_rows(self):
         yield ("lambda", "active", "predicted", "explored", "expansions",
-               "gap", "converged", "seconds", "predicted_to_active")
+               "gap", "converged", "seconds", "predicted_to_active", "stop_reason")
         for p in self.points:
             yield (f"{p.lam:.10g}", str(p.active_count), str(p.predicted_count),
                    str(p.explored_count), str(p.expansions), f"{p.gap:.6e}",
-                   str(int(p.converged)), f"{p.wall_time:.4f}", f"{p.ratio:.6g}")
+                   str(int(p.converged)), f"{p.wall_time:.4f}", f"{p.ratio:.6g}",
+                   p.stop_reason)
 
     def best_model(self, score_fn):
         """Model maximizing score_fn(model) over the path."""
@@ -130,7 +132,7 @@ def run_path(obj, A: AtomicMatrix, pcfg: PathConfig | None = None,
             predicted_sets=tuple(fs.atoms for fs in res.predicted),
             explored_count=res.screen_result.explored_count,
             expansions=res.expansions, converged=res.state.converged,
-            wall_time=wall, ratio=ratio))
+            wall_time=wall, ratio=ratio, stop_reason=res.state.stop_reason))
     return result
 
 

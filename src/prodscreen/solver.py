@@ -1,20 +1,23 @@
-"""Projected quasi-Newton ascent on the reduced dual.
+"""Projected damped-Newton ascent on the reduced dual.
 
-The inner loop maximizes the concave reduced dual: a matrix-free conjugate
-gradient solve of (H + h I) dir = grad on the free coordinates gives the
-step direction, a backtracking line search enforces strict increase, and the
-damping h grows when the quadratic model misleads and shrinks when a full
-step is accepted first try.  The outer loop alternates inner convergence
-with a full re-screen of the lattice: any interaction the screen emits that
-is missing from the active set joins it, and the solve finishes when the
-screen certifies the active set complete and the duality gap is below
-tolerance.
+The inner loop maximizes the concave reduced dual.  Each step takes the
+direction (H + h I)^-1 grad on the free coordinates from the reduced dual
+itself (``newton_direction``): the basket and logistic duals, whose
+curvature is a diagonal plus a low-rank term, solve it exactly through one
+small SPD system (Woodbury); the matrix dual runs conjugate gradients
+(``qn_step``) on its curvature operator.  A backtracking line search
+enforces strict increase, and the damping h grows when the quadratic model
+misleads and shrinks when a full step is accepted first try.  The outer
+loop alternates inner convergence with an exact re-screen of the lattice:
+any interaction the screen emits that is missing from the active set joins
+it, and the solve finishes when the screen certifies the active set
+complete and the duality gap is below tolerance.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -60,7 +63,11 @@ class SolverConfig:
 
 @dataclass
 class DualState:
-    """Where the dual ascent ended up, with the certificates attached."""
+    """Where the dual ascent ended up, with the certificates attached.
+
+    stop_reason is ``converged`` (certified gap and an empty exact
+    re-screen), ``stalled`` (no ascent step left and no set missing, gap not
+    certified) or ``max_outer`` (outer rounds exhausted)."""
 
     alpha: np.ndarray
     dots: np.ndarray
@@ -70,9 +77,12 @@ class DualState:
     h: float
     inner_iterations: int
     outer_iterations: int
-    converged: bool
-    stalled: bool
+    stop_reason: str
     inner_cap_hits: int
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "converged"
 
 
 @dataclass
@@ -132,7 +142,8 @@ def cg_solve(matvec, rhs, rel_tol: float = 1e-8, max_iter: int = 200):
 
 
 def qn_step(grad, hess_matvec, free_mask, h: float, cfg: SolverConfig):
-    """Ascent direction (H + h I)^-1 grad restricted to the free coordinates.
+    """Ascent direction (H + h I)^-1 grad restricted to the free coordinates,
+    by CG on a curvature operator (the matrix dual's direction).
 
     Falls back to the masked gradient if CG misbehaves or the returned
     direction is not an ascent direction.
@@ -192,26 +203,34 @@ _POLISH_MAX = 20
 _POLISH_BACKTRACKS = 8
 
 
+def _newton_step(red, alpha, h: float, cfg: SolverConfig, stop: float):
+    """(masked gradient, its norm, Newton direction) at alpha.  The
+    direction is None, and no solve is spent, when the norm is <= stop."""
+    grad = red.gradient(alpha)
+    mask = red.free_mask(alpha, grad)
+    g = np.where(mask, grad, 0.0)
+    gn = math.sqrt(_vdot(g, g))
+    if gn <= stop:
+        return g, gn, None
+    return g, gn, red.newton_direction(alpha, grad, mask, h, cfg)
+
+
 def _polish(red, alpha, value: float, h: float, cfg: SolverConfig, tol: float):
     """Endgame refinement once value comparisons drown in rounding noise.
 
     Near the maximum the dual value is flat to double precision while the
     gradient still carries signal, so steps are accepted on gradient-norm
     decrease instead, guarded against value regressions above noise scale.
-    Directions are damped Newton steps on the free coordinates, from the
-    objective's curvature operator, which is an exact generalized Jacobian.
+    Directions are the reduced dual's damped Newton steps on the free
+    coordinates, from its exact generalized Jacobian.
     """
     iters = 0
     guard = 1e-12 * (1.0 + abs(value))
     misses = 0
     for _ in range(_POLISH_MAX):
-        grad = red.gradient(alpha)
-        mask = red.free_mask(alpha, grad)
-        g = np.where(mask, grad, 0.0)
-        gn = math.sqrt(_vdot(g, g))
-        if gn <= 0.1 * tol:
+        _, gn, direction = _newton_step(red, alpha, h, cfg, 0.1 * tol)
+        if direction is None:
             break
-        direction = qn_step(grad, red.hessian_matvec(alpha), mask, h, cfg)
         accepted = False
         t = 1.0
         for _ in range(_POLISH_BACKTRACKS):
@@ -246,12 +265,9 @@ def _inner_ascent(red, alpha, h: float, cfg: SolverConfig, tol: float):
     stalled = False
     capped = False
     for _ in range(cfg.max_inner):
-        grad = red.gradient(alpha)
-        mask = red.free_mask(alpha, grad)
-        g = np.where(mask, grad, 0.0)
-        if math.sqrt(_vdot(g, g)) <= tol:
+        g, _, direction = _newton_step(red, alpha, h, cfg, tol)
+        if direction is None:
             break
-        direction = qn_step(grad, red.hessian_matvec(alpha), mask, h, cfg)
         res = line_search(red, alpha, value, direction, g, h, cfg)
         iters += 1
         h = res.h
@@ -273,10 +289,13 @@ def solve(obj, A: AtomicMatrix, schedule: PenaltySchedule, alpha0=None,
     Screens at the starting dual point to predict the active set, maximizes
     the reduced dual, then re-screens: emissions outside the active set are
     pulled in and the cycle repeats.  Converged means the final screen found
-    nothing new and primal - dual <= kkt_tol * (1 + |primal|).
+    nothing new and primal - dual <= kkt_tol * (1 + |primal|).  The first
+    screen honours ``scfg.child_parent_prune``; the re-screens certify, so
+    they run exact.
     """
     cfg = cfg or SolverConfig()
     scfg = obj.screen_config(scfg)
+    exact = replace(scfg, child_parent_prune=0.0)
     alpha = obj.project(np.array(obj.alpha0() if alpha0 is None else alpha0, dtype=float))
 
     first = screen(A, obj.screen_weights(alpha), schedule, scfg)
@@ -288,8 +307,7 @@ def solve(obj, A: AtomicMatrix, schedule: PenaltySchedule, alpha0=None,
     expansions = 0
     total_inner = 0
     cap_hits = 0
-    converged = False
-    stalled = False
+    stop_reason = "max_outer"
     log: list[tuple] = []
     check = first
     red = obj.reduced(list(active.values()))
@@ -303,7 +321,7 @@ def solve(obj, A: AtomicMatrix, schedule: PenaltySchedule, alpha0=None,
         total_inner += inners
         cap_hits += capped
 
-        check = screen(A, obj.screen_weights(alpha), schedule, scfg)
+        check = screen(A, obj.screen_weights(alpha), schedule, exact)
         missing = [e for e in check.emitted if e.feature_set.atoms not in active]
         beta = red.primal_map(alpha)
         pval = red.primal_value(beta)
@@ -314,13 +332,14 @@ def solve(obj, A: AtomicMatrix, schedule: PenaltySchedule, alpha0=None,
         # a substantially negative gap means the dual value is not a valid
         # bound (seen when the signed basket relaxation peaks off the orthant)
         if not missing and abs(gap) <= cfg.kkt_tol * (1.0 + abs(pval)):
-            converged = True
+            stop_reason = "converged"
             break
         if missing:
             for e in missing:
                 active[e.feature_set.atoms] = e
             expansions += 1
         elif stalled:
+            stop_reason = "stalled"
             break
         else:
             # inner loop hit its gradient tolerance but the gap is not yet
@@ -332,6 +351,6 @@ def solve(obj, A: AtomicMatrix, schedule: PenaltySchedule, alpha0=None,
     state = DualState(alpha=alpha, dots=red.dots(alpha), dual_value=dval,
                       primal_value=pval, gap=gap, h=h,
                       inner_iterations=total_inner, outer_iterations=outer,
-                      converged=converged, stalled=stalled, inner_cap_hits=cap_hits)
+                      stop_reason=stop_reason, inner_cap_hits=cap_hits)
     return SolveResult(state=state, model=model, screen_result=check,
                        predicted=predicted, expansions=expansions, log=log)

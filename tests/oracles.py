@@ -3,9 +3,10 @@
 Everything here works on the fully materialized interaction matrix (all
 2^d - 1 product columns), so it is only usable at toy scale, which is the
 point: results from the implicit-lattice solver must match these within
-tight tolerances.  The one exception is the reference walk, the lattice
-walk one node at a time, which the library's batched walk must match
-node for node.
+tight tolerances.  Two exceptions: the reference walk, the lattice walk
+one node at a time, which the library's batched walk must match node for
+node; and dense_hessian, a reduced dual's curvature operator written out
+as a dense matrix, which the direct Newton solve is checked against.
 """
 
 from __future__ import annotations
@@ -17,6 +18,18 @@ from itertools import combinations
 import numpy as np
 
 from prodscreen.data import Column, cosine, split_dots
+
+
+def dense_hessian(red, alpha):
+    """red.hessian_matvec(alpha) as a dense matrix over alpha's flattened
+    entries, one matvec per column."""
+    hv = red.hessian_matvec(alpha)
+    H = np.zeros((alpha.size, alpha.size))
+    for i in range(alpha.size):
+        e = np.zeros(alpha.shape)
+        e.flat[i] = 1.0
+        H[:, i] = hv(e).ravel()
+    return H
 
 
 def all_subsets(d: int):

@@ -251,17 +251,6 @@ def _fd_gradient(red, alpha, eps=1e-6):
     return g
 
 
-def _dense_hessian(red, alpha):
-    hv = red.hessian_matvec(alpha)
-    m = alpha.size
-    H = np.empty((m, m))
-    for j in range(m):
-        e = np.zeros(m)
-        e[j] = 1.0
-        H[:, j] = np.asarray(hv(e.reshape(alpha.shape))).ravel()
-    return H
-
-
 def test_4_gradient_and_curvature_suite():
     rng = np.random.default_rng(404)
     max_rel = 0.0
@@ -304,7 +293,7 @@ def test_4_gradient_and_curvature_suite():
             scale = 1.0 + float(np.max(np.abs(g)))
             max_rel = max(max_rel, float(np.max(np.abs(fd - g))) / scale)
         for alpha in points[:3]:
-            H = _dense_hessian(red, alpha)
+            H = oc.dense_hessian(red, alpha)
             max_asym = max(max_asym, float(np.max(np.abs(H - H.T))))
     ok = max_rel <= 1e-5 and max_asym <= 1e-10 and clip_regimes == {
         "below", "mixed", "above"}

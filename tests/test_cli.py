@@ -60,6 +60,7 @@ def test_fit_logistic_path_end_to_end(tmp_path, capsys):
     lams = [float(r[0]) for r in path_rows[1:]]
     assert lams == sorted(lams, reverse=True)
     assert all(r[6] == "1" for r in path_rows[1:])  # converged flag
+    assert all(r[-1] == "converged" for r in path_rows[1:])  # stop reason
 
 
 def test_fit_basket_transactions(tmp_path, capsys):

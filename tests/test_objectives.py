@@ -112,17 +112,6 @@ def test_matrix_gradient_fd_through_clipping(rng):
     assert seen == {"below", "mixed", "above"}
 
 
-def _dense_hessian(red, alpha):
-    hv = red.hessian_matvec(alpha)
-    n = alpha.size
-    H = np.zeros((n, n))
-    for i in range(n):
-        e = np.zeros(alpha.shape)
-        e.flat[i] = 1.0
-        H[:, i] = hv(e).ravel()
-    return H
-
-
 def test_hessian_symmetry(rng):
     X, A = random_binary(rng, 10, 4)
     y = (rng.random(10) < 0.5).astype(float)
@@ -137,7 +126,7 @@ def test_hessian_symmetry(rng):
     ]
     for obj, sched, alpha in cases:
         red = _reduced_at(obj, A, sched, alpha)
-        H = _dense_hessian(red, alpha)
+        H = oc.dense_hessian(red, alpha)
         assert np.max(np.abs(H - H.T)) < 1e-10
 
 
@@ -185,7 +174,7 @@ def test_matrix_hessian_matches_fd_jacobian(rng, n, T):
             norms = np.linalg.norm(red.dots(alpha), axis=1)
             assert np.any(norms > red.thr)
             assert np.min(np.abs(norms - red.thr)) > 1e-3
-            H = _dense_hessian(red, alpha)
+            H = oc.dense_hessian(red, alpha)
             fd = _fd_curvature(red, alpha)
             assert np.max(np.abs(H - fd)) <= 1e-6 * (1 + np.max(np.abs(fd))), name
             assert np.max(np.abs(H - H.T)) < 1e-10

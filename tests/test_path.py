@@ -165,11 +165,14 @@ def test_path_tsv_rows_schema(rng):
                   schedule=PenaltySchedule.flat(1.0))
     rows = list(pr.tsv_rows())
     assert rows[0] == ("lambda", "active", "predicted", "explored", "expansions",
-                       "gap", "converged", "seconds", "predicted_to_active")
+                       "gap", "converged", "seconds", "predicted_to_active", "stop_reason")
     assert len(rows) == 4
-    for row in rows[1:]:
+    for row, p in zip(rows[1:], pr.points):
         assert len(row) == len(rows[0])
         float(row[0]), int(row[1]), float(row[5])
+        assert row[9] in ("converged", "stalled", "max_outer")
+        assert row[6] == str(int(row[9] == "converged"))
+        assert row[9] == p.stop_reason
 
 
 def test_path_best_model(rng):

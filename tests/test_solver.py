@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
-from prodscreen import (AtomicMatrix, BasketSpec, LogisticSpec, MatrixSpec,
-                        PenaltySchedule, ScreenConfig, SolverConfig, basket_dual,
-                        cg_solve, lambda_max, line_search, logistic_dual, matrix_dual,
-                        qn_step, solve, synth_planted)
+import oracles as oc
+import prodscreen.solver
+from prodscreen import (AtomicMatrix, BasketSpec, FeatureSet, LogisticSpec, MatrixSpec,
+                        PathConfig, PenaltySchedule, ScreenConfig, SolverConfig,
+                        basket_dual, cg_solve, interaction_column, lambda_max,
+                        line_search, logistic_dual, matrix_dual, qn_step, run_path,
+                        screen, solve, synth_planted)
+from prodscreen.screening import Emitted
 from prodscreen.solver import LineSearchResult
 
 
@@ -236,3 +242,136 @@ def test_rank_sweep_solves_stay_under_inner_cap():
         assert res.state.converged, rho
         assert res.state.inner_cap_hits == 0, rho
         assert res.state.inner_iterations <= 200, rho
+
+
+# ------------------------------------------------- direct Newton direction --
+
+def _picks(rng, kind, size):
+    return {"none": np.zeros(size, dtype=bool), "all": np.ones(size, dtype=bool),
+            "some": rng.random(size) < 0.5}[kind]
+
+
+def _reduced_with_live(obj, A, alpha, want):
+    """Reduced dual over every atom column, with thresholds placed so that
+    exactly the columns flagged in ``want`` are live at alpha."""
+    cols = [interaction_column(A, (j,)) for j in range(A.n_cols)]
+    dots = np.array([c.dense() @ alpha for c in cols])
+    if obj.kind == "basket":  # live: 0 < dots - thr < gamma
+        thr = np.where(want, dots - 0.5 * obj.spec.gamma, dots + 1.0)
+    else:  # live: |dots| > thr
+        thr = np.where(want, 0.5 * np.abs(dots), np.abs(dots) + 1.0)
+    red = obj.reduced([Emitted(FeatureSet((j,)), c, float(t), 0.0)
+                       for j, (c, t) in enumerate(zip(cols, thr))])
+    assert np.array_equal(red._curvature(alpha)[1], want)
+    return red
+
+
+@given(st.integers(0, 10 ** 6), st.sampled_from(("basket", "logistic")),
+       st.sampled_from(("none", "some", "all")), st.sampled_from(("none", "some", "all")),
+       st.floats(1e-4, 10.0), st.booleans())
+@settings(max_examples=120, deadline=None)
+def test_newton_direction_matches_dense_solve(seed, kind, live, free, h, faces):
+    rng = np.random.default_rng(seed)
+    n, d = 14, 6
+    A = AtomicMatrix.from_dense(rng.random((n, d)))
+    if kind == "basket":
+        obj = basket_dual(BasketSpec(tau_target=2.0, gamma=float(rng.uniform(0.01, 2.0))), A)
+        alpha = rng.uniform(0.0, 3.0, n)
+    else:
+        y = (rng.random(n) < 0.5).astype(float)
+        obj = logistic_dual(LogisticSpec(labels=y, tau_l2=float(rng.uniform(0.1, 5.0))), A)
+        alpha = y - rng.uniform(0.0, 1.0, n)
+        if faces:  # curvature 1/s + 1/(1 - s) reaches 1e12 at the box faces
+            at = rng.random(n) < 0.5
+            alpha[at] = np.where(rng.random(at.sum()) < 0.5, y[at], y[at] - 1.0)
+    red = _reduced_with_live(obj, A, alpha, _picks(rng, live, d))
+    mask = _picks(rng, free, n)
+    grad = rng.standard_normal(n)
+    x = red.newton_direction(alpha, grad, mask, h, SolverConfig())
+    assert np.all(x[~mask] == 0.0)
+    if not mask.any():
+        return
+    M = oc.dense_hessian(red, alpha)[np.ix_(mask, mask)] + h * np.eye(mask.sum())
+    g = grad[mask]
+    ref = np.linalg.solve(M, g)
+    assert np.linalg.norm(M @ x[mask] - g) <= 1e-8 * np.linalg.norm(g)
+    assert np.linalg.norm(x[mask] - ref) <= 1e-8 * np.linalg.norm(ref)
+
+
+def test_newton_direction_falls_back_to_masked_gradient(monkeypatch):
+    A = AtomicMatrix.from_dense(np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
+    y = np.array([1.0, 0.0, 1.0])
+    obj = logistic_dual(LogisticSpec(labels=y), A)
+    alpha = y - 0.3
+    grad = np.array([0.5, -1.0, 2.0])
+    mask = np.array([True, False, True])
+    for live in (np.zeros(2, dtype=bool), np.ones(2, dtype=bool)):
+        red = _reduced_with_live(obj, A, alpha, live)
+        # a negative curvature makes the solve descend (no live column) or
+        # leaves it non-finite (live columns scaled by sqrt of negative weights)
+        monkeypatch.setattr(red, "_curvature", lambda a, live=live: (-np.ones(3), live, 1.0))
+        with np.errstate(invalid="ignore"):
+            x = red.newton_direction(alpha, grad, mask, 1e-4, SolverConfig())
+        assert np.array_equal(x, np.where(mask, grad, 0.0))
+
+
+def test_basket_and_logistic_never_reach_cg(monkeypatch, rng):
+    def no_cg(*args, **kwargs):
+        raise RuntimeError("cg_solve called")
+
+    monkeypatch.setattr(prodscreen.solver, "cg_solve", no_cg)
+    X = (rng.random((30, 6)) < 0.4).astype(float)
+    A = AtomicMatrix.from_dense(X)
+    res = solve(basket_dual(BasketSpec(tau_target=2.0), A), A, PenaltySchedule.flat(3.0))
+    assert res.state.converged and res.model.n_active > 0
+    y = (rng.random(30) < 0.5).astype(float)
+    pr = run_path(logistic_dual(LogisticSpec(labels=y), A), A,
+                  PathConfig(n_lambdas=5, lambda_min_ratio=0.1),
+                  schedule=PenaltySchedule.flat(1.0))
+    assert all(p.converged for p in pr.points)
+    assert pr.points[-1].active_count > 0
+    # the matrix objective still solves through CG
+    mobj = matrix_dual(MatrixSpec(responses=rng.standard_normal((30, 2)), eta_l2=1e-2), A)
+    with pytest.raises(RuntimeError, match="cg_solve called"):
+        solve(mobj, A, PenaltySchedule.flat(0.5))
+
+
+# ------------------------------------------------------ certificate screen --
+
+def _near_copies(seed):
+    """Logistic data whose columns 1 and 3 copy columns 0 and 2 with 8% of
+    the bits flipped, so the child-parent shortcut skips their products."""
+    rng = np.random.default_rng(seed)
+    n = 120
+    X = (rng.random((n, 6)) < 0.5).astype(float)
+    for dst, src in ((1, 0), (3, 2)):
+        flip = rng.random(n) < 0.08
+        X[:, dst] = np.where(flip, 1.0 - X[:, src], X[:, src])
+    y = (rng.random(n) < 1.0 / (1.0 + np.exp(1.5 - 3.0 * X[:, 0] * X[:, 1]))).astype(float)
+    return AtomicMatrix.from_dense(X), y
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_child_parent_prune_keeps_certificate_exact(seed):
+    A, y = _near_copies(seed)
+    obj = logistic_dual(LogisticSpec(labels=y), A)
+    flat = PenaltySchedule.flat(1.0)
+    sched = flat.with_base(0.2 * lambda_max(obj, A, flat))
+    res = solve(obj, A, sched, scfg=ScreenConfig(child_parent_prune=0.8))
+    assert res.state.converged
+    exact = screen(A, obj.screen_weights(res.state.alpha), sched, obj.screen_config())
+    model = {fs.atoms for fs in res.model.active}
+    assert [e.feature_set.atoms for e in exact.emitted if e.feature_set.atoms not in model] == []
+
+
+# ------------------------------------------------------------ stop reasons --
+
+def test_stop_reasons(rng):
+    X = (rng.random((20, 5)) < 0.5).astype(float)
+    A = AtomicMatrix.from_dense(X)
+    obj = basket_dual(BasketSpec(tau_target=2.0), A)
+    res = solve(obj, A, PenaltySchedule.flat(3.0))
+    assert res.state.stop_reason == "converged" and res.state.converged
+    res = solve(obj, A, PenaltySchedule.flat(3.0), cfg=SolverConfig(max_outer=1, max_inner=1))
+    assert res.state.stop_reason == "max_outer" and not res.state.converged
+    assert res.state.outer_iterations == 1
