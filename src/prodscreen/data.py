@@ -52,17 +52,6 @@ class FeatureSet:
     def order(self) -> int:
         return len(self.atoms)
 
-    def union(self, other: "FeatureSet") -> "FeatureSet":
-        return FeatureSet(tuple(sorted(set(self.atoms) | set(other.atoms))))
-
-    def add(self, atom: int) -> "FeatureSet":
-        if atom in self.atoms:
-            raise ValueError(f"atom {atom} already present in {self.atoms}")
-        return FeatureSet(tuple(sorted(self.atoms + (atom,))))
-
-    def issubset(self, other: "FeatureSet") -> bool:
-        return set(self.atoms) <= set(other.atoms)
-
     def __iter__(self):
         return iter(self.atoms)
 

@@ -196,7 +196,7 @@ class ReducedDual:
 
         return hv
 
-    def newton_direction(self, alpha, grad, mask, h: float, cfg):
+    def newton_direction(self, alpha, grad, mask, h: float):
         """Solution x of (H + h I) x = grad on the free coordinates (mask),
         with x = 0 on the others; the masked gradient when x is not finite
         or not an ascent direction.
@@ -205,7 +205,7 @@ class ReducedDual:
         x = w g - sqrt(w) G S^-1 G^T (sqrt(w) g) where S = c I + G^T G is
         m x m for m live columns.  S >= c I, so its solve stays well
         conditioned however large D grows at the faces of the feasible box.
-        ``cfg`` is unused here: the solve is exact.  (numpy's LU solve, not
+        (numpy's LU solve, not
         scipy's Cholesky: importing scipy.linalg costs about 6 MB of
         resident memory, and at m of a few hundred the solve is not where
         the time goes.)
@@ -440,10 +440,10 @@ class _MatrixReduced(ReducedDual):
 
         return hv
 
-    def newton_direction(self, alpha, grad, mask, h: float, cfg):
+    def newton_direction(self, alpha, grad, mask, h: float):
         """CG on the curvature operator: the spectral Jacobian is not a
         diagonal plus low rank, so there is no direct solve."""
-        return qn_step(grad, self.hessian_matvec(alpha), mask, h, cfg)
+        return qn_step(grad, self.hessian_matvec(alpha), mask, h)
 
     def free_mask(self, alpha, grad):
         return np.ones_like(alpha, dtype=bool)

@@ -57,7 +57,6 @@ def lambda_max(obj, A: AtomicMatrix, schedule: PenaltySchedule,
 class PathPoint:
     lam: float
     model: PrimalModel
-    alpha_nonzeros: tuple
     gap: float
     active_count: int
     predicted_count: int
@@ -89,16 +88,6 @@ class PathResult:
         return max((p.model for p in self.points), key=score_fn)
 
 
-def _compress(alpha: np.ndarray):
-    """Keep (index, value) pairs when under half the entries are nonzero."""
-    flat = alpha.ravel()
-    nz = np.flatnonzero(flat)
-    if len(nz) * 2 < flat.size:
-        return ("sparse", alpha.shape, tuple(int(i) for i in nz),
-                tuple(float(flat[i]) for i in nz))
-    return ("dense", alpha.shape, None, tuple(float(v) for v in flat))
-
-
 def run_path(obj, A: AtomicMatrix, pcfg: PathConfig | None = None,
              scfg: ScreenConfig | None = None, cfg: SolverConfig | None = None,
              schedule: PenaltySchedule | None = None) -> PathResult:
@@ -126,9 +115,8 @@ def run_path(obj, A: AtomicMatrix, pcfg: PathConfig | None = None,
         active_count = res.model.n_active
         ratio = res.predicted_count / max(1, active_count)
         result.points.append(PathPoint(
-            lam=float(lam), model=res.model, alpha_nonzeros=_compress(alpha),
-            gap=res.state.gap, active_count=active_count,
-            predicted_count=res.predicted_count,
+            lam=float(lam), model=res.model, gap=res.state.gap,
+            active_count=active_count, predicted_count=res.predicted_count,
             predicted_sets=tuple(fs.atoms for fs in res.predicted),
             explored_count=res.screen_result.explored_count,
             expansions=res.expansions, converged=res.state.converged,

@@ -98,10 +98,6 @@ class PenaltySchedule:
     def with_base(self, lam: float) -> "PenaltySchedule":
         return replace(self, base_lambda=lam)
 
-    @property
-    def strictly_increasing(self) -> bool:
-        return self.kind != "flat" and self.base > 1.0
-
 
 @dataclass(frozen=True)
 class ScreenConfig:
@@ -360,17 +356,19 @@ def critical_lambda(A: AtomicMatrix, weights: DualWeights, schedule: PenaltySche
 
 
 def verify_kkt(A: AtomicMatrix, weights: DualWeights, schedule: PenaltySchedule,
-               cfg: ScreenConfig, active) -> list[Emitted]:
-    """Re-screen at the given dual point and return emissions missing from
-    ``active`` (an iterable of FeatureSet or of Emitted).  An empty return
-    certifies that no interaction outside the active set carries weight.
+               cfg: ScreenConfig, active) -> tuple[ScreenResult, list[Emitted]]:
+    """Re-screen at the given dual point and return the screen with the
+    emissions missing from ``active`` (an iterable of FeatureSet or of
+    Emitted).  An empty list certifies that no interaction outside the
+    active set carries weight.  The screen runs without the child-parent
+    shortcut, whatever ``cfg`` says, so the certificate is exact.
     """
     have = set()
     for a in active:
         fs = a.feature_set if isinstance(a, Emitted) else a
         have.add(fs.atoms)
-    res = screen(A, weights, schedule, cfg)
-    return [e for e in res.emitted if e.feature_set.atoms not in have]
+    res = screen(A, weights, schedule, replace(cfg, child_parent_prune=0.0))
+    return res, [e for e in res.emitted if e.feature_set.atoms not in have]
 
 
 def dedup_atoms(A: AtomicMatrix, sim: float):

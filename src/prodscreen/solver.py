@@ -17,13 +17,13 @@ complete and the duality gap is below tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import AtomicMatrix
 from .duality import PrimalModel, duality_gap
-from .screening import PenaltySchedule, ScreenConfig, ScreenResult, screen
+from .screening import PenaltySchedule, ScreenConfig, ScreenResult, screen, verify_kkt
 
 __all__ = [
     "SolverConfig",
@@ -42,22 +42,11 @@ class SolverConfig:
     kkt_tol: float = 1e-6
     max_outer: int = 100
     max_inner: int = 500
-    cg_rel_tol: float = 1e-8
-    cg_max_iter: int = 200
-    h_init: float = 1e-4
-    h_grow: float = 10.0
-    h_shrink: float = 0.5
-    ls_shrink: float = 0.5
-    ls_max: int = 30
 
     def __post_init__(self):
-        if self.kkt_tol <= 0 or self.cg_rel_tol <= 0 or self.h_init <= 0:
-            raise ValueError("tolerances and h_init must be positive")
-        if not 0 < self.h_shrink < 1 or not 0 < self.ls_shrink < 1:
-            raise ValueError("shrink factors must lie in (0, 1)")
-        if self.h_grow <= 1:
-            raise ValueError("h_grow must exceed 1")
-        if min(self.max_outer, self.max_inner, self.cg_max_iter, self.ls_max) < 1:
+        if self.kkt_tol <= 0:
+            raise ValueError("kkt_tol must be positive")
+        if min(self.max_outer, self.max_inner) < 1:
             raise ValueError("iteration caps must be >= 1")
 
 
@@ -70,11 +59,9 @@ class DualState:
     certified) or ``max_outer`` (outer rounds exhausted)."""
 
     alpha: np.ndarray
-    dots: np.ndarray
     dual_value: float
     primal_value: float
     gap: float
-    h: float
     inner_iterations: int
     outer_iterations: int
     stop_reason: str
@@ -141,7 +128,7 @@ def cg_solve(matvec, rhs, rel_tol: float = 1e-8, max_iter: int = 200):
     return x
 
 
-def qn_step(grad, hess_matvec, free_mask, h: float, cfg: SolverConfig):
+def qn_step(grad, hess_matvec, free_mask, h: float):
     """Ascent direction (H + h I)^-1 grad restricted to the free coordinates,
     by CG on a curvature operator (the matrix dual's direction).
 
@@ -154,12 +141,24 @@ def qn_step(grad, hess_matvec, free_mask, h: float, cfg: SolverConfig):
         return np.where(free_mask, hess_matvec(np.where(free_mask, v, 0.0)), 0.0) + h * v
 
     try:
-        direction = cg_solve(op, g, cfg.cg_rel_tol, cfg.cg_max_iter)
+        direction = cg_solve(op, g)
     except ValueError:
         return g.copy()
     if _vdot(direction, g) <= 0.0:
         return g.copy()
     return direction
+
+
+# damping h: its starting value and floor, and its factors when the Newton
+# model misleads (grow) and when a full step is accepted first try (shrink)
+_H_INIT = 1e-4
+_H_GROW = 10.0
+_H_SHRINK = 0.5
+# backtracking: step shrink factor and trials per direction
+_LS_SHRINK = 0.5
+_LS_MAX = 30
+_POLISH_MAX = 20
+_POLISH_BACKTRACKS = 8
 
 
 @dataclass
@@ -171,39 +170,35 @@ class LineSearchResult:
     used_gradient: bool
 
 
-def line_search(red, alpha, value: float, direction, gradient_dir, h: float,
-                cfg: SolverConfig) -> LineSearchResult:
+def line_search(red, alpha, value: float, direction, gradient_dir,
+                h: float) -> LineSearchResult:
     """Backtrack along the quasi-Newton direction, then along the gradient.
 
     Accepting the full quasi-Newton step on the first try shrinks h (floored
-    at h_init); exhausting the backtracks grows h and retries along the
-    projected gradient; failing both reports a stall and leaves the iterate
-    unchanged.
+    at its starting value); exhausting the backtracks grows h and retries
+    along the projected gradient; failing both reports a stall and leaves
+    the iterate unchanged.
     """
     t = 1.0
-    for trial in range(cfg.ls_max):
+    for trial in range(_LS_MAX):
         cand = red.project(alpha + t * direction)
         v = red.value(cand)
         if v > value:
-            h_next = max(cfg.h_init, h * cfg.h_shrink) if trial == 0 else h
+            h_next = max(_H_INIT, h * _H_SHRINK) if trial == 0 else h
             return LineSearchResult(cand, v, h_next, False, False)
-        t *= cfg.ls_shrink
-    h = h * cfg.h_grow
+        t *= _LS_SHRINK
+    h = h * _H_GROW
     t = 1.0
-    for _ in range(cfg.ls_max):
+    for _ in range(_LS_MAX):
         cand = red.project(alpha + t * gradient_dir)
         v = red.value(cand)
         if v > value:
             return LineSearchResult(cand, v, h, False, True)
-        t *= cfg.ls_shrink
+        t *= _LS_SHRINK
     return LineSearchResult(alpha, value, h, True, True)
 
 
-_POLISH_MAX = 20
-_POLISH_BACKTRACKS = 8
-
-
-def _newton_step(red, alpha, h: float, cfg: SolverConfig, stop: float):
+def _newton_step(red, alpha, h: float, stop: float):
     """(masked gradient, its norm, Newton direction) at alpha.  The
     direction is None, and no solve is spent, when the norm is <= stop."""
     grad = red.gradient(alpha)
@@ -212,10 +207,10 @@ def _newton_step(red, alpha, h: float, cfg: SolverConfig, stop: float):
     gn = math.sqrt(_vdot(g, g))
     if gn <= stop:
         return g, gn, None
-    return g, gn, red.newton_direction(alpha, grad, mask, h, cfg)
+    return g, gn, red.newton_direction(alpha, grad, mask, h)
 
 
-def _polish(red, alpha, value: float, h: float, cfg: SolverConfig, tol: float):
+def _polish(red, alpha, value: float, h: float, tol: float):
     """Endgame refinement once value comparisons drown in rounding noise.
 
     Near the maximum the dual value is flat to double precision while the
@@ -228,7 +223,7 @@ def _polish(red, alpha, value: float, h: float, cfg: SolverConfig, tol: float):
     guard = 1e-12 * (1.0 + abs(value))
     misses = 0
     for _ in range(_POLISH_MAX):
-        _, gn, direction = _newton_step(red, alpha, h, cfg, 0.1 * tol)
+        _, gn, direction = _newton_step(red, alpha, h, 0.1 * tol)
         if direction is None:
             break
         accepted = False
@@ -245,10 +240,10 @@ def _polish(red, alpha, value: float, h: float, cfg: SolverConfig, tol: float):
             t *= 0.5
         iters += 1
         if accepted:
-            h = max(cfg.h_init, h * cfg.h_shrink)
+            h = max(_H_INIT, h * _H_SHRINK)
             misses = 0
         else:
-            h *= cfg.h_grow
+            h *= _H_GROW
             misses += 1
             if misses > 2:
                 break
@@ -265,15 +260,15 @@ def _inner_ascent(red, alpha, h: float, cfg: SolverConfig, tol: float):
     stalled = False
     capped = False
     for _ in range(cfg.max_inner):
-        g, _, direction = _newton_step(red, alpha, h, cfg, tol)
+        g, _, direction = _newton_step(red, alpha, h, tol)
         if direction is None:
             break
-        res = line_search(red, alpha, value, direction, g, h, cfg)
+        res = line_search(red, alpha, value, direction, g, h)
         iters += 1
         h = res.h
         if res.stalled:
             stalled = True
-            alpha, value, h, extra = _polish(red, alpha, value, h, cfg, tol)
+            alpha, value, h, extra = _polish(red, alpha, value, h, tol)
             iters += extra
             break
         alpha, value = res.alpha, res.value
@@ -290,30 +285,24 @@ def solve(obj, A: AtomicMatrix, schedule: PenaltySchedule, alpha0=None,
     the reduced dual, then re-screens: emissions outside the active set are
     pulled in and the cycle repeats.  Converged means the final screen found
     nothing new and primal - dual <= kkt_tol * (1 + |primal|).  The first
-    screen honours ``scfg.child_parent_prune``; the re-screens certify, so
-    they run exact.
+    screen honours ``scfg.child_parent_prune``; the re-screens are
+    ``verify_kkt``'s exact certificate.
     """
     cfg = cfg or SolverConfig()
     scfg = obj.screen_config(scfg)
-    exact = replace(scfg, child_parent_prune=0.0)
     alpha = obj.project(np.array(obj.alpha0() if alpha0 is None else alpha0, dtype=float))
 
     first = screen(A, obj.screen_weights(alpha), schedule, scfg)
     predicted = first.feature_sets()
     active = {e.feature_set.atoms: e for e in first.emitted}
 
-    h = cfg.h_init
+    h = _H_INIT
     inner_tol = cfg.kkt_tol
     expansions = 0
     total_inner = 0
     cap_hits = 0
     stop_reason = "max_outer"
     log: list[tuple] = []
-    check = first
-    red = obj.reduced(list(active.values()))
-    beta = red.primal_map(alpha)
-    pval = dval = gap = math.nan
-    outer = 0
 
     for outer in range(1, cfg.max_outer + 1):
         red = obj.reduced(list(active.values()))
@@ -321,8 +310,8 @@ def solve(obj, A: AtomicMatrix, schedule: PenaltySchedule, alpha0=None,
         total_inner += inners
         cap_hits += capped
 
-        check = screen(A, obj.screen_weights(alpha), schedule, exact)
-        missing = [e for e in check.emitted if e.feature_set.atoms not in active]
+        check, missing = verify_kkt(A, obj.screen_weights(alpha), schedule, scfg,
+                                    active.values())
         beta = red.primal_map(alpha)
         pval = red.primal_value(beta)
         gap = duality_gap(pval, dval)
@@ -348,8 +337,7 @@ def solve(obj, A: AtomicMatrix, schedule: PenaltySchedule, alpha0=None,
 
     intercept = getattr(obj, "intercept", None)
     model = PrimalModel.from_coefficients(obj.kind, red.feature_sets(), beta, intercept)
-    state = DualState(alpha=alpha, dots=red.dots(alpha), dual_value=dval,
-                      primal_value=pval, gap=gap, h=h,
+    state = DualState(alpha=alpha, dual_value=dval, primal_value=pval, gap=gap,
                       inner_iterations=total_inner, outer_iterations=outer,
                       stop_reason=stop_reason, inner_cap_hits=cap_hits)
     return SolveResult(state=state, model=model, screen_result=check,

@@ -346,9 +346,9 @@ def test_5_gap_and_kkt_certificates():
                                     alpha)
             gap = (pval - dval) / (1.0 + abs(pval))
             worst_gap = max(worst_gap, gap)
-            worst_kkt += len(verify_kkt(A, obj.screen_weights(alpha), schedule,
-                                        obj.screen_config(None),
-                                        res.model.active))
+            _, missing = verify_kkt(A, obj.screen_weights(alpha), schedule,
+                                    obj.screen_config(None), res.model.active)
+            worst_kkt += len(missing)
     ok = worst_gap <= 1e-6 and worst_kkt == 0
     _report(5, "independent gap and KKT certificates", ok,
             f"{n_solves} converged solves, worst recomputed relative gap "

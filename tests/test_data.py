@@ -22,10 +22,6 @@ def test_feature_set_invariants():
     with pytest.raises(ValueError):
         FeatureSet((-1, 2))
     assert FeatureSet.of(5, 2).atoms == (2, 5)
-    assert fs.union(FeatureSet((1,))).atoms == (0, 1, 3, 7)
-    assert fs.add(1).atoms == (0, 1, 3, 7)
-    with pytest.raises(ValueError):
-        fs.add(3)
 
 
 # ----------------------------------------------------------- transactions --

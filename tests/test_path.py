@@ -188,21 +188,6 @@ def test_path_best_model(rng):
     assert metrics_auc(predict(best, A), y) >= 0.9
 
 
-def test_path_alpha_snapshots_roundtrip(rng):
-    X, A = random_binary(rng, 15, 5)
-    obj = basket_dual(BasketSpec(tau_target=2.0, gamma=1e-2), A)
-    pr = run_path(obj, A, PathConfig(n_lambdas=4, lambda_min_ratio=0.1),
-                  schedule=PenaltySchedule.flat(1.0))
-    kind, shape, idx, vals = pr.points[-1].alpha_nonzeros
-    assert kind in ("sparse", "dense")
-    flat = np.zeros(int(np.prod(shape)))
-    if kind == "sparse":
-        flat[list(idx)] = vals
-    else:
-        flat[:] = vals
-    assert np.allclose(flat.reshape(shape), pr.final.state.alpha)
-
-
 # ---------------------------------------------------------------- predict --
 
 def test_predict_reproduces_training_scores(rng):

@@ -24,8 +24,6 @@ def test_schedule_values():
     assert sup.threshold(2) == pytest.approx(1.5)
     assert sup.threshold(1) == 1.0
     assert sup.threshold(3) > geo.threshold(3)
-    assert geo.strictly_increasing and sup.strictly_increasing
-    assert not PenaltySchedule.flat(1.0).strictly_increasing
 
 
 def test_schedule_validation():
@@ -135,10 +133,12 @@ def test_verify_kkt(four_transactions):
     sched = PenaltySchedule.flat(1.5)
     cfg = ScreenConfig(nonneg_dual=True)
     full = screen(A, w, sched, cfg)
-    assert verify_kkt(A, w, sched, cfg, full.emitted) == []
+    check, missing = verify_kkt(A, w, sched, cfg, full.emitted)
+    assert missing == [] and check.feature_sets() == full.feature_sets()
     partial = [e for e in full.emitted if e.feature_set.order == 1]
-    missing = verify_kkt(A, w, sched, cfg, partial)
+    check, missing = verify_kkt(A, w, sched, cfg, partial)
     assert [e.feature_set.atoms for e in missing] == [(0, 1), (1, 2)]
+    assert check.feature_sets() == full.feature_sets()
 
 
 # ------------------------------------------------------------------- dedup --

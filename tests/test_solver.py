@@ -10,7 +10,7 @@ from prodscreen import (AtomicMatrix, BasketSpec, FeatureSet, LogisticSpec, Matr
                         PathConfig, PenaltySchedule, ScreenConfig, SolverConfig,
                         basket_dual, cg_solve, interaction_column, lambda_max,
                         line_search, logistic_dual, matrix_dual, qn_step, run_path,
-                        screen, solve, synth_planted)
+                        screen, solve, synth_planted, verify_kkt)
 from prodscreen.screening import Emitted
 from prodscreen.solver import LineSearchResult
 
@@ -42,21 +42,20 @@ def test_cg_nonfinite_raises():
 
 
 def test_qn_step_limits():
-    cfg = SolverConfig()
     g = np.array([1.0, -2.0, 0.5])
     mask = np.ones(3, dtype=bool)
     # zero curvature, h = 1: direction equals the gradient
-    d = qn_step(g, lambda v: np.zeros_like(v), mask, 1.0, cfg)
+    d = qn_step(g, lambda v: np.zeros_like(v), mask, 1.0)
     assert np.allclose(d, g, atol=1e-10)
     # identity curvature, h = 1: direction halves
-    d = qn_step(g, lambda v: v, mask, 1.0, cfg)
+    d = qn_step(g, lambda v: v, mask, 1.0)
     assert np.allclose(d, g / 2.0, atol=1e-10)
     # masked coordinates never move
     mask2 = np.array([True, False, True])
-    d = qn_step(g, lambda v: v, mask2, 1.0, cfg)
+    d = qn_step(g, lambda v: v, mask2, 1.0)
     assert d[1] == 0.0
     # CG blowing up falls back to the gradient
-    d = qn_step(g, lambda v: v * np.nan, mask, 1.0, cfg)
+    d = qn_step(g, lambda v: v * np.nan, mask, 1.0)
     assert np.allclose(d, g)
 
 
@@ -71,10 +70,9 @@ class _Quad:
 
 
 def test_line_search_accepts_and_shrinks_h():
-    cfg = SolverConfig(h_init=1e-4)
     red = _Quad()
     a = np.array([0.0])
-    res = line_search(red, a, red.value(a), np.array([3.0]), np.array([3.0]), 0.1, cfg)
+    res = line_search(red, a, red.value(a), np.array([3.0]), np.array([3.0]), 0.1)
     assert not res.stalled
     assert res.value > red.value(a)
     assert res.h == pytest.approx(0.05)  # first-try success halves h
@@ -82,17 +80,15 @@ def test_line_search_accepts_and_shrinks_h():
 
 
 def test_line_search_h_floor():
-    cfg = SolverConfig(h_init=1e-4)
     res = line_search(_Quad(), np.array([0.0]), -4.5, np.array([3.0]),
-                      np.array([3.0]), 1e-4, cfg)
-    assert res.h == pytest.approx(1e-4)  # never shrinks below h_init
+                      np.array([3.0]), 1e-4)
+    assert res.h == pytest.approx(1e-4)  # never shrinks below its starting value
 
 
 def test_line_search_stalls_at_optimum():
-    cfg = SolverConfig()
     red = _Quad()
     a = np.array([3.0])  # already optimal; no strict increase exists
-    res = line_search(red, a, red.value(a), np.array([1.0]), np.array([0.0]), 0.1, cfg)
+    res = line_search(red, a, red.value(a), np.array([1.0]), np.array([0.0]), 0.1)
     assert res.stalled
     assert np.allclose(res.alpha, a)
     assert res.h == pytest.approx(1.0)  # grown once on the quasi-Newton failure
@@ -287,7 +283,7 @@ def test_newton_direction_matches_dense_solve(seed, kind, live, free, h, faces):
     red = _reduced_with_live(obj, A, alpha, _picks(rng, live, d))
     mask = _picks(rng, free, n)
     grad = rng.standard_normal(n)
-    x = red.newton_direction(alpha, grad, mask, h, SolverConfig())
+    x = red.newton_direction(alpha, grad, mask, h)
     assert np.all(x[~mask] == 0.0)
     if not mask.any():
         return
@@ -311,7 +307,7 @@ def test_newton_direction_falls_back_to_masked_gradient(monkeypatch):
         # leaves it non-finite (live columns scaled by sqrt of negative weights)
         monkeypatch.setattr(red, "_curvature", lambda a, live=live: (-np.ones(3), live, 1.0))
         with np.errstate(invalid="ignore"):
-            x = red.newton_direction(alpha, grad, mask, 1e-4, SolverConfig())
+            x = red.newton_direction(alpha, grad, mask, 1e-4)
         assert np.array_equal(x, np.where(mask, grad, 0.0))
 
 
@@ -362,6 +358,16 @@ def test_child_parent_prune_keeps_certificate_exact(seed):
     exact = screen(A, obj.screen_weights(res.state.alpha), sched, obj.screen_config())
     model = {fs.atoms for fs in res.model.active}
     assert [e.feature_set.atoms for e in exact.emitted if e.feature_set.atoms not in model] == []
+    # at the starting dual with nothing active the shortcut skips sets the
+    # exact screen emits; verify_kkt, given the pruning config, still
+    # returns every one of them
+    w = obj.screen_weights(obj.project(np.asarray(obj.alpha0(), dtype=float)))
+    exact = screen(A, w, sched, obj.screen_config())
+    pruning = obj.screen_config(ScreenConfig(child_parent_prune=0.8))
+    assert len(screen(A, w, sched, pruning).emitted) < len(exact.emitted)
+    check, missing = verify_kkt(A, w, sched, pruning, [])
+    assert [e.feature_set.atoms for e in missing] == [e.feature_set.atoms for e in exact.emitted]
+    assert check.explored_count == exact.explored_count
 
 
 # ------------------------------------------------------------ stop reasons --
@@ -375,3 +381,16 @@ def test_stop_reasons(rng):
     res = solve(obj, A, PenaltySchedule.flat(3.0), cfg=SolverConfig(max_outer=1, max_inner=1))
     assert res.state.stop_reason == "max_outer" and not res.state.converged
     assert res.state.outer_iterations == 1
+
+
+def test_one_reduced_dual_per_outer_round():
+    A, y = _near_copies(0)
+    flat = PenaltySchedule.flat(1.0)
+    for obj, rounds in ((basket_dual(BasketSpec(tau_target=2.0), A), 1),
+                        (logistic_dual(LogisticSpec(labels=y), A), 2)):
+        builds = []
+        build = obj.reduced
+        obj.reduced = lambda active, build=build: builds.append(1) or build(active)
+        res = solve(obj, A, flat.with_base(0.5 * lambda_max(obj, A, flat)))
+        assert res.state.converged and res.state.outer_iterations == rounds
+        assert len(builds) == rounds
