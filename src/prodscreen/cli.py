@@ -102,6 +102,7 @@ def _run_fit(args, obj, A, schedule_shape):
     cfg = SolverConfig()
     if args.path == (args.lam is not None):
         raise ValueError("give exactly one of --lambda and --path")
+    schedule = None if args.path else schedule_shape.with_base(args.lam)
     out = _outdir(args)
     _write_items(A, out)
     if args.path:
@@ -115,7 +116,6 @@ def _run_fit(args, obj, A, schedule_shape):
               f"[{pr.points[-1].lam:.4g}, {pr.points[0].lam:.4g}], "
               f"final active {last.active_count}")
         return 0 if ok else 2
-    schedule = schedule_shape.with_base(args.lam)
     res = solve(obj, A, schedule, None, scfg, cfg)
     _write_fit(out, res, A)
     st = res.state
@@ -165,11 +165,13 @@ def _cmd_fit_matrix(args):
 def _cmd_screen(args):
     A, _ = _load_matrix(args)
     alpha = np.loadtxt(args.alpha, ndmin=2 if args.mode == "group" else 1)
-    if args.mode != "group":
+    if args.mode != "group":  # the statistic follows from the dual; --mode checks the file
         alpha = np.atleast_1d(alpha.squeeze())
+        if alpha.ndim != 1 or (args.mode == "nonneg" and np.any(alpha < 0)):
+            raise ValueError(f"{args.alpha}: --mode {args.mode} takes one dual column"
+                             + (" without negative entries" if args.mode == "nonneg" else ""))
     schedule = _parse_penalty(args.penalty, args.lam)
-    cfg = ScreenConfig(max_order=args.max_order, child_parent_prune=args.prune_child,
-                       nonneg_dual=args.mode == "nonneg", group_mode=args.mode == "group")
+    cfg = ScreenConfig(max_order=args.max_order, child_parent_prune=args.prune_child)
     res = screen(A, DualWeights.from_alpha(alpha), schedule, cfg)
     lines = list(res.to_jsonl(A.item_names))
     if args.out:
@@ -271,9 +273,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("screen", help="one-shot screening at a supplied dual vector")
     _add_common(p, needs_lambda=False)
-    p.add_argument("--alpha", required=True, help="text file with the dual vector")
+    p.add_argument("--alpha", required=True, help="text file with the dual, one row per data row")
     p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--mode", choices=("signed", "nonneg", "group"), default="signed")
+    p.add_argument("--mode", choices=("signed", "nonneg", "group"), default="signed",
+                   help="dual file check: one column, one without negatives, or n x T")
     p.set_defaults(fn=_cmd_screen)
 
     p = sub.add_parser("predict", help="score new data with a saved model")

@@ -229,6 +229,8 @@ class DualWeights:
     def __post_init__(self):
         if self.pos.shape != self.neg.shape:
             raise ValueError("pos and neg must have the same shape")
+        if not (np.all(np.isfinite(self.pos)) and np.all(np.isfinite(self.neg))):
+            raise ValueError("pos and neg must be finite")
         if np.any(self.pos < 0) or np.any(self.neg < 0):
             raise ValueError("pos and neg must be non-negative")
         if np.any((self.pos > 0) & (self.neg > 0)):

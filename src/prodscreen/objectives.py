@@ -18,7 +18,7 @@ optimum at the optimum and duality gaps are exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import xlogy
@@ -53,10 +53,10 @@ class BasketSpec:
     gamma: float = 1e-3
 
     def __post_init__(self):
-        if self.tau_target <= 0:
-            raise ValueError("tau_target must be positive")
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+        if not 0.0 < self.tau_target < np.inf:
+            raise ValueError("tau_target must be positive and finite")
+        if not 0.0 < self.gamma < np.inf:
+            raise ValueError("gamma must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -72,8 +72,8 @@ class LogisticSpec:
         if y.ndim != 1 or not np.all((y == 0.0) | (y == 1.0)):
             raise ValueError("labels must be a flat 0/1 vector")
         object.__setattr__(self, "labels", y)
-        if self.tau_l2 <= 0:
-            raise ValueError("tau_l2 must be positive")
+        if not 0.0 < self.tau_l2 < np.inf:
+            raise ValueError("tau_l2 must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -93,10 +93,10 @@ class MatrixSpec:
         if Y.ndim != 2:
             raise ValueError("responses must be an (n, T) matrix")
         object.__setattr__(self, "responses", Y)
-        if self.rho_nuclear < 0:
-            raise ValueError("rho_nuclear must be non-negative")
-        if self.eta_l2 <= 0:
-            raise ValueError("eta_l2 must be positive")
+        if not 0.0 <= self.rho_nuclear < np.inf:
+            raise ValueError("rho_nuclear must be non-negative and finite")
+        if not 0.0 < self.eta_l2 < np.inf:
+            raise ValueError("eta_l2 must be positive and finite")
 
 
 def _gram_singulars(R: np.ndarray):
@@ -233,18 +233,15 @@ class ReducedDual:
 
 
 class DualObjective:
-    """Problem-level surface: feasible set, screening mode, reduction."""
+    """Problem-level surface: feasible set, screening weights, reduction."""
 
     kind = ""
-    nonneg_dual = False
-    group_mode = False
 
     def __init__(self, A: AtomicMatrix):
         self.A = A
 
     def screen_config(self, base: ScreenConfig | None = None) -> ScreenConfig:
-        base = base or ScreenConfig()
-        return replace(base, nonneg_dual=self.nonneg_dual, group_mode=self.group_mode)
+        return base or ScreenConfig()
 
     def screen_weights(self, alpha) -> DualWeights:
         return DualWeights.from_alpha(alpha)
@@ -310,10 +307,6 @@ class BasketDual(DualObjective):
         super().__init__(A)
         self.spec = spec
         self.enforce_nonneg = enforce_nonneg
-
-    @property
-    def nonneg_dual(self):
-        return self.enforce_nonneg
 
     def alpha0(self):
         return np.full(self.A.n_rows, self.spec.tau_target)
@@ -464,7 +457,6 @@ class MatrixDual(DualObjective):
     fitted prediction matrix falls out of the clipping."""
 
     kind = "matrix"
-    group_mode = True
 
     def __init__(self, spec: MatrixSpec, A: AtomicMatrix):
         super().__init__(A)

@@ -61,14 +61,14 @@ class PenaltySchedule:
     exponent: float = 1.0
 
     def __post_init__(self):
-        if self.base_lambda <= 0:
-            raise ValueError("base_lambda must be positive")
+        if not 0.0 < self.base_lambda < math.inf:
+            raise ValueError("base_lambda must be positive and finite")
         if self.kind not in ("flat", "geometric", "supergeometric"):
             raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if self.base < 1.0:
-            raise ValueError("base must be >= 1 so thresholds never decrease with order")
-        if self.exponent < 1.0:
-            raise ValueError("exponent must be >= 1")
+        if not 1.0 <= self.base < math.inf:
+            raise ValueError("base must be finite and >= 1, so thresholds never fall with order")
+        if not 1.0 <= self.exponent < math.inf:
+            raise ValueError("exponent must be finite and >= 1")
 
     @classmethod
     def flat(cls, lam: float) -> "PenaltySchedule":
@@ -106,14 +106,11 @@ class ScreenConfig:
     child_parent_prune drops a candidate when it is more than that similar
     to both of its generating parents (0 disables; it trades exactness for
     speed on data with heavily correlated columns, so it is off by default).
-    nonneg_dual asserts alpha >= 0, which tightens the closure bound to
-    c^T alpha; the walk rejects a dual with a negative entry.  group_mode treats the dual as (n, T) and screens row norms.
+    The statistic is not configured: it follows from the dual (see _mode).
     """
 
     max_order: int = 20
     child_parent_prune: float = 0.0
-    nonneg_dual: bool = False
-    group_mode: bool = False
 
     def __post_init__(self):
         if self.max_order < 1:
@@ -151,25 +148,31 @@ class ScreenResult:
             )
 
 
-def _stat_bound(p: np.ndarray, m: np.ndarray, cfg: ScreenConfig):
+def _mode(w: DualWeights) -> str:
+    """The statistic a dual calls for: row norms for an (n, T) dual, c^T alpha
+    for a vector without negative entries (it bounds its supersets), else |c^T alpha|."""
+    return "group" if w.pos.ndim == 2 else "signed" if np.any(w.neg > 0) else "nonneg"
+
+
+def _stat_bound(p: np.ndarray, m: np.ndarray, mode: str):
     """Inclusion statistics and superset bounds of k columns from their dots
     p = C^T pos and m = C^T neg, both (k, T) with T = 1 outside group mode.
     Group norms are one BLAS dot per row, the same bits as ``v @ v``."""
-    if cfg.group_mode:
+    if mode == "group":
         diff = p - m
         hi = np.maximum(p, m)
         return (np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0]),
                 np.sqrt(np.matmul(hi[:, None, :], hi[:, :, None])[:, 0, 0]))
     t = (p - m)[:, 0]
-    if cfg.nonneg_dual:
+    if mode == "nonneg":  # m = 0, so these are the signed statistic and bound
         return t, t
     return np.abs(t), np.maximum(p, m)[:, 0]
 
 
-def closure_bound(col: Column, w: DualWeights, cfg: ScreenConfig | None = None) -> float:
+def closure_bound(col: Column, w: DualWeights) -> float:
     """Upper bound on the statistic of every superset of the column's owner."""
     p, m = split_dots(col, w)
-    _, bound = _stat_bound(np.reshape(p, (1, -1)), np.reshape(m, (1, -1)), cfg or ScreenConfig())
+    _, bound = _stat_bound(np.reshape(p, (1, -1)), np.reshape(m, (1, -1)), _mode(w))
     return float(bound[0])
 
 
@@ -200,9 +203,8 @@ class _Walk:
                  cfg: ScreenConfig, lam: float):
         if weights.n_rows != A.n_rows:
             raise ValueError("dual weights and matrix disagree on row count")
-        if cfg.nonneg_dual and np.any(weights.neg > 0):
-            raise ValueError("nonneg_dual needs a dual without negative entries")
         self.A, self.schedule, self.cfg = A, schedule, cfg
+        self._mode = _mode(weights)
         self.lam = lam
         self.explored = 0
         self.pruned = 0
@@ -240,7 +242,7 @@ class _Walk:
             if level > 0.0:
                 skip[a:a + step] = _too_similar(G, col, sibs[a:a + step], level)
         T = K // 2
-        stat, bound = _stat_bound(dots[:, :T], dots[:, T:], self.cfg)
+        stat, bound = _stat_bound(dots[:, :T], dots[:, T:], self._mode)
         return stat, bound, skip
 
     def _child(self, parent: _Cand | None, j: int) -> Column:
@@ -408,5 +410,5 @@ def frequent_itemsets(A: AtomicMatrix, min_support: float, max_order: int = 20):
     """
     w = DualWeights.from_alpha(np.ones(A.n_rows))
     res = screen(A, w, PenaltySchedule.flat(min_support),
-                 ScreenConfig(max_order=max_order, nonneg_dual=True))
+                 ScreenConfig(max_order=max_order))
     return [(e.feature_set, e.stat) for e in res.emitted]

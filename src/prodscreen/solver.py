@@ -44,8 +44,8 @@ class SolverConfig:
     max_inner: int = 500
 
     def __post_init__(self):
-        if self.kkt_tol <= 0:
-            raise ValueError("kkt_tol must be positive")
+        if not 0.0 < self.kkt_tol < math.inf:
+            raise ValueError("kkt_tol must be positive and finite")
         if min(self.max_outer, self.max_inner) < 1:
             raise ValueError("iteration caps must be >= 1")
 

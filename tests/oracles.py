@@ -78,17 +78,17 @@ def closure_bounds(P: np.ndarray, alpha: np.ndarray, mode: str = "signed"):
 
 # ------------------------------------------------------- reference walk ---
 
-def _node_stat_bound(col, w, cfg):
-    """Statistic and superset bound of one column, as floats."""
+def _node_stat_bound(col, w):
+    """Statistic and superset bound of one column, as floats.  The mode
+    follows from the weights: row norms for an (n, T) dual, c^T a for a
+    vector dual without negative entries, |c^T a| otherwise."""
     p, m = split_dots(col, w)
-    if cfg.group_mode:
-        p = np.atleast_1d(np.asarray(p, dtype=float))
-        m = np.atleast_1d(np.asarray(m, dtype=float))
+    if w.pos.ndim == 2:
         diff = p - m
         hi = np.maximum(p, m)
         return math.sqrt(float(diff @ diff)), math.sqrt(float(hi @ hi))
     p, m = float(p), float(m)
-    if cfg.nonneg_dual:
+    if not np.any(w.neg > 0):
         return p - m, p - m
     return abs(p - m), max(p, m)
 
@@ -113,7 +113,7 @@ def reference_walk(A, weights, schedule, cfg, lam):
     seeds = []
     for j in range(A.n_cols):
         col = A.column(j)
-        stat, bound = _node_stat_bound(col, weights, cfg)
+        stat, bound = _node_stat_bound(col, weights)
         explored += 1
         thr = lam[0] * schedule.rho(1)
         if stat > thr:
@@ -139,7 +139,7 @@ def reference_walk(A, weights, schedule, cfg, lam):
                 if level > 0.0 and _too_similar(col, pcol, level) \
                         and _too_similar(col, scol, level):
                     continue
-                stat, bound = _node_stat_bound(col, weights, cfg)
+                stat, bound = _node_stat_bound(col, weights)
                 thr = lam[0] * rho_k
                 if stat > thr:
                     yield atoms + (ext,), stat, thr

@@ -181,8 +181,7 @@ def test_2_screen_equals_enumeration():
         schedule = next(shapes).with_base(base)
         thr = oc.threshold_vector(subsets, schedule)
 
-        cfg = ScreenConfig(max_order=d, nonneg_dual=mode == "nonneg",
-                           group_mode=mode == "group")
+        cfg = ScreenConfig(max_order=d)
         res = screen(A, DualWeights.from_alpha(alpha), schedule, cfg)
 
         want = {u for u, s, t in zip(subsets, stats, thr) if s > t}

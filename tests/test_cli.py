@@ -286,6 +286,51 @@ def test_screen_nonneg_rejects_negative_dual(tmp_path, capsys):
                  "--lambda", "1", "--mode", "nonneg"]) == 0
 
 
+def test_screen_mode_checks_dual_columns(tmp_path, capsys):
+    """signed and nonneg take one dual column; group screens the row norms
+    of an n x T dual over every column."""
+    trans = tmp_path / "t.txt"
+    trans.write_text("0 1 2 3\n3\n1 2\n0\n0 1 3\n1 2 3\n")
+    alpha = np.array([[2.0, 1.0], [0.5, -1.0], [1.0, 2.0],
+                      [0.0, 1.5], [1.5, 0.5], [1.0, -2.0]])
+    alpha_file = tmp_path / "alpha.txt"
+    np.savetxt(alpha_file, alpha)
+    args = ["screen", "--data", str(trans), "--alpha", str(alpha_file), "--lambda", "1"]
+    for mode in ("signed", "nonneg"):
+        assert main(args + ["--mode", mode]) == 1
+        assert "one dual column" in capsys.readouterr().err
+    out = tmp_path / "group"
+    assert main(args + ["--mode", "group", "--out", str(out)]) == 0
+    got = [tuple(json.loads(l)["atoms"])
+           for l in (out / "interactions.jsonl").read_text().splitlines()]
+    X = load_transactions(trans).atom_matrix().astype(float)
+    subsets, P = oc.materialize(X)
+    want = [u for u, s in zip(subsets, oc.enumerate_stats(P, alpha, "group")) if s > 1.0]
+    assert got == want and len(want) > 0
+
+
+def test_screen_rejects_nan_dual(tmp_path, capsys):
+    trans = tmp_path / "t.txt"
+    trans.write_text("a b\na\nb c\n")
+    alpha_file = tmp_path / "alpha.txt"
+    alpha_file.write_text("1.0\nnan\n1.0\n")
+    assert main(["screen", "--data", str(trans), "--alpha", str(alpha_file),
+                 "--lambda", "0.5"]) == 1
+    assert "finite" in capsys.readouterr().err
+
+
+def test_fit_rejects_nan_parameters(tmp_path, capsys):
+    trans = tmp_path / "t.txt"
+    trans.write_text("a b\na b c\nb c\na\n")
+    out = tmp_path / "out"
+    base = ["fit-basket", "--data", str(trans), "--out", str(out)]
+    assert main(base + ["--lambda", "nan"]) == 1
+    assert main(base + ["--lambda", "1.0", "--tau", "nan"]) == 1
+    assert main(base + ["--lambda", "1.0", "--gamma", "nan"]) == 1
+    assert capsys.readouterr().err.count("finite") == 3
+    assert not out.exists()
+
+
 def test_dedup_writes_kept_columns(tmp_path, capsys):
     trans = tmp_path / "t.txt"
     # b duplicates a exactly; c is distinct

@@ -148,6 +148,11 @@ def test_dual_weights_invariants():
         DualWeights(np.array([1.0, 1.0]), np.array([1.0, 0.0]))
     with pytest.raises(ValueError, match="non-negative"):
         DualWeights(np.array([-1.0]), np.array([0.0]))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            DualWeights.from_alpha(np.array([1.0, bad]))
+    with pytest.raises(ValueError, match="finite"):
+        DualWeights(np.zeros((2, 2)), np.array([[0.0, np.nan], [0.0, 0.0]]))
 
 
 def test_atomic_matrix_range_validation():

@@ -6,6 +6,7 @@ from prodscreen import (AtomicMatrix, BasketSpec, LogisticSpec, MatrixSpec,
                         PenaltySchedule, ScreenConfig, SolverConfig, basket_dual,
                         lambda_max, logistic_dual, matrix_dual, rank_report,
                         screen, solve)
+from prodscreen import screening
 from conftest import random_binary
 
 
@@ -41,16 +42,31 @@ def test_spec_validation(rng):
         MatrixSpec(responses=np.zeros(3))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("make", [
+    lambda v: BasketSpec(tau_target=v), lambda v: BasketSpec(gamma=v),
+    lambda v: LogisticSpec(labels=np.zeros(3), tau_l2=v),
+    lambda v: MatrixSpec(responses=np.zeros((3, 2)), rho_nuclear=v),
+    lambda v: MatrixSpec(responses=np.zeros((3, 2)), eta_l2=v),
+], ids=["basket-tau", "basket-gamma", "logistic-tau", "matrix-rho", "matrix-eta"])
+def test_spec_rejects_non_finite(make, bad):
+    """NaN fails every comparison, so a bare ``x <= 0`` check lets it through."""
+    with pytest.raises(ValueError, match="finite"):
+        make(bad)
+
+
 def test_screen_modes_per_objective(rng):
+    """Each objective's screen config is the caller's, unchanged; the
+    statistic follows from the screen weights of its dual."""
     _, A = random_binary(rng, 10, 4)
+    base = ScreenConfig(max_order=3, child_parent_prune=0.5)
     b = basket_dual(BasketSpec(), A)
-    assert b.screen_config().nonneg_dual and not b.screen_config().group_mode
-    bu = basket_dual(BasketSpec(), A, enforce_nonneg=False)
-    assert not bu.screen_config().nonneg_dual
     lo = logistic_dual(LogisticSpec(labels=np.zeros(10)), A)
-    assert not lo.screen_config().nonneg_dual
     m = matrix_dual(MatrixSpec(responses=np.zeros((10, 2)), eta_l2=1.0), A)
-    assert m.screen_config().group_mode
+    for obj, mode in ((b, "nonneg"), (lo, "signed"), (m, "group")):
+        assert obj.screen_config() == ScreenConfig()
+        assert obj.screen_config(base) is base
+        assert screening._mode(obj.screen_weights(obj.alpha0())) == mode
 
 
 def test_basket_gradient_fd(rng):

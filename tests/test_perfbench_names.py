@@ -1,28 +1,35 @@
-"""perfbench's tracer wraps prodscreen's functions and classes by name: a
-renamed function or class makes ``--trace 1`` fail when it installs, and a
-renamed objective method silently loses its span.  The tracer module is
-loaded from its file and not installed.
+"""perfbench drives prodscreen by name.  Its tracer wraps functions and
+classes: a renamed function or class makes ``--trace 1`` fail when it
+installs, and a renamed objective method silently loses its span.  Its
+worker runs CLI command lines: a removed flag or choice makes a workload
+exit 1.  The perfbench modules are compiled from their files, so no
+bytecode cache lands in perfbench/, and the tracer is not installed.
 """
 
 import importlib
+import sys
 import types
 from pathlib import Path
 
+import pytest
+
 import prodscreen.objectives
+from prodscreen.cli import build_parser
 from prodscreen.data import AtomicMatrix
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+CLI_WORKLOADS = ("basket_path", "logistic_cli", "itemset_lattice")
 
 
-def _tracing():
-    # compiled from source, so no bytecode cache lands in perfbench/
-    module = types.ModuleType("perfbench_tracing")
-    exec(compile(TRACING.read_text(), str(TRACING), "exec"), module.__dict__)
+def _load(name):
+    path = PERFBENCH / f"{name}.py"
+    module = types.ModuleType(f"perfbench_{name}")
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
     return module
 
 
 def test_traced_names_exist():
-    tracing = _tracing()
+    tracing = _load("tracing")
     for layer, names in tracing.FUNCTIONS.items():
         module = importlib.import_module(f"prodscreen.{layer}")
         for name in names:
@@ -33,3 +40,17 @@ def test_traced_names_exist():
     for meth in tracing.OBJECTIVE_METHODS:
         assert any(meth in vars(getattr(prodscreen.objectives, c)) for c in classes), meth
     assert isinstance(vars(AtomicMatrix).get("from_dense"), classmethod)
+
+
+@pytest.mark.parametrize("workload", CLI_WORKLOADS)
+def test_worker_command_lines_parse(workload, tmp_path, monkeypatch):
+    """Every command line a CLI workload runs parses, on seed-1 inputs."""
+    before = sorted(PERFBENCH.rglob("*"))
+    inputs = _load("inputs")
+    monkeypatch.setitem(sys.modules, "inputs", inputs)  # cli_argv imports it by name
+    desc = inputs.generate(workload, 1, tmp_path / "inputs")
+    argvs = _load("worker").cli_argv(workload, tmp_path / "inputs", desc, tmp_path / "out")
+    assert argvs
+    for argv in argvs:
+        build_parser().parse_args(argv)
+    assert sorted(PERFBENCH.rglob("*")) == before

@@ -36,6 +36,19 @@ def test_schedule_validation():
     assert PenaltySchedule.flat(1.0).with_base(3.0).base_lambda == 3.0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_schedule_rejects_non_finite(bad):
+    """NaN fails every comparison, so a bare ``x <= 0`` check lets it through."""
+    with pytest.raises(ValueError, match="finite"):
+        PenaltySchedule.flat(bad)
+    with pytest.raises(ValueError, match="finite"):
+        PenaltySchedule.geometric(1.0, bad)
+    with pytest.raises(ValueError, match="finite"):
+        PenaltySchedule.supergeometric(1.0, 1.5, bad)
+    with pytest.raises(ValueError, match="finite"):
+        PenaltySchedule.flat(1.0).with_base(bad)
+
+
 def test_screen_config_validation():
     with pytest.raises(ValueError):
         ScreenConfig(max_order=0)
@@ -51,7 +64,7 @@ def test_closure_bound_modes():
     assert closure_bound(c, w) == pytest.approx(1.25)
     w2 = DualWeights.from_alpha(np.array([1.0, 1.0, 0.0, 0.0]))
     c2 = Column(FeatureSet((0,)), 4, tidlist=np.array([0, 1]))
-    assert closure_bound(c2, w2, ScreenConfig(nonneg_dual=True)) == pytest.approx(2.0)
+    assert closure_bound(c2, w2) == pytest.approx(2.0)
     # group: per-column maxima (3, 4) -> 5
     pos = np.zeros((2, 2))
     neg = np.zeros((2, 2))
@@ -59,7 +72,22 @@ def test_closure_bound_modes():
     neg[0, 1] = 4.0
     w3 = DualWeights(pos, neg)
     c3 = Column(FeatureSet((0,)), 2, tidlist=np.array([0]))
-    assert closure_bound(c3, w3, ScreenConfig(group_mode=True)) == pytest.approx(5.0)
+    assert closure_bound(c3, w3) == pytest.approx(5.0)
+
+
+def test_matrix_dual_screens_row_norms(rng):
+    """An (n, T) dual screens the row norms of C^T alpha over all T columns."""
+    X = (rng.random((12, 5)) < 0.5).astype(float)
+    alpha = rng.standard_normal((12, 2))
+    subsets, P = oc.materialize(X)
+    stats = oc.enumerate_stats(P, alpha, "group")
+    sched = PenaltySchedule.flat(0.5 * float(np.sort(stats)[-5]))
+    want = [(u, v) for u, v in zip(subsets, stats) if v > sched.base_lambda]
+    for A in (AtomicMatrix.from_dense(X), AtomicMatrix(12, dense=X)):
+        res = screen(A, DualWeights.from_alpha(alpha), sched)
+        got = [(e.feature_set.atoms, e.stat) for e in res.emitted]
+        assert [u for u, _ in got] == [u for u, _ in want]
+        assert [v for _, v in got] == pytest.approx([v for _, v in want], rel=1e-12)
 
 
 # ------------------------------------------------------------ worked cases --
@@ -67,7 +95,7 @@ def test_closure_bound_modes():
 def test_screen_four_transactions(four_transactions):
     A = four_transactions
     w = DualWeights.from_alpha(np.ones(4))
-    res = screen(A, w, PenaltySchedule.flat(1.5), ScreenConfig(nonneg_dual=True))
+    res = screen(A, w, PenaltySchedule.flat(1.5))
     got = [e.feature_set.atoms for e in res.emitted]
     assert got == [(0,), (0, 1), (1,), (1, 2), (2,)]
     assert res.explored_count == 6          # 3 singletons + 3 pairs
@@ -108,7 +136,7 @@ def test_screen_max_order_cap(rng):
     A = AtomicMatrix.from_dense(X)
     w = DualWeights.from_alpha(np.ones(6))
     res = screen(A, w, PenaltySchedule.flat(0.5),
-                 ScreenConfig(max_order=2, nonneg_dual=True))
+                 ScreenConfig(max_order=2))
     orders = {e.feature_set.order for e in res.emitted}
     assert orders == {1, 2}
     assert res.explored_count == 5 + 10
@@ -116,8 +144,7 @@ def test_screen_max_order_cap(rng):
 
 def test_jsonl_format(four_transactions):
     A = four_transactions
-    res = screen(A, DualWeights.from_alpha(np.ones(4)), PenaltySchedule.flat(1.5),
-                 ScreenConfig(nonneg_dual=True))
+    res = screen(A, DualWeights.from_alpha(np.ones(4)), PenaltySchedule.flat(1.5))
     lines = list(res.to_jsonl(A.item_names))
     first = json.loads(lines[0])
     assert set(first) == {"atoms", "items", "stat", "threshold"}
@@ -131,7 +158,7 @@ def test_verify_kkt(four_transactions):
     A = four_transactions
     w = DualWeights.from_alpha(np.ones(4))
     sched = PenaltySchedule.flat(1.5)
-    cfg = ScreenConfig(nonneg_dual=True)
+    cfg = ScreenConfig()
     full = screen(A, w, sched, cfg)
     check, missing = verify_kkt(A, w, sched, cfg, full.emitted)
     assert missing == [] and check.feature_sets() == full.feature_sets()
@@ -179,15 +206,15 @@ def test_child_parent_prune_drops_nested_support():
         [np.array([0, 1, 2, 3]), np.array([0, 1, 2, 3]), np.array([2, 3, 4])], 5)
     w = DualWeights.from_alpha(np.ones(5))
     sched = PenaltySchedule.flat(0.5)
-    base = screen(A, w, sched, ScreenConfig(nonneg_dual=True))
+    base = screen(A, w, sched)
     pruned = screen(A, w, sched,
-                    ScreenConfig(nonneg_dual=True, child_parent_prune=0.9))
+                    ScreenConfig(child_parent_prune=0.9))
     base_sets = {e.feature_set.atoms for e in base.emitted}
     pruned_sets = {e.feature_set.atoms for e in pruned.emitted}
     assert pruned_sets < base_sets
     assert (0, 1) in base_sets and (0, 1) not in pruned_sets
     # a threshold of 1.0 can never prune
-    full = screen(A, w, sched, ScreenConfig(nonneg_dual=True, child_parent_prune=1.0))
+    full = screen(A, w, sched, ScreenConfig(child_parent_prune=1.0))
     assert {e.feature_set.atoms for e in full.emitted} == base_sets
 
 
@@ -217,8 +244,7 @@ def test_screen_matches_enumeration(seed, mode):
     sched = (PenaltySchedule.flat(lam) if kind == 0
              else PenaltySchedule.geometric(lam, 1.5) if kind == 1
              else PenaltySchedule.supergeometric(lam, 1.5, 1.5))
-    cfg = ScreenConfig(nonneg_dual=mode == "nonneg", group_mode=mode == "group")
-    res = screen(A, w, sched, cfg)
+    res = screen(A, w, sched)
     subsets, P = oc.materialize(X)
     stats = oc.enumerate_stats(P, alpha, mode)
     thr = oc.threshold_vector(subsets, sched)
@@ -255,7 +281,7 @@ def test_explored_bounded_by_emitted_subtrees(four_transactions):
     the union of power sets of emitted interactions."""
     A = four_transactions
     w = DualWeights.from_alpha(np.ones(4))
-    res = screen(A, w, PenaltySchedule.flat(0.5), ScreenConfig(nonneg_dual=True))
+    res = screen(A, w, PenaltySchedule.flat(0.5))
     budget = sum(2 ** e.feature_set.order for e in res.emitted)
     assert res.explored_count <= budget
 
@@ -308,8 +334,7 @@ def test_batched_walk_matches_reference(seed, values, mode, kind, integer, max_o
     w = _weights(rng, n, mode, integer)
     shape = {"flat": PenaltySchedule.flat(1.0), "geometric": PenaltySchedule.geometric(1.0, 1.3),
              "supergeometric": PenaltySchedule.supergeometric(1.0, 1.4, 1.5)}[kind]
-    cfg = ScreenConfig(max_order=max_order, child_parent_prune=prune,
-                       nonneg_dual=mode == "nonneg", group_mode=mode == "group")
+    cfg = ScreenConfig(max_order=max_order, child_parent_prune=prune)
     for A in mats:
         exact = (integer and values != "uniform") or \
             (A.is_binary and mode == "group" and w.pos.shape[1] >= 2)
@@ -332,6 +357,32 @@ def test_batched_walk_matches_reference(seed, values, mode, kind, integer, max_o
             assert got == pytest.approx([v for _, v, _ in want], rel=1e-12, abs=0.0)
 
 
+@given(seed=st.integers(0, 10 ** 6), values=st.sampled_from(["binary", "uniform"]),
+       sign=st.sampled_from(["signed", "nonneg"]), prune=st.sampled_from([0.0, 0.8]))
+@settings(max_examples=60, deadline=None)
+def test_one_column_dual_matches_vector_dual(seed, values, sign, prune):
+    """A one-column (n, 1) dual takes the group path and a vector dual the
+    signed or non-negative one; the two agree bit for bit: the same emitted
+    sets and stats, and the same explored and pruned counts."""
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(3, 30)), int(rng.integers(1, 7))
+    X = (rng.random((n, d)) < rng.uniform(0.3, 0.8)).astype(float)
+    if values == "uniform":
+        X *= rng.random((n, d))
+    alpha = rng.standard_normal(n)
+    if sign == "nonneg":
+        alpha = np.abs(alpha)
+    vec, col = DualWeights.from_alpha(alpha), DualWeights.from_alpha(alpha[:, None])
+    sched = PenaltySchedule.geometric(float(rng.uniform(0.05, 1.0)) * np.abs(alpha).sum(), 1.3)
+    cfg = ScreenConfig(child_parent_prune=prune)
+    mats = [AtomicMatrix(n, dense=X)] + ([AtomicMatrix.from_dense(X)] if values == "binary" else [])
+    for A in mats:
+        a, b = screen(A, vec, sched, cfg), screen(A, col, sched, cfg)
+        assert [(e.feature_set.atoms, e.stat) for e in a.emitted] == \
+            [(e.feature_set.atoms, e.stat) for e in b.emitted]
+        assert (a.explored_count, a.pruned_by_closure) == (b.explored_count, b.pruned_by_closure)
+
+
 @pytest.mark.parametrize("chunk", [1, 1000, 5000])
 @pytest.mark.parametrize("mode", ["signed", "group"])
 @pytest.mark.parametrize("binary", [True, False])
@@ -347,11 +398,10 @@ def test_node_stats_do_not_depend_on_batch_width(monkeypatch, chunk, mode, binar
     assert A.is_binary == binary
     w = _weights(rng, n, mode, integer=False)
     shape = PenaltySchedule.geometric(1.0, 1.2)
-    cfg = ScreenConfig(group_mode=mode == "group")
-    whole = screen(A, w, shape.with_base(1e-9), cfg)
+    whole = screen(A, w, shape.with_base(1e-9))
     assert len(whole.emitted) == 2 ** d - 1  # every node scored in a full batch
     monkeypatch.setattr(screening, "_CHUNK", chunk)
-    cut = screen(A, w, shape.with_base(1e-9), cfg)
+    cut = screen(A, w, shape.with_base(1e-9))
     assert [(e.feature_set.atoms, e.stat) for e in cut.emitted] == \
         [(e.feature_set.atoms, e.stat) for e in whole.emitted]
     best = max(whole.emitted, key=lambda e: e.stat / shape.rho(e.feature_set.order))
@@ -359,14 +409,15 @@ def test_node_stats_do_not_depend_on_batch_width(monkeypatch, chunk, mode, binar
     lam = best.stat / rho
     while best.stat > lam * rho:
         lam = np.nextafter(lam, np.inf)
-    assert screening.critical_lambda(A, w, shape, cfg) == lam
+    assert screening.critical_lambda(A, w, shape) == lam
 
 
-def test_nonneg_screen_rejects_negative_dual():
-    """With nonneg_dual the closure bound is c^T alpha, which does not bound
-    the supersets once alpha has negative entries: {0, 1} and {0, 3} score
-    -1 (their row 4 carries -3) while their supersets {0,1,2}, {0,2,3} and
-    {0,1,2,3} score 2, so a walk that trusted the bound would miss them."""
+def test_negative_dual_screens_signed():
+    """A dual with a negative entry gets the signed statistic and bound,
+    because c^T alpha does not bound the supersets then: {0, 1} and {0, 3}
+    score -1 (their row 4 carries -3) while their supersets {0,1,2},
+    {0,2,3} and {0,1,2,3} score 2, so a walk that trusted c^T alpha would
+    miss them."""
     X = np.array([[1, 1, 1, 1], [0, 0, 0, 1], [0, 1, 1, 0],
                   [1, 0, 0, 0], [1, 1, 0, 1], [0, 1, 1, 1]], dtype=float)
     alpha = np.array([2.0, 2.0, -2.0, 0.0, -3.0, -3.0])
@@ -374,12 +425,13 @@ def test_nonneg_screen_rejects_negative_dual():
     stats = dict(zip(subsets, oc.enumerate_stats(P, alpha, "nonneg")))
     assert [stats[u] for u in [(0, 1), (0, 3)]] == [-1.0, -1.0]
     assert [stats[u] for u in [(0, 1, 2), (0, 2, 3), (0, 1, 2, 3)]] == [2.0, 2.0, 2.0]
+    signed = dict(zip(subsets, oc.enumerate_stats(P, alpha, "signed")))
+    want = [(u, v) for u, v in signed.items() if v > 1.0]
     w = DualWeights.from_alpha(alpha)
-    flat, cfg = PenaltySchedule.flat(1.0), ScreenConfig(nonneg_dual=True)
+    flat = PenaltySchedule.flat(1.0)
     for A in (AtomicMatrix.from_dense(X), AtomicMatrix(6, dense=X)):
-        with pytest.raises(ValueError, match="negative"):
-            screen(A, w, flat, cfg)
-        with pytest.raises(ValueError, match="negative"):
-            screening.critical_lambda(A, w, flat, cfg)
-    ok = screen(AtomicMatrix.from_dense(X), DualWeights.from_alpha(np.abs(alpha)), flat, cfg)
-    assert ok.emitted
+        res = screen(A, w, flat)
+        got = [(e.feature_set.atoms, e.stat) for e in res.emitted]
+        assert {(0, 1, 2), (0, 2, 3), (0, 1, 2, 3)} <= {u for u, _ in got}
+        assert got == want
+        assert screening.critical_lambda(A, w, flat) == max(signed.values())

@@ -31,6 +31,12 @@ def test_cg_residual_contract(rng):
         assert np.linalg.norm(A @ x - b) <= tol * np.linalg.norm(b) * (1 + 1e-9)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_solver_config_rejects_non_finite_tol(bad):
+    with pytest.raises(ValueError, match="finite"):
+        SolverConfig(kkt_tol=bad)
+
+
 def test_cg_zero_rhs():
     x = cg_solve(lambda v: v, np.zeros(4))
     assert np.allclose(x, 0.0)
