@@ -187,11 +187,10 @@ def _cmd_screen(args):
 
 def _transactions_by_name(A: AtomicMatrix, names) -> AtomicMatrix:
     """New transactions with their columns in the order of a model's item
-    names; a token absent from the new data is an empty column."""
+    names; a token absent from the new data is a zero column."""
     index = {t: j for j, t in enumerate(A.item_names)}
-    empty = np.zeros(0, dtype=np.int64)
-    tidlists = [A.tidlist(index[t]) if t in index else empty for t in names]
-    return AtomicMatrix.from_tidlists(tidlists, A.n_rows, item_names=names)
+    X = np.hstack([A.atom_matrix(), np.zeros((A.n_rows, 1), dtype=bool)])
+    return AtomicMatrix(X[:, [index.get(t, A.n_cols) for t in names]], item_names=names)
 
 
 def _cmd_predict(args):
@@ -221,23 +220,19 @@ def _cmd_synth(args):
                        kind=args.kind, n_tasks=args.tasks, latent_rank=args.rank)
     out = _outdir(args)
     A = ds.matrix
+    X = A.atom_matrix()
     if ds.kind == "basket":
-        rows: list[list[str]] = [[] for _ in range(A.n_rows)]
-        for j in range(A.n_cols):
-            for i in A.tidlist(j):
-                rows[i].append(str(j))
         with open(out / "data.txt", "w") as fh:
-            for row in rows:
-                fh.write(" ".join(row) + "\n")
+            for row in X:
+                fh.write(" ".join(str(j) for j in np.flatnonzero(row)) + "\n")
         data_path = out / "data.txt"
     else:
         resp = np.atleast_2d(ds.response.T).T
         header = [f"x{j}" for j in range(A.n_cols)] + [f"y{t}" for t in range(resp.shape[1])]
-        dense = A.atom_matrix()
         with open(out / "data.csv", "w") as fh:
             fh.write(",".join(header) + "\n")
             for i in range(A.n_rows):
-                fh.write(",".join(f"{v:.10g}" for v in np.concatenate([dense[i], resp[i]])) + "\n")
+                fh.write(",".join(f"{v:.10g}" for v in np.concatenate([X[i], resp[i]])) + "\n")
         data_path = out / "data.csv"
     (out / "truth.json").write_text(json.dumps({
         "kind": ds.kind,

@@ -1,11 +1,14 @@
 """Atomic feature storage and on-demand interaction columns.
 
-The base data is an n x d matrix with entries in [0, 1].  A feature of the
-model is a non-empty set of atoms u, and its column is the elementwise
-product of the atom columns.  Those product columns are never materialized
-as a matrix: they are built one at a time, and for binary data a column is
-represented by its tidlist (the sorted indices of rows where it equals 1),
-so that products become sorted-array intersections.
+The base data is an n x d atom matrix X with entries in [0, 1], held as one
+array: bool for binary data, float for dense data.  A feature of the model
+is a non-empty set of atoms u, and its column is the elementwise product of
+the atom columns.  Those product columns are never materialized as a
+matrix: they are built one at a time by ``AtomicMatrix.extend``, which
+multiplies a column by one atom.  A binary column is its tidlist (the
+sorted indices of rows where it equals 1), so a product keeps the rows
+where the atom is set; a dense column is its values.  No other module
+knows how binary atoms are stored.
 """
 
 from __future__ import annotations
@@ -66,12 +69,11 @@ class Column:
     vector of length n_rows or a matrix with n_rows rows.
     """
 
-    __slots__ = ("owner", "n_rows", "tidlist", "values", "_dense")
+    __slots__ = ("n_rows", "tidlist", "values", "_dense")
 
-    def __init__(self, owner, n_rows, tidlist=None, values=None):
+    def __init__(self, n_rows, tidlist=None, values=None):
         if (tidlist is None) == (values is None):
             raise ValueError("exactly one of tidlist/values must be given")
-        self.owner = owner
         self.n_rows = int(n_rows)
         self.tidlist = tidlist
         self.values = values
@@ -82,10 +84,6 @@ class Column:
         else:
             if values.shape != (self.n_rows,):
                 raise ValueError("values must have shape (n_rows,)")
-
-    @property
-    def is_binary(self) -> bool:
-        return self.tidlist is not None
 
     @property
     def support_size(self) -> int:
@@ -119,100 +117,80 @@ class Column:
 
 
 class AtomicMatrix:
-    """The atom columns of the data, with binary columns held as tidlists.
+    """The n x d atom matrix X: bool for binary data, float in [0, 1] for
+    dense data.  The array's dtype decides which: a float array of 0/1
+    values stays dense (``from_dense`` is the constructor that detects 0/1).
 
-    ``kind`` is "binary" (every entry 0/1, tidlist storage) or "dense"
-    (float columns in [0, 1]).  ``item_names`` optionally maps column index
-    to the source token for transaction data.
+    The d atom columns are built once: a binary atom is the tidlist of its
+    rows, a dense atom its column of X.  ``extend`` is the one product of a
+    column with an atom.  ``item_names`` optionally maps column index to
+    the source token for transaction data.
     """
 
-    def __init__(self, n_rows, tidlists=None, dense=None, item_names=None):
-        if (tidlists is None) == (dense is None):
-            raise ValueError("exactly one of tidlists/dense must be given")
-        self.n_rows = int(n_rows)
-        if self.n_rows <= 0:
-            raise ValueError("matrix must have at least one row")
-        if tidlists is not None:
-            self._tidlists = [np.asarray(t, dtype=np.int64) for t in tidlists]
-            for t in self._tidlists:
-                if len(t) and (np.any(np.diff(t) <= 0) or t[0] < 0 or t[-1] >= n_rows):
-                    raise ValueError("tidlists must be strictly increasing row indices")
-            self._dense = None
-            self.n_cols = len(self._tidlists)
-        else:
-            arr = np.asarray(dense, dtype=float)
-            if arr.ndim != 2:
-                raise ValueError("dense data must be 2-dimensional")
-            if arr.shape[0] != self.n_rows:
-                raise ValueError("row count mismatch")
-            if np.any(arr < 0.0) or np.any(arr > 1.0):
+    def __init__(self, X, item_names=None):
+        X = np.asarray(X)
+        if X.dtype != bool:
+            X = np.asarray(X, dtype=float)
+            if not np.all((X >= 0.0) & (X <= 1.0)):
                 raise ValueError("dense entries must lie in [0, 1]")
-            self._dense = arr
-            self._tidlists = None
-            self.n_cols = arr.shape[1]
+        if X.ndim != 2:
+            raise ValueError("atom data must be 2-dimensional")
+        if X.shape[0] == 0:
+            raise ValueError("matrix must have at least one row")
+        self.n_rows, self.n_cols = X.shape
         if item_names is not None and len(item_names) != self.n_cols:
             raise ValueError("item_names length must equal column count")
         self.item_names = list(item_names) if item_names is not None else None
-        self._bits = None
+        self._X = X
+        if self.is_binary:
+            self._columns = [Column(self.n_rows, tidlist=np.flatnonzero(X[:, j]))
+                             for j in range(self.n_cols)]
+        else:
+            self._columns = [Column(self.n_rows, values=X[:, j]) for j in range(self.n_cols)]
 
     @classmethod
     def from_tidlists(cls, tidlists, n_rows, item_names=None):
-        return cls(n_rows, tidlists=tidlists, item_names=item_names)
+        X = np.zeros((n_rows, len(tidlists)), dtype=bool)
+        for j, t in enumerate(tidlists):
+            t = np.asarray(t, dtype=np.int64)
+            if len(t) and (np.any(np.diff(t) <= 0) or t[0] < 0 or t[-1] >= n_rows):
+                raise ValueError("tidlists must be strictly increasing row indices")
+            X[t, j] = True
+        return cls(X, item_names)
 
     @classmethod
     def from_dense(cls, dense, item_names=None):
-        """Build from a dense array; exact 0/1 data is converted to tidlists."""
+        """Build from a dense array; exact 0/1 data is stored as bool."""
         arr = np.asarray(dense, dtype=float)
-        if arr.ndim != 2:
-            raise ValueError("dense data must be 2-dimensional")
         if np.all((arr == 0.0) | (arr == 1.0)):
-            tidlists = [np.flatnonzero(arr[:, j]).astype(np.int64) for j in range(arr.shape[1])]
-            return cls(arr.shape[0], tidlists=tidlists, item_names=item_names)
-        return cls(arr.shape[0], dense=arr, item_names=item_names)
-
-    @property
-    def kind(self) -> str:
-        return "binary" if self._tidlists is not None else "dense"
+            arr = arr == 1.0
+        return cls(arr, item_names)
 
     @property
     def is_binary(self) -> bool:
-        return self._tidlists is not None
-
-    def tidlist(self, j: int) -> np.ndarray:
-        if self._tidlists is None:
-            raise ValueError("dense matrix has no tidlists")
-        return self._tidlists[j]
+        return self._X.dtype == bool
 
     def atom_matrix(self) -> np.ndarray:
-        """The n x d atom matrix: bool for binary data, float for dense.
-
-        Binary data builds it from the tidlists on first use and keeps it;
-        dense data returns its own array.  Do not write to it.
-        """
-        if self._dense is not None:
-            return self._dense
-        if self._bits is None:
-            bits = np.zeros((self.n_rows, self.n_cols), dtype=bool)
-            for j, t in enumerate(self._tidlists):
-                bits[t, j] = True
-            self._bits = bits
-        return self._bits
+        """The n x d atom matrix X.  Do not write to it."""
+        return self._X
 
     def column(self, j: int) -> Column:
         if not 0 <= j < self.n_cols:
             raise ValueError(f"column index {j} out of range [0, {self.n_cols})")
-        owner = FeatureSet((j,))
-        if self._tidlists is not None:
-            return Column(owner, self.n_rows, tidlist=self._tidlists[j])
-        return Column(owner, self.n_rows, values=self._dense[:, j])
+        return self._columns[j]
+
+    def extend(self, col: Column, j: int) -> Column:
+        """The product of ``col`` with atom j: its support rows where atom j
+        is set for binary data, its values times atom j for dense data."""
+        if col.tidlist is not None:
+            rows = col.tidlist
+            return Column(self.n_rows, tidlist=rows[self._X[rows, j]])
+        return Column(self.n_rows, values=col.values * self._X[:, j])
 
     def select(self, columns) -> "AtomicMatrix":
         """New matrix keeping the given columns, in the given order."""
         names = [self.item_names[j] for j in columns] if self.item_names else None
-        if self._tidlists is not None:
-            return AtomicMatrix(self.n_rows, tidlists=[self._tidlists[j] for j in columns],
-                                item_names=names)
-        return AtomicMatrix(self.n_rows, dense=self._dense[:, list(columns)], item_names=names)
+        return AtomicMatrix(self._X[:, list(columns)], item_names=names)
 
 
 @dataclass(frozen=True)
@@ -275,25 +253,19 @@ def load_transactions(path) -> AtomicMatrix:
                 index[tok] = len(index)
             row.append(index[tok])
         rows.append(row)
-    n = len(rows)
-    buckets: list[list[int]] = [[] for _ in range(len(index))]
+    X = np.zeros((len(rows), len(index)), dtype=bool)
     for i, row in enumerate(rows):
-        for j in row:
-            buckets[j].append(i)
-    tidlists = [np.asarray(b, dtype=np.int64) for b in buckets]
-    names = [None] * len(index)
-    for tok, j in index.items():
-        names[j] = tok
-    return AtomicMatrix(n, tidlists=tidlists, item_names=names)
+        X[i, row] = True
+    return AtomicMatrix(X, item_names=list(index))
 
 
 def load_dense(path, response_cols: int = 0, columns=None):
     """Read a CSV with a header row; the last ``response_cols`` columns are
     responses, and the others are features unless ``columns`` names the
     feature headers to read, in its order (other columns are then not
-    read).  Feature entries must lie in [0, 1]; exact 0/1 feature data is
-    stored as tidlists.  Returns ``(AtomicMatrix, responses)`` with responses
-    of shape (n, response_cols).
+    read).  Feature entries must lie in [0, 1] and responses must be
+    finite; exact 0/1 feature data is stored as bool.  Returns
+    ``(AtomicMatrix, responses)`` with responses of shape (n, response_cols).
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -334,28 +306,25 @@ def load_dense(path, response_cols: int = 0, columns=None):
                     f"{path}: row {i + 2}, column {header[j]!r}: value {v} outside [0, 1]"
                 )
             data[i, k] = v
+    bad = np.argwhere(~np.isfinite(data[:, n_feat:]))  # features passed the range check
+    if len(bad):
+        i, k = bad[0] + (0, n_feat)
+        raise ValueError(
+            f"{path}: row {i + 2}, column {header[take[k]]!r}: value {data[i, k]} is not finite"
+        )
     A = AtomicMatrix.from_dense(data[:, :n_feat], item_names=[header[j] for j in feats])
     return A, data[:, n_feat:]
 
 
 def interaction_column(A: AtomicMatrix, u) -> Column:
-    """The product column for atom set u, built by folding atom columns."""
+    """The product column for atom set u: ``A.extend`` folded over its atoms."""
     fs = u if isinstance(u, FeatureSet) else FeatureSet(tuple(sorted(u)))
-    for a in fs.atoms:
-        if a >= A.n_cols:
-            raise ValueError(f"atom {a} out of range for {A.n_cols} columns")
-    if A.is_binary:
-        # intersect shortest-first to keep intermediate lists small
-        tids = sorted((A.tidlist(a) for a in fs.atoms), key=len)
-        acc = tids[0]
-        for t in tids[1:]:
-            acc = np.intersect1d(acc, t, assume_unique=True)
-        return Column(fs, A.n_rows, tidlist=acc)
-    X = A.atom_matrix()
-    acc = X[:, fs.atoms[0]].copy()
+    if fs.atoms[-1] >= A.n_cols:
+        raise ValueError(f"atom {fs.atoms[-1]} out of range for {A.n_cols} columns")
+    col = A.column(fs.atoms[0])
     for a in fs.atoms[1:]:
-        acc *= X[:, a]
-    return Column(fs, A.n_rows, values=acc)
+        col = A.extend(col, a)
+    return col
 
 
 def split_dots(col: Column, w: DualWeights):

@@ -170,7 +170,7 @@ def _stat_bound(p: np.ndarray, m: np.ndarray, mode: str):
 
 
 def closure_bound(col: Column, w: DualWeights) -> float:
-    """Upper bound on the statistic of every superset of the column's owner."""
+    """Upper bound on the statistic of every superset of the column's atom set."""
     p, m = split_dots(col, w)
     _, bound = _stat_bound(np.reshape(p, (1, -1)), np.reshape(m, (1, -1)), _mode(w))
     return float(bound[0])
@@ -246,13 +246,7 @@ class _Walk:
         return stat, bound, skip
 
     def _child(self, parent: _Cand | None, j: int) -> Column:
-        if parent is None:
-            return self.A.column(j)
-        col = parent.column
-        if col.tidlist is not None:
-            rows = col.tidlist
-            return Column(None, self.A.n_rows, tidlist=rows[self._X[rows, j]])
-        return Column(None, self.A.n_rows, values=col.values * self._X[:, j])
+        return self.A.column(j) if parent is None else self.A.extend(parent.column, j)
 
     def _emit(self, parent: _Cand | None, sibs: list[_Cand], stat, live, rho_k: float,
               built: dict):
@@ -328,8 +322,7 @@ def screen(A: AtomicMatrix, weights: DualWeights, schedule: PenaltySchedule,
     walk = _Walk(A, weights, schedule, cfg or ScreenConfig(), schedule.base_lambda)
     emitted: list[Emitted] = []
     for atoms, col, stat, thr in walk:
-        col.owner = FeatureSet(tuple(sorted(atoms)))
-        emitted.append(Emitted(col.owner, col, thr, stat))
+        emitted.append(Emitted(FeatureSet(tuple(sorted(atoms))), col, thr, stat))
     emitted.sort(key=lambda e: e.feature_set.atoms)
     for a, b in zip(emitted, emitted[1:]):
         assert a.feature_set.atoms != b.feature_set.atoms, "duplicate emission"

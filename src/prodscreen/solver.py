@@ -87,7 +87,7 @@ class SolveResult:
 
 
 LOG_HEADER = ("outer_iter", "inner_iter", "dual_value", "gap", "active_count",
-              "explored_count")
+              "explored_count", "inner_stop")
 
 
 def _vdot(a, b) -> float:
@@ -253,28 +253,27 @@ def _polish(red, alpha, value: float, h: float, tol: float):
 def _inner_ascent(red, alpha, h: float, cfg: SolverConfig, tol: float):
     """Run quasi-Newton ascent until the projected gradient is below tol.
 
-    The last returned flag is True when the loop ran out of max_inner steps
-    without reaching tol or stalling."""
+    The last returned value says why the loop stopped: ``tol`` (gradient
+    below tol), ``stalled`` (no ascent step left, then polished) or
+    ``max_inner`` (steps exhausted)."""
     value = red.value(alpha)
     iters = 0
-    stalled = False
-    capped = False
+    stop = "max_inner"
     for _ in range(cfg.max_inner):
         g, _, direction = _newton_step(red, alpha, h, tol)
         if direction is None:
+            stop = "tol"
             break
         res = line_search(red, alpha, value, direction, g, h)
         iters += 1
         h = res.h
         if res.stalled:
-            stalled = True
+            stop = "stalled"
             alpha, value, h, extra = _polish(red, alpha, value, h, tol)
             iters += extra
             break
         alpha, value = res.alpha, res.value
-    else:
-        capped = True
-    return alpha, value, h, iters, stalled, capped
+    return alpha, value, h, iters, stop
 
 
 def solve(obj, A: AtomicMatrix, schedule: PenaltySchedule, alpha0=None,
@@ -306,16 +305,17 @@ def solve(obj, A: AtomicMatrix, schedule: PenaltySchedule, alpha0=None,
 
     for outer in range(1, cfg.max_outer + 1):
         red = obj.reduced(list(active.values()))
-        alpha, dval, h, inners, stalled, capped = _inner_ascent(red, alpha, h, cfg, inner_tol)
+        alpha, dval, h, inners, inner_stop = _inner_ascent(red, alpha, h, cfg, inner_tol)
         total_inner += inners
-        cap_hits += capped
+        cap_hits += inner_stop == "max_inner"
 
         check, missing = verify_kkt(A, obj.screen_weights(alpha), schedule, scfg,
                                     active.values())
         beta = red.primal_map(alpha)
         pval = red.primal_value(beta)
         gap = duality_gap(pval, dval)
-        log.append((outer, total_inner, dval, gap, len(check.emitted), check.explored_count))
+        log.append((outer, total_inner, dval, gap, len(check.emitted), check.explored_count,
+                    inner_stop))
 
         # a gap certifies optimality only when it is (numerically) nonnegative;
         # a substantially negative gap means the dual value is not a valid
@@ -327,7 +327,7 @@ def solve(obj, A: AtomicMatrix, schedule: PenaltySchedule, alpha0=None,
             for e in missing:
                 active[e.feature_set.atoms] = e
             expansions += 1
-        elif stalled:
+        elif inner_stop == "stalled":
             stop_reason = "stalled"
             break
         else:

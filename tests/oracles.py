@@ -131,9 +131,9 @@ def reference_walk(A, weights, schedule, cfg, lam):
             for _, ext, scol, _ in cls[k + 1:]:
                 if A.is_binary:
                     tid = np.intersect1d(pcol.tidlist, scol.tidlist, assume_unique=True)
-                    col = Column(None, A.n_rows, tidlist=tid)
+                    col = Column(A.n_rows, tidlist=tid)
                 else:
-                    col = Column(None, A.n_rows, values=pcol.values * X[:, ext])
+                    col = Column(A.n_rows, values=pcol.values * X[:, ext])
                 explored += 1
                 level = cfg.child_parent_prune
                 if level > 0.0 and _too_similar(col, pcol, level) \

@@ -331,6 +331,20 @@ def test_fit_rejects_nan_parameters(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, bad", [("fit-matrix", "nan"), ("fit-logistic", "inf")])
+def test_fit_rejects_non_finite_response(tmp_path, capsys, command, bad):
+    """A non-finite response cell exits 1 naming its row and column, before
+    any output is written."""
+    data = tmp_path / "d.csv"
+    data.write_text(f"x0,x1,y0\n1,0,1\n0,1,0\n1,1,{bad}\n0,0,1\n")
+    out = tmp_path / "out"
+    extra = ["--responses", "1"] if command == "fit-matrix" else []
+    assert main([command, "--data", str(data), "--format", "csv", "--lambda", "0.5",
+                 "--out", str(out)] + extra) == 1
+    assert "row 4, column 'y0'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_dedup_writes_kept_columns(tmp_path, capsys):
     trans = tmp_path / "t.txt"
     # b duplicates a exactly; c is distinct

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prodscreen import (AtomicMatrix, Column, DualWeights, FeatureSet,
+from prodscreen import (AtomicMatrix, Column, DualWeights, FeatureSet, PenaltySchedule,
                         interaction_column, jaccard, load_dense,
-                        load_transactions, split_dots)
+                        load_transactions, screen, split_dots)
 
 
 # ------------------------------------------------------------- FeatureSet --
@@ -28,12 +28,12 @@ def test_feature_set_invariants():
 
 def test_load_transactions_example(four_transactions):
     A = four_transactions
-    assert A.kind == "binary"
+    assert A.is_binary
     assert (A.n_rows, A.n_cols) == (4, 3)
     assert A.item_names == ["a", "b", "c"]  # first-seen order
-    assert list(A.tidlist(0)) == [0, 1, 3]
-    assert list(A.tidlist(1)) == [0, 1, 2]
-    assert list(A.tidlist(2)) == [1, 2]
+    assert list(A.column(0).tidlist) == [0, 1, 3]
+    assert list(A.column(1).tidlist) == [0, 1, 2]
+    assert list(A.column(2).tidlist) == [1, 2]
 
 
 def test_load_transactions_blank_line_is_empty_row(tmp_path):
@@ -41,7 +41,7 @@ def test_load_transactions_blank_line_is_empty_row(tmp_path):
     p.write_text("a b\n\nb\n")
     A = load_transactions(p)
     assert A.n_rows == 3
-    assert list(A.tidlist(0)) == [0]
+    assert list(A.column(0).tidlist) == [0]
 
 
 def test_load_transactions_errors(tmp_path):
@@ -61,7 +61,7 @@ def test_load_dense_with_responses(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text('x0,"x,1",y\n0.5,1,3.5\n0,0.25,-2\n')
     A, resp = load_dense(p, response_cols=1)
-    assert A.kind == "dense"
+    assert not A.is_binary
     assert A.item_names == ["x0", "x,1"]
     assert resp.shape == (2, 1)
     assert resp[1, 0] == -2.0
@@ -71,9 +71,9 @@ def test_load_dense_binary_autodetect(tmp_path):
     p = tmp_path / "b.csv"
     p.write_text("u,v\n1,0\n0,1\n1,1\n")
     A, resp = load_dense(p, 0)
-    assert A.kind == "binary"
+    assert A.is_binary
     assert resp.shape == (3, 0)
-    assert list(A.tidlist(0)) == [0, 2]
+    assert list(A.column(0).tidlist) == [0, 2]
 
 
 def test_load_dense_errors(tmp_path):
@@ -95,11 +95,10 @@ def test_interaction_column_binary_intersection():
     A = AtomicMatrix.from_tidlists([np.array([0, 1, 3]), np.array([1, 3, 4])], 5)
     c = interaction_column(A, (0, 1))
     assert list(c.tidlist) == [1, 3]
-    assert c.owner.atoms == (0, 1)
 
 
 def test_interaction_column_dense_product():
-    A = AtomicMatrix(2, dense=np.array([[0.5, 0.5], [1.0, 0.0]]))
+    A = AtomicMatrix(np.array([[0.5, 0.5], [1.0, 0.0]]))
     c = interaction_column(A, (0, 1))
     assert np.allclose(c.values, [0.25, 0.0])
 
@@ -120,7 +119,7 @@ def test_column_dot_shapes(four_transactions):
 
 
 def test_split_dots_example():
-    c = Column(FeatureSet((0,)), 4, tidlist=np.array([0, 1, 2]))
+    c = Column(4, tidlist=np.array([0, 1, 2]))
     w = DualWeights.from_alpha(np.array([1.0, -0.5, 0.25, 7.0]))
     p, m = split_dots(c, w)
     assert p == pytest.approx(1.25)
@@ -128,13 +127,13 @@ def test_split_dots_example():
 
 
 def test_jaccard():
-    a = Column(FeatureSet((0,)), 5, tidlist=np.array([0, 1, 2]))
-    b = Column(FeatureSet((1,)), 5, tidlist=np.array([1, 2, 3]))
+    a = Column(5, tidlist=np.array([0, 1, 2]))
+    b = Column(5, tidlist=np.array([1, 2, 3]))
     assert jaccard(a, b) == pytest.approx(0.5)
-    e1 = Column(FeatureSet((0,)), 5, tidlist=np.array([], dtype=np.int64))
-    e2 = Column(FeatureSet((1,)), 5, tidlist=np.array([], dtype=np.int64))
+    e1 = Column(5, tidlist=np.array([], dtype=np.int64))
+    e2 = Column(5, tidlist=np.array([], dtype=np.int64))
     assert jaccard(e1, e2) == 1.0
-    dense = Column(FeatureSet((0,)), 5, values=np.zeros(5))
+    dense = Column(5, values=np.zeros(5))
     with pytest.raises(ValueError, match="binary"):
         jaccard(a, dense)
 
@@ -157,9 +156,17 @@ def test_dual_weights_invariants():
 
 def test_atomic_matrix_range_validation():
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        AtomicMatrix(2, dense=np.array([[1.2], [0.0]]))
+        AtomicMatrix(np.array([[1.2], [0.0]]))
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        AtomicMatrix(np.array([[np.nan], [0.0]]))
+    with pytest.raises(ValueError, match="2-dimensional"):
+        AtomicMatrix(np.array([0.0, 1.0]))
+    with pytest.raises(ValueError, match="at least one row"):
+        AtomicMatrix(np.zeros((0, 2), dtype=bool))
     with pytest.raises(ValueError, match="increasing"):
-        AtomicMatrix(3, tidlists=[np.array([2, 1])])
+        AtomicMatrix.from_tidlists([np.array([2, 1])], 3)
+    with pytest.raises(ValueError, match="increasing"):
+        AtomicMatrix.from_tidlists([np.array([0, 3])], 3)
 
 
 # -------------------------------------------------------------- properties --
@@ -191,7 +198,56 @@ def test_split_dots_reconstruction(seed):
     alpha = rng.standard_normal(n) * 3
     w = DualWeights.from_alpha(alpha)
     tid = np.flatnonzero(rng.random(n) < 0.5).astype(np.int64)
-    c = Column(FeatureSet((0,)), n, tidlist=tid)
+    c = Column(n, tidlist=tid)
     p, m = split_dots(c, w)
     direct = float(alpha[tid].sum()) if len(tid) else 0.0
     assert p - m == pytest.approx(direct, rel=1e-12, abs=1e-12)
+
+
+def test_load_dense_rejects_non_finite_response(tmp_path):
+    p = tmp_path / "r.csv"
+    for bad in ("nan", "inf", "-inf"):
+        p.write_text(f"u,y0,y1\n1,0.5,2\n0,1.5,{bad}\n")
+        with pytest.raises(ValueError, match=r"row 3, column 'y1'.*not finite"):
+            load_dense(p, response_cols=2)
+
+
+@given(seed=st.integers(0, 10 ** 6),
+       values=st.sampled_from(["bool", "float01", "quarters", "uniform"]))
+@settings(max_examples=80, deadline=None)
+def test_screen_columns_are_interaction_columns(seed, values):
+    """Every column a screen emits is the one ``interaction_column`` builds
+    for its set: the same tidlist, and the same values bit for bit wherever
+    the products are exact.  The walk multiplies a set's atoms in join
+    order and ``interaction_column`` in sorted order, so on uniform data
+    they agree to the rounding of k - 1 products."""
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(2, 25)), int(rng.integers(1, 7))
+    X = rng.random((n, d)) < rng.uniform(0.3, 0.9)
+    if values == "float01":
+        X = X.astype(float)
+    elif values == "quarters":
+        X = X * rng.integers(1, 5, size=(n, d)) / 4
+    elif values == "uniform":
+        X = X * rng.random((n, d))
+    A = AtomicMatrix(X)
+    assert A.is_binary == (values == "bool")
+    for j in range(d):
+        col = A.column(j)
+        if A.is_binary:
+            assert np.array_equal(col.tidlist, np.flatnonzero(X[:, j]))
+        else:
+            assert np.array_equal(col.values, X[:, j])
+    w = DualWeights.from_alpha(rng.standard_normal(n))
+    res = screen(A, w, PenaltySchedule.flat(1e-9))
+    assert res.emitted
+    for e in res.emitted:
+        want = interaction_column(A, e.feature_set)
+        if A.is_binary:
+            assert np.array_equal(e.column.tidlist, want.tidlist)
+        elif values == "uniform":
+            k = e.feature_set.order
+            tol = 2 * (k - 1) * np.finfo(float).eps * np.abs(want.values)
+            assert np.all(np.abs(e.column.values - want.values) <= tol)
+        else:
+            assert np.array_equal(e.column.values, want.values)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles as oc
-from prodscreen import (AtomicMatrix, DualWeights, FeatureSet, PenaltySchedule,
+from prodscreen import (AtomicMatrix, DualWeights, PenaltySchedule,
                         ScreenConfig, closure_bound, dedup_atoms,
                         frequent_itemsets, interaction_column, screen, verify_kkt)
 from prodscreen import screening
@@ -59,11 +59,11 @@ def test_screen_config_validation():
 # ----------------------------------------------------------- closure bound --
 
 def test_closure_bound_modes():
-    c = Column(FeatureSet((0,)), 4, tidlist=np.array([0, 1, 2]))
+    c = Column(4, tidlist=np.array([0, 1, 2]))
     w = DualWeights.from_alpha(np.array([1.0, -0.5, 0.25, 7.0]))
     assert closure_bound(c, w) == pytest.approx(1.25)
     w2 = DualWeights.from_alpha(np.array([1.0, 1.0, 0.0, 0.0]))
-    c2 = Column(FeatureSet((0,)), 4, tidlist=np.array([0, 1]))
+    c2 = Column(4, tidlist=np.array([0, 1]))
     assert closure_bound(c2, w2) == pytest.approx(2.0)
     # group: per-column maxima (3, 4) -> 5
     pos = np.zeros((2, 2))
@@ -71,7 +71,7 @@ def test_closure_bound_modes():
     pos[0, 0] = 3.0
     neg[0, 1] = 4.0
     w3 = DualWeights(pos, neg)
-    c3 = Column(FeatureSet((0,)), 2, tidlist=np.array([0]))
+    c3 = Column(2, tidlist=np.array([0]))
     assert closure_bound(c3, w3) == pytest.approx(5.0)
 
 
@@ -83,7 +83,9 @@ def test_matrix_dual_screens_row_norms(rng):
     stats = oc.enumerate_stats(P, alpha, "group")
     sched = PenaltySchedule.flat(0.5 * float(np.sort(stats)[-5]))
     want = [(u, v) for u, v in zip(subsets, stats) if v > sched.base_lambda]
-    for A in (AtomicMatrix.from_dense(X), AtomicMatrix(12, dense=X)):
+    mats = (AtomicMatrix.from_dense(X), AtomicMatrix(X))
+    assert [A.is_binary for A in mats] == [True, False]
+    for A in mats:
         res = screen(A, DualWeights.from_alpha(alpha), sched)
         got = [(e.feature_set.atoms, e.stat) for e in res.emitted]
         assert [u for u, _ in got] == [u for u, _ in want]
@@ -193,7 +195,7 @@ def test_dedup_dense_cosine(rng):
     base = rng.random(20)
     X = np.column_stack([base, base * 0.5, rng.random(20)])
     X = np.clip(X, 0.0, 1.0)
-    A = AtomicMatrix(20, dense=X)
+    A = AtomicMatrix(X)
     B, kept = dedup_atoms(A, 0.999)
     assert kept == [0, 2]  # scaled copy is cosine-identical
 
@@ -327,10 +329,10 @@ def test_batched_walk_matches_reference(seed, values, mode, kind, integer, max_o
         X *= rng.integers(1, 5, size=(n, d)) / 4
     elif values == "uniform":
         X *= rng.random((n, d))
-    mats = [AtomicMatrix(n, dense=X)]
+    mats = [AtomicMatrix(X)]
     if values == "binary":
         mats.append(AtomicMatrix.from_dense(X))
-        assert mats[1].is_binary
+    assert [A.is_binary for A in mats] == [False, True][:len(mats)]
     w = _weights(rng, n, mode, integer)
     shape = {"flat": PenaltySchedule.flat(1.0), "geometric": PenaltySchedule.geometric(1.0, 1.3),
              "supergeometric": PenaltySchedule.supergeometric(1.0, 1.4, 1.5)}[kind]
@@ -375,7 +377,8 @@ def test_one_column_dual_matches_vector_dual(seed, values, sign, prune):
     vec, col = DualWeights.from_alpha(alpha), DualWeights.from_alpha(alpha[:, None])
     sched = PenaltySchedule.geometric(float(rng.uniform(0.05, 1.0)) * np.abs(alpha).sum(), 1.3)
     cfg = ScreenConfig(child_parent_prune=prune)
-    mats = [AtomicMatrix(n, dense=X)] + ([AtomicMatrix.from_dense(X)] if values == "binary" else [])
+    mats = [AtomicMatrix(X)] + ([AtomicMatrix.from_dense(X)] if values == "binary" else [])
+    assert [A.is_binary for A in mats] == [False, True][:len(mats)]
     for A in mats:
         a, b = screen(A, vec, sched, cfg), screen(A, col, sched, cfg)
         assert [(e.feature_set.atoms, e.stat) for e in a.emitted] == \
@@ -429,7 +432,9 @@ def test_negative_dual_screens_signed():
     want = [(u, v) for u, v in signed.items() if v > 1.0]
     w = DualWeights.from_alpha(alpha)
     flat = PenaltySchedule.flat(1.0)
-    for A in (AtomicMatrix.from_dense(X), AtomicMatrix(6, dense=X)):
+    mats = (AtomicMatrix.from_dense(X), AtomicMatrix(X))
+    assert [A.is_binary for A in mats] == [True, False]
+    for A in mats:
         res = screen(A, w, flat)
         got = [(e.feature_set.atoms, e.stat) for e in res.emitted]
         assert {(0, 1, 2), (0, 2, 3), (0, 1, 2, 3)} <= {u for u, _ in got}

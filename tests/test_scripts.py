@@ -1,0 +1,27 @@
+"""The scripts in scripts/ run end to end on small inputs and print their
+header line.  Each runs in its own interpreter, as a user would run it."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("script, args, header", [
+    ("path_report.py", ["--n", "120", "--d", "10"], "n=120 d=10 tau=18.0 lattice=1023"),
+    ("planted_recovery.py", ["--n", "200", "--d", "12", "--n-lambdas", "4"],
+     "n=200 d=12 lattice size 2^12-1 = 4095"),
+    ("rank_sweep.py", ["--n-weights", "2"], "n=60 d=8 tasks=4 planted latent rank 2"),
+])
+def test_script_runs(script, args, header):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                        os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == header

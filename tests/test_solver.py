@@ -181,12 +181,24 @@ def test_progress_log_schema(rng):
     obj = basket_dual(BasketSpec(tau_target=2.0), A)
     res = solve(obj, A, PenaltySchedule.flat(3.0))
     assert len(res.log) == res.state.outer_iterations
-    outer, inner, dval, gap, active, explored = res.log[-1]
+    outer, inner, dval, gap, active, explored, inner_stop = res.log[-1]
     assert outer == res.state.outer_iterations
     assert inner == res.state.inner_iterations
     assert dval == res.state.dual_value
     assert gap == res.state.gap
     assert explored == res.screen_result.explored_count
+    assert inner_stop in ("tol", "stalled", "max_inner")
+
+
+def test_log_records_inner_stop(rng):
+    """A solve whose inner rounds are capped logs ``max_inner`` once for each
+    cap hit the state counts."""
+    X = (rng.random((40, 6)) < 0.5).astype(float)
+    A = AtomicMatrix.from_dense(X)
+    obj = basket_dual(BasketSpec(tau_target=4.0), A)
+    res = solve(obj, A, PenaltySchedule.flat(2.0), cfg=SolverConfig(max_inner=1, max_outer=5))
+    stops = [row[-1] for row in res.log]
+    assert stops.count("max_inner") == res.state.inner_cap_hits > 0
 
 
 def test_hessian_matvec_matches_columnwise_sum(rng):
