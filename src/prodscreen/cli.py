@@ -60,7 +60,8 @@ def _add_common(p, needs_lambda=True):
     p.add_argument("--dedup", type=float, default=None,
                    help="drop atom columns at least this similar to an earlier one")
     p.add_argument("--prune-child", type=float, default=0.0,
-                   help="skip candidates this similar to both parents (0 disables)")
+                   help="skip candidates this similar to both parents (0 disables); "
+                        "screen and --lambda fits only")
     p.add_argument("--out", default=None, help="output directory")
 
 
@@ -102,6 +103,8 @@ def _run_fit(args, obj, A, schedule_shape):
     cfg = SolverConfig()
     if args.path == (args.lam is not None):
         raise ValueError("give exactly one of --lambda and --path")
+    if args.path and args.prune_child:
+        raise ValueError("--prune-child applies only to screen and to a --lambda fit")
     schedule = None if args.path else schedule_shape.with_base(args.lam)
     out = _outdir(args)
     _write_items(A, out)

@@ -289,24 +289,26 @@ def load_dense(path, response_cols: int = 0, columns=None):
         feats = [index[c] for c in columns]
     take = feats + list(range(width - response_cols, width))
     n_feat = len(feats)
-    data = np.empty((len(raw), len(take)))
     for i, row in enumerate(raw):
         if len(row) != width:
             raise ValueError(f"{path}: row {i + 2} has {len(row)} fields, expected {width}")
-        for k, j in enumerate(take):
-            cell = row[j]
-            try:
-                v = float(cell)
-            except ValueError:
-                raise ValueError(
-                    f"{path}: row {i + 2}, column {header[j]!r}: not a number: {cell!r}"
-                ) from None
-            if k < n_feat and not 0.0 <= v <= 1.0:
-                raise ValueError(
-                    f"{path}: row {i + 2}, column {header[j]!r}: value {v} outside [0, 1]"
-                )
-            data[i, k] = v
-    bad = np.argwhere(~np.isfinite(data[:, n_feat:]))  # features passed the range check
+    cells = raw if take == list(range(width)) else [[row[j] for j in take] for row in raw]
+    try:
+        data = np.array(cells, dtype=float)
+        unparsed = np.zeros(data.shape, dtype=bool)
+    except ValueError:
+        data, unparsed = _parse_cells(cells)
+    # the first unparsed cell or out-of-range feature in row-major order,
+    # then the first non-finite response (NaN features fail the range test)
+    bad = unparsed.copy()
+    bad[:, :n_feat] |= ~((data[:, :n_feat] >= 0.0) & (data[:, :n_feat] <= 1.0))
+    if bad.any():
+        i, k = np.argwhere(bad)[0]
+        where = f"{path}: row {i + 2}, column {header[take[k]]!r}"
+        if unparsed[i, k]:
+            raise ValueError(f"{where}: not a number: {cells[i][k]!r}")
+        raise ValueError(f"{where}: value {float(data[i, k])} outside [0, 1]")
+    bad = np.argwhere(~np.isfinite(data[:, n_feat:]))
     if len(bad):
         i, k = bad[0] + (0, n_feat)
         raise ValueError(
@@ -314,6 +316,20 @@ def load_dense(path, response_cols: int = 0, columns=None):
         )
     A = AtomicMatrix.from_dense(data[:, :n_feat], item_names=[header[j] for j in feats])
     return A, data[:, n_feat:]
+
+
+def _parse_cells(cells):
+    """Cell-by-cell ``float`` of a table that does not parse as a whole:
+    the values, NaN where a cell is not a number, and that mask."""
+    data = np.full((len(cells), len(cells[0])), np.nan)
+    unparsed = np.zeros(data.shape, dtype=bool)
+    for i, row in enumerate(cells):
+        for k, cell in enumerate(row):
+            try:
+                data[i, k] = float(cell)
+            except ValueError:
+                unparsed[i, k] = True
+    return data, unparsed
 
 
 def interaction_column(A: AtomicMatrix, u) -> Column:

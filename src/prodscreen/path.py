@@ -3,10 +3,13 @@
 The largest useful penalty level is the best ratio statistic(u) / rho(|u|)
 over the whole lattice, found by the screen's own walk with a level that
 rises to each ratio it meets.  The path then walks a geometric grid downward,
-warm-starting each solve from the previous dual point; the screen run at the
-warm start predicts the next active set, and the ratio of predicted to
-converged support sizes measures how well the prediction anticipated the
-solution.
+warm-starting each solve from the previous dual point.  A level's
+certificate re-screens walk the lattice at the next level's penalty:
+restricted to the level's own penalty, a walk is the level's certificate,
+and the level's last walk is the next level's prediction, the screen at its
+warm start.  The first level predicts nothing, by the definition of
+lambda_max.  The ratio of predicted to converged support sizes measures how
+well the prediction anticipated the solution.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 
 from .data import AtomicMatrix, interaction_column
 from .duality import PrimalModel
-from .screening import PenaltySchedule, ScreenConfig, critical_lambda
+from .screening import PenaltySchedule, ScreenConfig, ScreenResult, critical_lambda
 from .solver import SolverConfig, solve
 
 __all__ = [
@@ -92,7 +95,10 @@ def run_path(obj, A: AtomicMatrix, pcfg: PathConfig | None = None,
              scfg: ScreenConfig | None = None, cfg: SolverConfig | None = None,
              schedule: PenaltySchedule | None = None) -> PathResult:
     """Solve along a geometric grid from lambda_max down, warm-starting each
-    step at the previous dual point."""
+    step at the previous dual point.  Each solve but the last walks at the
+    next grid level and hands its last walk on as the next prediction, so
+    ``scfg.child_parent_prune`` has no effect here; a point's
+    ``explored_count`` is that walk's."""
     pcfg = pcfg or PathConfig()
     cfg = cfg or SolverConfig()
     schedule = schedule if schedule is not None else obj.spec.penalty
@@ -106,16 +112,19 @@ def run_path(obj, A: AtomicMatrix, pcfg: PathConfig | None = None,
                                  np.arange(pcfg.n_lambdas) / (pcfg.n_lambdas - 1))
     result = PathResult()
     alpha = obj.project(np.asarray(obj.alpha0(), dtype=float))
-    for lam in grid:
+    first = ScreenResult((), 0, 0)  # nothing clears lambda_max
+    lams = grid.tolist()
+    for lam, nxt in zip(lams, lams[1:] + [None]):
         tick = time.perf_counter()
-        res = solve(obj, A, schedule.with_base(float(lam)), alpha, scfg, cfg)
+        res = solve(obj, A, schedule.with_base(lam), alpha, scfg, cfg,
+                    first=first, next_lambda=nxt)
         wall = time.perf_counter() - tick
-        alpha = res.state.alpha
+        alpha, first = res.state.alpha, res.walk
         result.final = res
         active_count = res.model.n_active
         ratio = res.predicted_count / max(1, active_count)
         result.points.append(PathPoint(
-            lam=float(lam), model=res.model, gap=res.state.gap,
+            lam=lam, model=res.model, gap=res.state.gap,
             active_count=active_count, predicted_count=res.predicted_count,
             predicted_sets=tuple(fs.atoms for fs in res.predicted),
             explored_count=res.screen_result.explored_count,

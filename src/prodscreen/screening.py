@@ -41,6 +41,7 @@ __all__ = [
     "screen",
     "critical_lambda",
     "verify_kkt",
+    "restrict",
     "dedup_atoms",
     "frequent_itemsets",
 ]
@@ -364,6 +365,23 @@ def verify_kkt(A: AtomicMatrix, weights: DualWeights, schedule: PenaltySchedule,
         have.add(fs.atoms)
     res = screen(A, weights, schedule, replace(cfg, child_parent_prune=0.0))
     return res, [e for e in res.emitted if e.feature_set.atoms not in have]
+
+
+def restrict(result: ScreenResult, schedule: PenaltySchedule) -> ScreenResult:
+    """The screen at ``schedule`` from an exact screen at the same dual and
+    a base penalty no higher: the emissions whose statistic exceeds
+    ``schedule``'s threshold, with that threshold.  The lower walk visits
+    every node the higher one does, a node's statistic does not depend on
+    its batch, and the test is the walk's own product and comparison, so
+    the result equals ``screen`` at ``schedule`` bit for bit, apart from
+    the node counts, which stay the lower walk's.
+    """
+    kept = []
+    for e in result.emitted:
+        thr = schedule.threshold(len(e.feature_set.atoms))
+        if e.stat > thr:
+            kept.append(replace(e, threshold=thr))
+    return replace(result, emitted=tuple(kept))
 
 
 def dedup_atoms(A: AtomicMatrix, sim: float):

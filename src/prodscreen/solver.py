@@ -17,13 +17,13 @@ complete and the duality gap is below tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .data import AtomicMatrix
 from .duality import PrimalModel, duality_gap
-from .screening import PenaltySchedule, ScreenConfig, ScreenResult, screen, verify_kkt
+from .screening import PenaltySchedule, ScreenConfig, ScreenResult, restrict, screen
 
 __all__ = [
     "SolverConfig",
@@ -74,11 +74,17 @@ class DualState:
 
 @dataclass
 class SolveResult:
+    """A solve's end point.  ``screen_result`` is the certificate at the
+    solve's penalty; ``walk`` is the exact walk it was restricted from,
+    which ran at ``next_lambda`` when one was given (the next path level's
+    prediction) and at the solve's own penalty otherwise."""
+
     state: DualState
     model: PrimalModel
     screen_result: ScreenResult
     predicted: tuple
     expansions: int
+    walk: ScreenResult
     log: list = field(default_factory=list)
 
     @property
@@ -277,21 +283,39 @@ def _inner_ascent(red, alpha, h: float, cfg: SolverConfig, tol: float):
 
 
 def solve(obj, A: AtomicMatrix, schedule: PenaltySchedule, alpha0=None,
-          scfg: ScreenConfig | None = None, cfg: SolverConfig | None = None) -> SolveResult:
+          scfg: ScreenConfig | None = None, cfg: SolverConfig | None = None, *,
+          first: ScreenResult | None = None, next_lambda: float | None = None) -> SolveResult:
     """Working-set dual ascent over the implicit interaction space.
 
     Screens at the starting dual point to predict the active set, maximizes
     the reduced dual, then re-screens: emissions outside the active set are
     pulled in and the cycle repeats.  Converged means the final screen found
-    nothing new and primal - dual <= kkt_tol * (1 + |primal|).  The first
-    screen honours ``scfg.child_parent_prune``; the re-screens are
-    ``verify_kkt``'s exact certificate.
+    nothing new and primal - dual <= kkt_tol * (1 + |primal|).  The
+    re-screens are exact certificates: they run without the child-parent
+    shortcut, which only the predicting screen honours.
+
+    ``first``, when given, is a screen already taken at the projected
+    starting point and ``schedule``; it stands in for the predicting
+    screen, so ``scfg.child_parent_prune`` then goes unused.  Each
+    re-screen walks at ``next_lambda`` (at most ``schedule.base_lambda``)
+    when it is given and at ``schedule`` otherwise, and the certificate is
+    that walk restricted to ``schedule``.  The last walk, returned as
+    ``walk``, is then the exact screen a solve at ``next_lambda`` starting
+    from this one's end point would predict with.
     """
     cfg = cfg or SolverConfig()
     scfg = obj.screen_config(scfg)
     alpha = obj.project(np.array(obj.alpha0() if alpha0 is None else alpha0, dtype=float))
+    if next_lambda is not None and not next_lambda <= schedule.base_lambda:
+        raise ValueError("next_lambda must not exceed the schedule's base penalty")
+    walk_schedule = schedule if next_lambda is None else schedule.with_base(next_lambda)
+    exact = replace(scfg, child_parent_prune=0.0)
 
-    first = screen(A, obj.screen_weights(alpha), schedule, scfg)
+    if first is None:
+        first = screen(A, obj.screen_weights(alpha), schedule, scfg)
+    elif any(e.threshold != schedule.threshold(len(e.feature_set.atoms))
+             for e in first.emitted):
+        raise ValueError("first was not screened at the schedule's penalty")
     predicted = first.feature_sets()
     active = {e.feature_set.atoms: e for e in first.emitted}
 
@@ -309,8 +333,9 @@ def solve(obj, A: AtomicMatrix, schedule: PenaltySchedule, alpha0=None,
         total_inner += inners
         cap_hits += inner_stop == "max_inner"
 
-        check, missing = verify_kkt(A, obj.screen_weights(alpha), schedule, scfg,
-                                    active.values())
+        walk = screen(A, obj.screen_weights(alpha), walk_schedule, exact)
+        check = restrict(walk, schedule)
+        missing = [e for e in check.emitted if e.feature_set.atoms not in active]
         beta = red.primal_map(alpha)
         pval = red.primal_value(beta)
         gap = duality_gap(pval, dval)
@@ -341,4 +366,4 @@ def solve(obj, A: AtomicMatrix, schedule: PenaltySchedule, alpha0=None,
                       inner_iterations=total_inner, outer_iterations=outer,
                       stop_reason=stop_reason, inner_cap_hits=cap_hits)
     return SolveResult(state=state, model=model, screen_result=check,
-                       predicted=predicted, expansions=expansions, log=log)
+                       predicted=predicted, expansions=expansions, walk=walk, log=log)

@@ -368,3 +368,20 @@ def test_basket_synth_roundtrips_through_transactions(tmp_path):
                  "--tau", "2.0", "--out", str(fit)])
     assert code in (0, 2)
     assert (fit / "model.json").exists()
+
+
+def test_prune_child_is_rejected_on_a_path(tmp_path, capsys):
+    """A path predicts level 1 with nothing and each later level with the
+    previous level's exact walk, so --prune-child would do nothing there:
+    the fit refuses it before writing output, and a --lambda fit takes it."""
+    data = tmp_path / "t.txt"
+    data.write_text("a b\na\nb c\na b c\nc\n" * 4)
+    common = ["fit-basket", "--data", str(data), "--tau", "2.0", "--prune-child", "0.8"]
+    out = tmp_path / "path"
+    assert main(common + ["--path", "--n-lambdas", "3", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "--prune-child" in err and "--lambda" in err
+    assert not out.exists()
+    out = tmp_path / "single"
+    assert main(common + ["--lambda", "0.5", "--out", str(out)]) in (0, 2)
+    assert (out / "model.json").exists()

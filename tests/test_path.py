@@ -9,6 +9,9 @@ from prodscreen import (AtomicMatrix, BasketSpec, FeatureSet, LogisticSpec,
                         ScreenConfig, SolverConfig, basket_dual, lambda_max,
                         logistic_dual, matrix_dual, metrics_auc, metrics_r2,
                         predict, run_path, screen, solve, synth_planted)
+from prodscreen import path as path_module
+from prodscreen import screening
+from prodscreen import solver as solver_module
 from prodscreen.data import interaction_column
 from conftest import random_binary
 
@@ -173,6 +176,86 @@ def test_path_tsv_rows_schema(rng):
         assert row[9] in ("converged", "stalled", "max_outer")
         assert row[6] == str(int(row[9] == "converged"))
         assert row[9] == p.stop_reason
+
+
+def _path_instance(kind):
+    """A small path whose later levels predict, and for the logistic and
+    matrix duals also expand, their active sets."""
+    rng = np.random.default_rng(3)
+    n, d = 40, 6
+    X = (rng.random((n, d)) < 0.5).astype(float)
+    A = AtomicMatrix.from_dense(X)
+    signal = X[:, 0] * X[:, 1] + 0.5 * X[:, 2]
+    if kind == "basket":
+        obj = basket_dual(BasketSpec(tau_target=2.0, gamma=1e-2), A)
+    elif kind == "logistic":
+        y = (signal + 0.3 * rng.standard_normal(n) > 0.6).astype(float)
+        obj = logistic_dual(LogisticSpec(labels=y, tau_l2=1.0), A)
+    else:
+        Y = np.column_stack([signal, X[:, 3] - signal]) + 0.1 * rng.standard_normal((n, 2))
+        obj = matrix_dual(MatrixSpec(responses=Y, rho_nuclear=0.1), A)
+    return A, obj, PenaltySchedule.geometric(1.0, 1.3)
+
+
+@pytest.mark.parametrize("kind", ["basket", "logistic", "matrix"])
+def test_run_path_equals_solve_per_level(kind, monkeypatch):
+    """Handing each level's last walk on as the next prediction changes no
+    answer: run_path equals a loop of plain solves, warm-started the same
+    way, in every alpha bit, model, prediction and certificate, and every
+    reduced dual it builds carries its own level's thresholds."""
+    A, obj, shape = _path_instance(kind)
+    pcfg = PathConfig(n_lambdas=4, lambda_min_ratio=0.02)
+    reds = []
+    build = obj.reduced
+    monkeypatch.setattr(obj, "reduced", lambda active: reds.append(build(active)) or reds[-1])
+    levels = []
+
+    def recording_solve(obj_, A_, schedule, *args, **kwargs):
+        start = len(reds)
+        res = solve(obj_, A_, schedule, *args, **kwargs)
+        levels.append((schedule, res, reds[start:]))
+        return res
+
+    monkeypatch.setattr(path_module, "solve", recording_solve)
+    pr = run_path(obj, A, pcfg, schedule=shape)
+    alpha = obj.project(np.asarray(obj.alpha0(), dtype=float))
+    assert len(levels) == len(pr.points) == pcfg.n_lambdas
+    assert all(p.predicted_count for p in pr.points[1:])
+    assert kind == "basket" or any(p.expansions for p in pr.points[1:])
+    for (schedule, res, built), point in zip(levels, pr.points):
+        ref = solve(obj, A, schedule, alpha, None, None)
+        alpha = ref.state.alpha
+        assert np.array_equal(res.state.alpha, ref.state.alpha)
+        assert res.model.to_json_dict() == ref.model.to_json_dict()
+        assert res.predicted == ref.predicted
+        assert point.predicted_sets == tuple(fs.atoms for fs in ref.predicted)
+        assert [(e.feature_set.atoms, e.stat, e.threshold) for e in res.screen_result.emitted] \
+            == [(e.feature_set.atoms, e.stat, e.threshold) for e in ref.screen_result.emitted]
+        assert (res.expansions, res.state.stop_reason) == (ref.expansions, ref.state.stop_reason)
+        assert built
+        for red in built:
+            want = [schedule.threshold(fs.order) for fs in red.feature_sets()]
+            assert red.thr.tolist() == want
+
+
+@pytest.mark.parametrize("kind", ["basket", "logistic", "matrix"])
+def test_path_walks_once_per_certificate(kind, monkeypatch):
+    """A path walks the lattice once per certificate and never to predict:
+    the first level predicts nothing at lambda_max, and every later level
+    predicts with the previous level's last walk."""
+    A, obj, shape = _path_instance(kind)
+    calls = []
+    real = screening.screen
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(screening, "screen", counted)
+    monkeypatch.setattr(solver_module, "screen", counted)
+    pr = run_path(obj, A, PathConfig(n_lambdas=4, lambda_min_ratio=0.02), schedule=shape)
+    assert all(p.converged for p in pr.points)
+    assert len(calls) == len(pr.points) + sum(p.expansions for p in pr.points)
 
 
 def test_path_best_model(rng):

@@ -2,11 +2,14 @@
 classes: a renamed function or class makes ``--trace 1`` fail when it
 installs, and a renamed objective method silently loses its span.  Its
 worker runs CLI command lines: a removed flag or choice makes a workload
-exit 1.  The perfbench modules are compiled from their files, so no
+exit 1.  It calls ``solve`` by position: a reordered signature would
+silently hand its arguments to other parameters.  The perfbench modules are compiled from their files, so no
 bytecode cache lands in perfbench/, and the tracer is not installed.
 """
 
+import ast
 import importlib
+import inspect
 import sys
 import types
 from pathlib import Path
@@ -16,6 +19,7 @@ import pytest
 import prodscreen.objectives
 from prodscreen.cli import build_parser
 from prodscreen.data import AtomicMatrix
+from prodscreen.solver import solve
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 CLI_WORKLOADS = ("basket_path", "logistic_cli", "itemset_lattice")
@@ -54,3 +58,21 @@ def test_worker_command_lines_parse(workload, tmp_path, monkeypatch):
     for argv in argvs:
         build_parser().parse_args(argv)
     assert sorted(PERFBENCH.rglob("*")) == before
+
+
+def test_worker_solve_call_binds_by_position():
+    """The matrix workload calls ``solve`` positionally as
+    ``fit_solve(obj, A, schedule, None, None, cfg)``.  Its arguments must
+    still land on ``alpha0``, ``scfg`` and ``cfg``; a reordered signature
+    would pass the solver settings as something else without an error."""
+    tree = ast.parse((PERFBENCH / "worker.py").read_text())
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id == "fit_solve"]
+    assert calls
+    for call in calls:
+        bound = inspect.signature(solve).bind(
+            *[ast.unparse(a) for a in call.args],
+            **{kw.arg: ast.unparse(kw.value) for kw in call.keywords})
+        assert bound.arguments["alpha0"] == "None"
+        assert bound.arguments["scfg"] == "None"
+        assert bound.arguments["cfg"] == "cfg"

@@ -440,3 +440,40 @@ def test_negative_dual_screens_signed():
         assert {(0, 1, 2), (0, 2, 3), (0, 1, 2, 3)} <= {u for u, _ in got}
         assert got == want
         assert screening.critical_lambda(A, w, flat) == max(signed.values())
+
+
+@given(seed=st.integers(0, 10 ** 6),
+       values=st.sampled_from(["bool", "float01", "quarters", "uniform"]),
+       mode=st.sampled_from(["signed", "nonneg", "group"]),
+       kind=st.sampled_from(["flat", "geometric", "supergeometric"]),
+       frac=st.floats(0.05, 1.0), lower=st.sampled_from([1.0, 0.999, 0.9, 0.5, 0.1]))
+@settings(max_examples=120, deadline=None)
+def test_restrict_equals_screen_at_higher_level(seed, values, mode, kind, frac, lower):
+    """An exact screen at lam' <= lam, restricted to lam, is the screen at
+    lam: the same sets, stats, thresholds and columns, bit for bit.  The
+    node counts stay those of the walk at lam'."""
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(3, 30)), int(rng.integers(1, 7))
+    X = (rng.random((n, d)) < rng.uniform(0.3, 0.8)).astype(float)
+    if values == "quarters":
+        X *= rng.integers(1, 5, size=(n, d)) / 4
+    elif values == "uniform":
+        X *= rng.random((n, d))
+    A = AtomicMatrix.from_dense(X) if values == "bool" else AtomicMatrix(X)
+    assert A.is_binary == (values == "bool")
+    w = _weights(rng, n, mode, integer=False)
+    shape = {"flat": PenaltySchedule.flat(1.0), "geometric": PenaltySchedule.geometric(1.0, 1.3),
+             "supergeometric": PenaltySchedule.supergeometric(1.0, 1.4, 1.5)}[kind]
+    top = screening.critical_lambda(A, w, shape)
+    lam = frac * top if top > 0 else 1.0
+    high, low = shape.with_base(lam), shape.with_base(lam * lower)
+    want = screen(A, w, high)
+    walk = screen(A, w, low)
+    got = screening.restrict(walk, high)
+    assert [e.feature_set.atoms for e in got.emitted] == [e.feature_set.atoms for e in want.emitted]
+    assert [e.stat for e in got.emitted] == [e.stat for e in want.emitted]
+    assert [e.threshold for e in got.emitted] == [e.threshold for e in want.emitted]
+    for g, e in zip(got.emitted, want.emitted):
+        assert np.array_equal(g.column.dense(), e.column.dense())
+    assert (got.explored_count, got.pruned_by_closure) == \
+        (walk.explored_count, walk.pruned_by_closure)

@@ -175,6 +175,26 @@ def test_solve_deterministic(rng):
     assert [f.atoms for f in r1.model.active] == [f.atoms for f in r2.model.active]
 
 
+def test_solve_checks_handed_in_screen_and_next_lambda(rng):
+    """A handed-in first screen must carry the schedule's thresholds, and
+    the re-screens may not walk above the solve's own penalty."""
+    X = (rng.random((25, 6)) < 0.4).astype(float)
+    A = AtomicMatrix.from_dense(X)
+    y = (rng.random(25) < 0.5).astype(float)
+    obj = logistic_dual(LogisticSpec(labels=y, tau_l2=1.0), A)
+    w = obj.screen_weights(obj.project(np.asarray(obj.alpha0(), dtype=float)))
+    sched = PenaltySchedule.flat(0.2)
+    other = screen(A, w, sched.with_base(0.1), ScreenConfig())
+    assert other.emitted
+    with pytest.raises(ValueError, match="first"):
+        solve(obj, A, sched, first=other)
+    with pytest.raises(ValueError, match="next_lambda"):
+        solve(obj, A, sched, next_lambda=0.3)
+    own = screen(A, w, sched, ScreenConfig())
+    res = solve(obj, A, sched, first=own, next_lambda=0.1)
+    assert np.array_equal(res.state.alpha, solve(obj, A, sched).state.alpha)
+
+
 def test_progress_log_schema(rng):
     X = (rng.random((15, 5)) < 0.5).astype(float)
     A = AtomicMatrix.from_dense(X)
