@@ -8,7 +8,8 @@ products inside the penalty dead zone, and they contribute nothing to value,
 gradient, or curvature.  All three expose the same surface to the solver:
 
     value / gradient / hessian_matvec   on the reduced problem,
-    newton_direction                    its damped Newton step,
+    newton_direction                    its damped Newton direction,
+    step_along                          and the step taken along it,
     project / free_mask                 for the feasible set,
     primal_map / primal_value           to recover and score coefficients.
 
@@ -26,7 +27,7 @@ from scipy.special import xlogy
 from .data import AtomicMatrix, DualWeights, FeatureSet, interaction_column
 from .duality import primal_basket, primal_logistic, primal_matrix
 from .screening import Emitted, PenaltySchedule, ScreenConfig
-from .solver import qn_step
+from .solver import ROUND_GUARD, backtrack, qn_step
 
 __all__ = [
     "BasketSpec",
@@ -225,6 +226,11 @@ class ReducedDual:
             return g
         return x
 
+    def step_along(self, alpha, value: float, direction, h: float):
+        """(point, value, next h) of an ascent step along direction from
+        alpha, or None when none is found: here, by backtracking."""
+        return backtrack(self, alpha, value, direction, h)
+
     def project(self, alpha):
         return self.obj.project(alpha)
 
@@ -284,6 +290,108 @@ class _BasketReduced(ReducedDual):
     def _curvature(self, alpha):
         z = self.dots(alpha) - self.thr
         return 1.0, (z > 0.0) & (z < self.gamma), self.gamma
+
+    def step_along(self, alpha, value: float, direction, h: float):
+        """The first maximizer along the projected ray, accepted when its
+        value is not below ``value`` by more than rounding.  Its ascent is
+        certified by the slope at t = 0+, so a value that is flat to double
+        precision still moves; h is left as it is."""
+        t = self._ray_max(alpha, direction)
+        if t is None or not np.isfinite(t):
+            return None
+        cand = self.project(alpha + t * direction)
+        v = self.value(cand)
+        if not v >= value - ROUND_GUARD * (1.0 + abs(value)):  # NaN fails too
+            return None
+        return cand, v, h
+
+    def _ray_max(self, alpha, d):
+        """First maximizer t > 0 of V(t) = value(project(alpha + t d)) for a
+        feasible alpha (inf if V rises without end), or None when V'(0+) is
+        not above its rounding error.
+
+        Between the sorted breakpoints t_i = alpha_i / -d_i (d_i < 0, none
+        without ``enforce_nonneg``) the point moves along p, d with the
+        clipped coordinates zeroed, so V is quadratic there up to the
+        penalty's kinks, and V'(t) = c - t p.p - b.e'(z(t)) with
+        c = tau sum(p) - alpha.p, b = F^T p, z(t) = F^T alpha(t) - thr:
+        decreasing on each segment.  The segments are scanned in blocks of
+        doubling width; within a block, clipping coordinate i takes F_i d_i
+        off b, and the slopes at all segment ends are checked at once.  The
+        first segment that ends with V' <= 0 holds the answer.
+        """
+        tau = self.tau
+        if self.obj.enforce_nonneg:
+            d = np.where((alpha <= 0.0) & (d < 0.0), 0.0, d)  # clipped from t = 0
+            cut = np.flatnonzero(d < 0.0)
+            ts = alpha[cut] / -d[cut]
+            order = np.argsort(ts, kind="stable")
+            cut, ts = cut[order], ts[order]
+        else:
+            cut, ts = np.zeros(0, dtype=np.intp), np.zeros(0)
+        start, k0, width = 0.0, 0, 16
+        while True:
+            # the state at the block's start, computed afresh
+            p = d.copy()
+            p[cut[:k0]] = 0.0
+            b = self.F.T @ p
+            z = self.dots(self.project(alpha + start * d)) - self.thr
+            c = tau * p.sum() - alpha @ p
+            pp = p @ p
+            if k0 == 0:
+                w = self._slope_weights(z)
+                size = tau * np.abs(p).sum() + np.abs(alpha) @ np.abs(p) + np.abs(b) @ w
+                if c - b @ w <= ROUND_GUARD * size:  # no slope above rounding
+                    return None
+            if k0 >= ts.size:
+                return start + self._segment_root(c - start * pp, pp, b, z, np.inf)
+            rows = cut[k0:k0 + width]
+            ends = ts[k0:k0 + width]
+            dr = d[rows]
+            # each segment of the block, before the clip at its end
+            P = self.F[rows] * dr[:, None]
+            B = b - np.cumsum(P, axis=0) + P
+            q = dr * (tau - alpha[rows])
+            C = c - np.cumsum(q) + q
+            PP = pp - np.cumsum(dr * dr) + dr * dr
+            lengths = np.diff(ends, prepend=start)
+            zend = z + np.cumsum(lengths[:, None] * B, axis=0)
+            slope = C - ends * PP - np.sum(B * self._slope_weights(zend), axis=1)
+            hit = np.flatnonzero((lengths > 0.0) & (slope <= 0.0))
+            if hit.size:
+                j = hit[0]
+                s0, zs = (ends[j - 1], zend[j - 1]) if j else (start, z)
+                return s0 + self._segment_root(C[j] - s0 * PP[j], PP[j], B[j], zs,
+                                               lengths[j])
+            start = ends[-1]
+            k0 += width
+            width *= 2
+
+    def _slope_weights(self, z):
+        """e'(z), the derivative of the penalty ``_excess``."""
+        return np.clip(z / self.gamma, 0.0, 1.0)
+
+    def _segment_root(self, a, pp, b, z, length):
+        """First zero in [0, length] of f(s) = a - s pp - b.e'(z + s b),
+        which is decreasing and piecewise linear, with kinks where some
+        z_j + s b_j crosses 0 or gamma; length (which may be infinite) when
+        f stays positive."""
+        g = self.gamma
+        on = b != 0.0
+        kinks = np.concatenate((-z[on] / b[on], (g - z[on]) / b[on]))
+        kinks = np.sort(kinks[(kinks > 0.0) & (kinks < length)])
+        f = a - kinks * pp - b @ self._slope_weights(z[:, None] + b[:, None] * kinks)
+        i = int(np.argmax(f <= 0.0)) if np.any(f <= 0.0) else kinks.size
+        lo = kinks[i - 1] if i > 0 else 0.0
+        hi = kinks[i] if i < kinks.size else length
+        # on (lo, hi) every column is below, inside or above the band alike
+        w = z + (lo + 0.5 * (hi - lo) if np.isfinite(hi) else 2.0 * lo + 1.0) * b
+        live = (w > 0.0) & (w < g)
+        rate = pp + b[live] @ b[live] / g
+        top = a - b[w >= g].sum() - b[live] @ z[live] / g
+        if rate <= 0.0:  # f is constant on (lo, hi)
+            return lo if top <= 0.0 else hi
+        return min(max(top / rate, lo), hi)
 
     def free_mask(self, alpha, grad):
         if not self.obj.enforce_nonneg:

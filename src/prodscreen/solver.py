@@ -5,13 +5,16 @@ direction (H + h I)^-1 grad on the free coordinates from the reduced dual
 itself (``newton_direction``): the basket and logistic duals, whose
 curvature is a diagonal plus a low-rank term, solve it exactly through one
 small SPD system (Woodbury); the matrix dual runs conjugate gradients
-(``qn_step``) on its curvature operator.  A backtracking line search
-enforces strict increase, and the damping h grows when the quadratic model
-misleads and shrinks when a full step is accepted first try.  The outer
-loop alternates inner convergence with an exact re-screen of the lattice:
-any interaction the screen emits that is missing from the active set joins
-it, and the solve finishes when the screen certifies the active set
-complete and the duality gap is below tolerance.
+(``qn_step``) on its curvature operator.  The step length is the reduced
+dual's too (``step_along``): the basket dual, piecewise quadratic along its
+projected ray, steps exactly to the first maximum there; the logistic and
+matrix duals backtrack until the value strictly increases, and their
+damping h grows when the quadratic model misleads and shrinks when a full
+step is accepted first try.  The outer loop alternates inner convergence
+with an exact re-screen of the lattice: any interaction the screen emits
+that is missing from the active set joins it, and the solve finishes when
+the screen certifies the active set complete and the duality gap is below
+tolerance.
 """
 
 from __future__ import annotations
@@ -165,6 +168,11 @@ _LS_SHRINK = 0.5
 _LS_MAX = 30
 _POLISH_MAX = 20
 _POLISH_BACKTRACKS = 8
+# rounding allowance relative to the size of what is compared: a value of
+# at least reference - ROUND_GUARD * (1 + |reference|) has not fallen below
+# the reference, and a slope no larger than ROUND_GUARD times the sum of its
+# terms' magnitudes is not known to be positive
+ROUND_GUARD = 1e-12
 
 
 @dataclass
@@ -176,31 +184,42 @@ class LineSearchResult:
     used_gradient: bool
 
 
-def line_search(red, alpha, value: float, direction, gradient_dir,
-                h: float) -> LineSearchResult:
-    """Backtrack along the quasi-Newton direction, then along the gradient.
+def backtrack(red, alpha, value: float, direction, h: float):
+    """Halve the step along direction until the value strictly increases.
 
-    Accepting the full quasi-Newton step on the first try shrinks h (floored
-    at its starting value); exhausting the backtracks grows h and retries
-    along the projected gradient; failing both reports a stall and leaves
-    the iterate unchanged.
+    Returns (point, value, next h), or None after _LS_MAX trials.  The full
+    step accepted on the first try shrinks h, floored at its starting value.
     """
     t = 1.0
     for trial in range(_LS_MAX):
         cand = red.project(alpha + t * direction)
         v = red.value(cand)
         if v > value:
-            h_next = max(_H_INIT, h * _H_SHRINK) if trial == 0 else h
-            return LineSearchResult(cand, v, h_next, False, False)
+            return cand, v, (max(_H_INIT, h * _H_SHRINK) if trial == 0 else h)
         t *= _LS_SHRINK
+    return None
+
+
+def line_search(red, alpha, value: float, direction, gradient_dir,
+                h: float) -> LineSearchResult:
+    """Step along the quasi-Newton direction, then along the gradient.
+
+    The reduced dual sets the quasi-Newton step (``red.step_along``): the
+    basket dual steps exactly to the first maximum along its projected ray,
+    the logistic and matrix duals ``backtrack``, and so does an object without
+    that method (anything with ``value`` and ``project``).  When no step is
+    found, h grows and the projected gradient is backtracked; failing both
+    reports a stall and leaves the iterate unchanged.
+    """
+    step = getattr(red, "step_along", None)
+    found = (step(alpha, value, direction, h) if step is not None
+             else backtrack(red, alpha, value, direction, h))
+    if found is not None:
+        return LineSearchResult(*found, False, False)
     h = h * _H_GROW
-    t = 1.0
-    for _ in range(_LS_MAX):
-        cand = red.project(alpha + t * gradient_dir)
-        v = red.value(cand)
-        if v > value:
-            return LineSearchResult(cand, v, h, False, True)
-        t *= _LS_SHRINK
+    found = backtrack(red, alpha, value, gradient_dir, h)
+    if found is not None:
+        return LineSearchResult(found[0], found[1], h, False, True)
     return LineSearchResult(alpha, value, h, True, True)
 
 
@@ -226,7 +245,7 @@ def _polish(red, alpha, value: float, h: float, tol: float):
     coordinates, from its exact generalized Jacobian.
     """
     iters = 0
-    guard = 1e-12 * (1.0 + abs(value))
+    guard = ROUND_GUARD * (1.0 + abs(value))
     misses = 0
     for _ in range(_POLISH_MAX):
         _, gn, direction = _newton_step(red, alpha, h, 0.1 * tol)

@@ -3,8 +3,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# the same examples on every run, and no failing example stored in
+# .hypothesis/ to be replayed by later runs: a result depends on the code only
+settings.register_profile("reproducible", derandomize=True, database=None)
+settings.load_profile("reproducible")
 
 from prodscreen import AtomicMatrix, load_transactions
 

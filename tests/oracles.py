@@ -5,8 +5,10 @@ Everything here works on the fully materialized interaction matrix (all
 point: results from the implicit-lattice solver must match these within
 tight tolerances.  Two exceptions: the reference walk, the lattice walk
 one node at a time, which the library's batched walk must match node for
-node; and dense_hessian, a reduced dual's curvature operator written out
-as a dense matrix, which the direct Newton solve is checked against.
+node; dense_hessian, a reduced dual's curvature operator written out as a
+dense matrix, which the direct Newton solve is checked against; and
+ray_first_max, the basket dual along a projected ray searched point by
+point, which the exact step length is checked against.
 """
 
 from __future__ import annotations
@@ -30,6 +32,61 @@ def dense_hessian(red, alpha):
         e.flat[i] = 1.0
         H[:, i] = hv(e).ravel()
     return H
+
+
+def ray_first_max(red, alpha, d):
+    """(t, value) at the first local maximum over t >= 0 of the basket
+    reduced dual along the projected ray, V(t) = red.value(path(t)) with
+    path(t) = max(alpha + t d, 0) (alpha + t d when the dual does not
+    enforce non-negativity).
+
+    V is quadratic between consecutive breakpoints: where a coordinate
+    reaches 0 and where a column's z = F_j^T path(t) - thr_j crosses 0 or
+    gamma.  The candidates are every breakpoint and each piece's vertex,
+    from the parabola through three values on the piece.  V is monotone
+    between consecutive candidates, so the first local maximum is the first
+    candidate that the next one does not exceed.  It need not be the
+    highest: clipping a coordinate whose gradient is positive raises the
+    slope, so V can fall and then rise again.
+    """
+    def path(t):
+        x = alpha + t * d
+        return np.maximum(x, 0.0) if red.obj.enforce_nonneg else x
+
+    def V(t):
+        return red.value(path(t))
+
+    gamma = red.obj.spec.gamma
+    coord = {0.0}
+    if red.obj.enforce_nonneg:
+        coord |= {a / -x for a, x in zip(alpha, d) if x < 0.0}
+    coord = sorted(coord)
+    breaks = set(coord)
+    for lo, hi in zip(coord, coord[1:] + [math.inf]):
+        top = hi if math.isfinite(hi) else lo + 1.0  # path is affine on [lo, top]
+        z_lo = red.F.T @ path(lo) - red.thr
+        z_top = red.F.T @ path(top) - red.thr
+        for level in (0.0, gamma):
+            for a, b in zip(z_lo, z_top):
+                if a != b:
+                    s = (level - a) / (b - a)
+                    if 0.0 < s and (s < 1.0 or not math.isfinite(hi)):
+                        breaks.add(lo + s * (top - lo))
+    breaks = sorted(breaks)
+    cands = set(breaks)
+    for lo, hi in zip(breaks, breaks[1:] + [breaks[-1] + 2.0]):
+        h = 0.5 * (hi - lo)
+        f0, f1, f2 = V(lo), V(lo + h), V(hi)
+        curv = f0 - 2.0 * f1 + f2
+        if curv < 0.0:
+            vertex = lo + h - h * (f2 - f0) / (2.0 * curv)
+            if lo < vertex < hi or (hi == breaks[-1] + 2.0 and vertex > lo):
+                cands.add(vertex)
+    cands = sorted(cands)
+    cands.append(2.0 * cands[-1] + 1.0)  # past every piece
+    values = [V(t) for t in cands]
+    k = next(i for i in range(len(cands) - 1) if values[i + 1] <= values[i])
+    return cands[k], values[k]
 
 
 def all_subsets(d: int):

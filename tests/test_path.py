@@ -258,6 +258,31 @@ def test_path_walks_once_per_certificate(kind, monkeypatch):
     assert len(calls) == len(pr.points) + sum(p.expansions for p in pr.points)
 
 
+def test_basket_path_never_hits_the_inner_cap(monkeypatch):
+    """scripts/path_report.py's instance on a five-level path: its last
+    level used to end a round at max_inner when the step length was found
+    by halving.  Every round of every level now ends at the gradient
+    tolerance."""
+    rng = np.random.default_rng(11)
+    X = (rng.random((300, 20)) < 0.65).astype(float)
+    X[:, 0] = 1.0
+    A = AtomicMatrix.from_dense(X)
+    obj = basket_dual(BasketSpec(tau_target=18.0, penalty=PenaltySchedule.geometric(1.0, 1.15)), A)
+    levels = []
+
+    def recording_solve(*args, **kwargs):
+        levels.append(solve(*args, **kwargs))
+        return levels[-1]
+
+    monkeypatch.setattr(path_module, "solve", recording_solve)
+    pr = run_path(obj, A, PathConfig(n_lambdas=5, lambda_min_ratio=0.1))
+    assert len(levels) == 5 and all(p.converged for p in pr.points)
+    assert pr.points[-1].active_count > 0
+    for res in levels:
+        assert res.state.inner_cap_hits == 0
+        assert [row[-1] for row in res.log] == ["tol"] * len(res.log)
+
+
 def test_path_best_model(rng):
     X, A = random_binary(rng, 20, 5)
     y = (X[:, 0] > 0.5).astype(float)

@@ -100,6 +100,71 @@ def test_line_search_stalls_at_optimum():
     assert res.h == pytest.approx(1.0)  # grown once on the quasi-Newton failure
 
 
+def _basket_ray_case(rng, nonneg, gamma, n=9, d=4):
+    """A basket reduced dual over every atom column at a feasible alpha
+    (some coordinates at 0 when non-negativity is enforced), with each
+    column's z = c^T alpha - thr drawn on either side of 0 and gamma, on
+    the scale of the band or well past it."""
+    A = AtomicMatrix.from_dense(rng.random((n, d)))
+    obj = basket_dual(BasketSpec(tau_target=rng.uniform(0.5, 3.0), gamma=gamma), A,
+                      enforce_nonneg=nonneg)
+    if nonneg:
+        alpha = np.where(rng.random(n) < 0.2, 0.0, rng.uniform(0.0, 2.0, n))
+    else:
+        alpha = rng.normal(0.5, 1.0, n)
+    cols = [interaction_column(A, (j,)) for j in range(d)]
+    z = rng.uniform(-1.0, 2.0, d) * np.where(rng.random(d) < 0.5, gamma, 2.0)
+    red = obj.reduced([Emitted(FeatureSet((j,)), c, float(c.dense() @ alpha - zj), 0.0)
+                       for j, (c, zj) in enumerate(zip(cols, z))])
+    return red, alpha
+
+
+@given(st.integers(0, 10 ** 6), st.booleans(), st.floats(1e-3, 1.0))
+@settings(max_examples=150, deadline=None)
+def test_basket_step_reaches_first_ray_maximum(seed, nonneg, gamma):
+    """The basket dual's step lands on the first maximum of its value along
+    the projected ray, which the oracle finds by evaluating every coordinate
+    and z breakpoint and every piece's vertex; no step is taken only where
+    the value does not rise from t = 0."""
+    rng = np.random.default_rng(seed)
+    red, alpha = _basket_ray_case(rng, nonneg, gamma)
+    direction = rng.normal(0.0, 1.0, alpha.size)  # crosses coordinate breakpoints
+    value = red.value(alpha)
+    _, best = oc.ray_first_max(red, alpha, direction)
+    tol = 1e-9 * (1.0 + abs(best))
+    found = red.step_along(alpha, value, direction, 1e-4)
+    if found is None:
+        assert best <= value + tol
+    else:
+        cand, v, h = found
+        assert h == 1e-4
+        assert v == red.value(cand)
+        assert v >= best - tol
+
+
+def test_basket_line_search_makes_one_value_call(rng):
+    """Along the Newton direction the basket dual takes its exact step: one
+    value evaluation, no gradient retry."""
+    X = (rng.random((40, 6)) < 0.5).astype(float)
+    A = AtomicMatrix.from_dense(X)
+    obj = basket_dual(BasketSpec(tau_target=4.0), A)
+    alpha = obj.project(obj.alpha0())
+    first = screen(A, obj.screen_weights(alpha), PenaltySchedule.flat(2.0))
+    red = obj.reduced(first.emitted)
+    assert red.F.shape[1] > 0
+    value = red.value(alpha)
+    grad = red.gradient(alpha)
+    mask = red.free_mask(alpha, grad)
+    direction = red.newton_direction(alpha, grad, mask, 1e-4)
+    calls = []
+    evaluate = red.value
+    red.value = lambda a: calls.append(1) or evaluate(a)
+    res = line_search(red, alpha, value, direction, np.where(mask, grad, 0.0), 1e-4)
+    assert len(calls) == 1
+    assert not res.used_gradient and not res.stalled
+    assert res.value > value and res.h == 1e-4
+
+
 def _scalar_dual_max(fn, lo, hi):
     out = minimize_scalar(lambda a: -fn(np.array([a])), bounds=(lo, hi),
                           method="bounded", options={"xatol": 1e-12})
