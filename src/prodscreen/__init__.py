@@ -10,8 +10,7 @@ optimality or grows the active set.
 
 from .data import (AtomicMatrix, Column, DualWeights, FeatureSet, interaction_column,
                    jaccard, load_dense, load_transactions, split_dots)
-from .duality import (PrimalModel, clamp, duality_gap, logistic_conjugate,
-                      primal_basket, primal_logistic, primal_matrix, soft_threshold)
+from .duality import PrimalModel
 from .objectives import (BasketSpec, LogisticSpec, MatrixSpec, basket_dual,
                          logistic_dual, matrix_dual, rank_report)
 from .path import (PathConfig, PathResult, lambda_max, metrics_auc, metrics_r2,
@@ -27,8 +26,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AtomicMatrix", "Column", "DualWeights", "FeatureSet", "interaction_column",
     "jaccard", "load_dense", "load_transactions", "split_dots",
-    "PrimalModel", "clamp", "duality_gap", "logistic_conjugate",
-    "primal_basket", "primal_logistic", "primal_matrix", "soft_threshold",
+    "PrimalModel",
     "BasketSpec", "LogisticSpec", "MatrixSpec", "basket_dual", "logistic_dual",
     "matrix_dual", "rank_report",
     "PathConfig", "PathResult", "lambda_max", "metrics_auc", "metrics_r2",

@@ -158,10 +158,10 @@ def _cmd_fit_logistic(args):
 
 def _cmd_fit_matrix(args):
     A, resp = _load_matrix(args, response_cols=args.responses)
-    A = _dedup_if_asked(args, A)
     shape = _parse_penalty(args.penalty, 1.0)
     spec = MatrixSpec(responses=resp, rho_nuclear=args.rho, penalty=shape,
                       eta_l2=args.eta, fit_intercept=not args.no_intercept)
+    A = _dedup_if_asked(args, A)
     return _run_fit(args, matrix_dual(spec, A), A, shape)
 
 

@@ -1,11 +1,8 @@
-"""Scalar conjugate toolkit and the primal model container.
+"""The fitted primal model and its JSON form.
 
-The training problems all share one shape: a convex loss of the prediction
-scores plus a per-interaction penalty.  At a dual point alpha, the inner
-product of an interaction column with alpha determines that interaction's
-primal coefficient through a closed-form map (soft-threshold, clamp, or
-row-wise group shrink), and any coefficient whose inner product sits inside
-the penalty's dead zone is exactly zero.
+Each objective's conjugate pair, its dual value and the primal map that is
+that value's gradient, lives with its reduced dual in ``objectives``; a solve
+ends by mapping its dual point to the coefficients kept here.
 """
 
 from __future__ import annotations
@@ -15,84 +12,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.special import xlogy
 
 from .data import FeatureSet
 
-__all__ = [
-    "soft_threshold",
-    "clamp",
-    "logistic_conjugate",
-    "primal_basket",
-    "primal_logistic",
-    "primal_matrix",
-    "duality_gap",
-    "PrimalModel",
-]
-
-
-def soft_threshold(x, lam):
-    """sign(x) * max(|x| - lam, 0); lam may be a scalar or match x's shape."""
-    x = np.asarray(x, dtype=float)
-    out = np.sign(x) * np.maximum(np.abs(x) - lam, 0.0)
-    return float(out) if out.ndim == 0 else out
-
-
-def clamp(x, lo, hi):
-    if np.any(np.asarray(lo) > np.asarray(hi)):
-        raise ValueError("clamp requires lo <= hi")
-    out = np.clip(np.asarray(x, dtype=float), lo, hi)
-    return float(out) if out.ndim == 0 else out
-
-
-def logistic_conjugate(a, y):
-    """Conjugate of the logistic loss at dual value a for label y.
-
-    With s = a + y this is s*log(s) + (1-s)*log(1-s), which is finite on
-    [0, 1] (0*log(0) = 0) and undefined outside.  Accepts arrays.
-    """
-    s = np.asarray(a, dtype=float) + np.asarray(y, dtype=float)
-    if np.any(s < 0.0) or np.any(s > 1.0):
-        raise ValueError("logistic conjugate requires a + y in [0, 1]")
-    out = xlogy(s, s) + xlogy(1.0 - s, 1.0 - s)
-    return float(out) if out.ndim == 0 else out
-
-
-def primal_basket(dots, lam, gamma):
-    """Coefficient map for the covering objective: clamp((c^T a - lam)/gamma, 0, 1)."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    return clamp((np.asarray(dots, dtype=float) - lam) / gamma, 0.0, 1.0)
-
-
-def primal_logistic(dots, lam, tau):
-    """Coefficient map for the l1 + l2 objective: soft_threshold(c^T a, lam)/tau."""
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    out = soft_threshold(dots, lam) / tau
-    return out
-
-
-def primal_matrix(row_dots, lam, eta):
-    """Row-wise group shrink: rows with norm <= lam vanish, the rest shrink.
-
-    ``row_dots`` is (m, T); ``lam`` a scalar or length-m vector.  Returns the
-    (m, T) coefficient matrix (1 - lam/||z||)_+ z / eta.
-    """
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    z = np.atleast_2d(np.asarray(row_dots, dtype=float))
-    norms = np.linalg.norm(z, axis=1)
-    lam = np.broadcast_to(np.asarray(lam, dtype=float), norms.shape)
-    scale = np.zeros_like(norms)
-    live = norms > lam
-    scale[live] = (norms[live] - lam[live]) / norms[live]
-    return (scale[:, None] * z) / eta
-
-
-def duality_gap(primal_value: float, dual_value: float) -> float:
-    """primal - dual; non-negative once the active set is verified complete."""
-    return primal_value - dual_value
+__all__ = ["PrimalModel"]
 
 
 @dataclass(frozen=True)
@@ -148,14 +71,25 @@ class PrimalModel:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "PrimalModel":
+        """The model ``to_json_dict`` wrote; a malformed document raises
+        ValueError naming the field at fault."""
+        if not isinstance(d, dict):
+            raise ValueError("model: expected a JSON object")
+        for key in ("kind", "entries"):
+            if key not in d:
+                raise ValueError(f"model: no {key!r} field")
         entries = d["entries"]
+        if not isinstance(entries, list) or not all(
+                isinstance(e, dict) and "atoms" in e for e in entries):
+            raise ValueError("model: 'entries' must be a list of objects with 'atoms'")
+        keys = {k for e in entries for k in ("coef", "coef_row") if k in e}
+        if len(keys) > 1:
+            raise ValueError("model: 'entries' mix 'coef' and 'coef_row'")
+        key = keys.pop() if keys else "coef"
+        if not all(key in e for e in entries):
+            raise ValueError(f"model: an entry has no {key!r}")
         active = tuple(FeatureSet(tuple(e["atoms"])) for e in entries)
-        if entries and "coef_row" in entries[0]:
-            coef = np.array([e["coef_row"] for e in entries], dtype=float)
-        elif entries:
-            coef = np.array([e["coef"] for e in entries], dtype=float)
-        else:
-            coef = np.zeros(0)
+        coef = np.array([e[key] for e in entries], dtype=float)
         return cls(d["kind"], active, coef, np.asarray(d.get("intercept", []), dtype=float))
 
     def save(self, path) -> None:

@@ -13,8 +13,12 @@ gradient, or curvature.  All three expose the same surface to the solver:
     project / free_mask                 for the feasible set,
     primal_map / primal_value           to recover and score coefficients.
 
-Dual values keep their additive constants, so value equals the primal
-optimum at the optimum and duality gaps are exact.
+Each reduced dual writes its conjugate pair once: ``value`` holds the
+conjugates of loss and penalty, and ``primal_map`` the coefficient map that
+is the penalty conjugate's gradient (a clip for the covering objective, a
+soft threshold for the logistic one, a row-wise group shrink for the
+matrix one).  Dual values keep their additive constants, so value equals
+the primal optimum at the optimum and duality gaps are exact.
 """
 
 from __future__ import annotations
@@ -22,10 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import xlogy
 
 from .data import AtomicMatrix, DualWeights, FeatureSet, interaction_column
-from .duality import primal_basket, primal_logistic, primal_matrix
 from .screening import Emitted, PenaltySchedule, ScreenConfig
 from .solver import ROUND_GUARD, backtrack, qn_step
 
@@ -42,6 +44,11 @@ __all__ = [
 ]
 
 _EPS = 1e-12
+
+
+def _xlogx(s):
+    """s log s elementwise for s in [0, 1], with 0 log 0 = 0 and no warning."""
+    return s * np.log(np.where(s > 0.0, s, 1.0))
 
 
 @dataclass(frozen=True)
@@ -91,8 +98,8 @@ class MatrixSpec:
 
     def __post_init__(self):
         Y = np.asarray(self.responses, dtype=float)
-        if Y.ndim != 2:
-            raise ValueError("responses must be an (n, T) matrix")
+        if Y.ndim != 2 or Y.shape[1] == 0:
+            raise ValueError("responses must be an (n, T) matrix with T >= 1")
         object.__setattr__(self, "responses", Y)
         if not 0.0 <= self.rho_nuclear < np.inf:
             raise ValueError("rho_nuclear must be non-negative and finite")
@@ -206,10 +213,7 @@ class ReducedDual:
         x = w g - sqrt(w) G S^-1 G^T (sqrt(w) g) where S = c I + G^T G is
         m x m for m live columns.  S >= c I, so its solve stays well
         conditioned however large D grows at the faces of the feasible box.
-        (numpy's LU solve, not
-        scipy's Cholesky: importing scipy.linalg costs about 6 MB of
-        resident memory, and at m of a few hundred the solve is not where
-        the time goes.)
+        (An LU solve: at m of a few hundred it is not where the time goes.)
         """
         diag, live, c = self._curvature(alpha)
         g = np.where(mask, grad, 0.0)
@@ -272,7 +276,8 @@ class _BasketReduced(ReducedDual):
 
     def _excess(self, z):
         """Penalty contribution per active column: the conjugate of the
-        clamp map, piecewise quadratic then linear in z = c^T a - lam."""
+        clip map ``_slope_weights``, piecewise quadratic then linear in
+        z = c^T a - lam."""
         g = self.gamma
         return np.where(z <= 0.0, 0.0,
                         np.where(z >= g, z - 0.5 * g, 0.5 * z * z / g))
@@ -282,7 +287,7 @@ class _BasketReduced(ReducedDual):
         return float(self.tau * alpha.sum() - 0.5 * alpha @ alpha - self._excess(z).sum())
 
     def primal_map(self, alpha):
-        return primal_basket(self.dots(alpha), self.thr, self.gamma)
+        return self._slope_weights(self.dots(alpha) - self.thr)
 
     def gradient(self, alpha):
         return self.tau - alpha - self.F @ self.primal_map(alpha)
@@ -368,7 +373,8 @@ class _BasketReduced(ReducedDual):
             width *= 2
 
     def _slope_weights(self, z):
-        """e'(z), the derivative of the penalty ``_excess``."""
+        """e'(z) = clip(z / gamma, 0, 1), the derivative of the penalty
+        ``_excess`` and the coefficient of a column at z = c^T a - lam."""
         return np.clip(z / self.gamma, 0.0, 1.0)
 
     def _segment_root(self, a, pp, b, z, length):
@@ -439,13 +445,16 @@ class _LogisticReduced(ReducedDual):
         self.tau = obj.spec.tau_l2
 
     def value(self, alpha) -> float:
+        """Binary entropy of s = y - alpha, the negated conjugate of the
+        logistic loss, less the l1 + l2 conjugate of the active columns."""
         s = np.clip(self.y - alpha, 0.0, 1.0)
-        ent = -(xlogy(s, s) + xlogy(1.0 - s, 1.0 - s))
         shr = np.maximum(np.abs(self.dots(alpha)) - self.thr, 0.0)
-        return float(ent.sum() - 0.5 * (shr @ shr) / self.tau)
+        return float(-(_xlogx(s) + _xlogx(1.0 - s)).sum() - 0.5 * (shr @ shr) / self.tau)
 
     def primal_map(self, alpha):
-        return primal_logistic(self.dots(alpha), self.thr, self.tau)
+        """Soft threshold of c^T a at lam, over tau."""
+        z = self.dots(alpha)
+        return np.sign(z) * np.maximum(np.abs(z) - self.thr, 0.0) / self.tau
 
     def gradient(self, alpha):
         s = np.clip(self.y - alpha, _EPS, 1.0 - _EPS)
@@ -512,10 +521,14 @@ class _MatrixReduced(ReducedDual):
         return float(self._half_y2 - 0.5 * clipped @ clipped - 0.5 * (shr @ shr) / self.eta)
 
     def primal_map(self, alpha):
+        """Row-wise group shrink (1 - lam/|z|)_+ z / eta of Z = F^T alpha:
+        rows with norm at most lam vanish."""
         Z = self.dots(alpha)
-        if Z.shape[0] == 0:
-            return np.zeros((0, alpha.shape[1]))
-        return primal_matrix(Z, self.thr, self.eta)
+        norms = np.linalg.norm(Z, axis=1)
+        live = norms > self.thr
+        scale = np.zeros_like(norms)
+        scale[live] = (norms[live] - self.thr[live]) / norms[live]
+        return scale[:, None] * Z / self.eta
 
     def gradient(self, alpha):
         return _sv_excess(self.Yc - alpha, self.rho) - self.F @ self.primal_map(alpha)
@@ -527,7 +540,7 @@ class _MatrixReduced(ReducedDual):
         on rows with |z| > thr."""
         spectral = _sv_excess_jacobian(self.Yc - alpha, self.rho)
         Z = self.dots(alpha)
-        norms = np.linalg.norm(Z, axis=1) if Z.shape[0] else np.zeros(0)
+        norms = np.linalg.norm(Z, axis=1)
         on = norms > self.thr
         FB = self.F[:, on]
         dirs = Z[on] / norms[on, None]
@@ -550,11 +563,11 @@ class _MatrixReduced(ReducedDual):
         return np.ones_like(alpha, dtype=bool)
 
     def primal_value(self, W) -> float:
-        P = self.F @ W if W.shape[0] else np.zeros_like(self.Yc)
+        P = self.F @ W
         sig = np.linalg.svd(P, compute_uv=False)
         r = self.Yc - P
         loss = 0.5 * float(np.sum(r * r)) + self.rho * float(sig.sum())
-        group = float(self.thr @ np.linalg.norm(W, axis=1)) if W.shape[0] else 0.0
+        group = float(self.thr @ np.linalg.norm(W, axis=1))
         return loss + group + 0.5 * self.eta * float(np.sum(W * W))
 
 

@@ -154,15 +154,16 @@ def predict(model: PrimalModel, A: AtomicMatrix) -> np.ndarray:
 
 def metrics_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     """Probability a positive outranks a negative, ties counted half."""
-    from scipy.stats import rankdata
-
     labels = np.asarray(labels)
     pos = labels == 1
     n_pos = int(pos.sum())
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC needs both classes present")
-    ranks = rankdata(scores)
+    # average ranks: a run of ties ending at 1-based rank e with c members
+    # shares rank e - (c - 1) / 2
+    _, where, counts = np.unique(np.ravel(scores), return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - 0.5 * (counts - 1))[where]
     return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import AtomicMatrix
-from .duality import PrimalModel, duality_gap
+from .duality import PrimalModel
 from .screening import PenaltySchedule, ScreenConfig, ScreenResult, restrict, screen
 
 __all__ = [
@@ -357,7 +357,7 @@ def solve(obj, A: AtomicMatrix, schedule: PenaltySchedule, alpha0=None,
         missing = [e for e in check.emitted if e.feature_set.atoms not in active]
         beta = red.primal_map(alpha)
         pval = red.primal_value(beta)
-        gap = duality_gap(pval, dval)
+        gap = pval - dval
         log.append((outer, total_inner, dval, gap, len(check.emitted), check.explored_count,
                     inner_stop))
 

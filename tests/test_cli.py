@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles as oc
+import prodscreen
 from prodscreen import AtomicMatrix, PenaltySchedule, PrimalModel, predict
 from prodscreen.cli import main
 from prodscreen.data import load_dense, load_transactions
@@ -97,6 +103,19 @@ def test_fit_matrix_csv(tmp_path):
     assert model.intercept.shape == (3,)
     if model.n_active:
         assert model.coefficients.shape[1] == 3
+
+
+@pytest.mark.parametrize("extra", [[], ["--dedup", "0.99"]], ids=["plain", "dedup"])
+def test_fit_matrix_rejects_zero_responses(tmp_path, capsys, extra):
+    """--responses 0 would read the response column as a feature and fit
+    an empty response matrix; it exits 1 before --out is made."""
+    data = tmp_path / "d.csv"
+    data.write_text("x0,x1,y0\n1,0,0.5\n0,1,0.25\n1,1,0.75\n0,0,1\n")
+    out = tmp_path / "out"
+    assert main(["fit-matrix", "--data", str(data), "--format", "csv", "--responses", "0",
+                 "--lambda", "0.5", "--out", str(out)] + extra) == 1
+    assert "error: responses must be" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_fit_flag_validation(tmp_path, capsys):
@@ -204,6 +223,25 @@ def test_predict_cli_roundtrip(tmp_path, capsys):
     A, _ = load_dense(data, 1)
     model = PrimalModel.load(fit / "model.json")
     assert np.allclose(got, predict(model, A), atol=1e-9)
+
+
+@pytest.mark.parametrize("doc, field", [
+    ({"intercept": [], "entries": []}, "'kind'"),
+    ({"kind": "logistic", "intercept": []}, "'entries'"),
+    ({"kind": "matrix", "intercept": [0.0, 0.0],
+      "entries": [{"atoms": [0], "coef": 1.0}, {"atoms": [1], "coef_row": [1.0, 2.0]}]},
+     "'coef_row'"),
+    ([{"atoms": [0], "coef": 1.0}], "JSON object"),
+], ids=["no-kind", "no-entries", "mixed-coef", "top-level-list"])
+def test_predict_rejects_malformed_model(tmp_path, capsys, doc, field):
+    """A malformed model.json exits 1 with one error line, not a traceback."""
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    data = tmp_path / "t.txt"
+    data.write_text("a b\nb\n")
+    assert main(["predict", "--model", str(model), "--data", str(data)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and field in err[0]
 
 
 def test_predict_maps_items_by_name(tmp_path, capsys):
@@ -385,3 +423,34 @@ def test_prune_child_is_rejected_on_a_path(tmp_path, capsys):
     out = tmp_path / "single"
     assert main(common + ["--lambda", "0.5", "--out", str(out)]) in (0, 2)
     assert (out / "model.json").exists()
+
+
+def test_runtime_loads_no_scipy(tmp_path):
+    """numpy is the one runtime dependency: in a fresh interpreter, importing
+    the package, a logistic path fit, predict and metrics_auc load no scipy."""
+    code = textwrap.dedent(f"""
+        import contextlib, io, sys
+        import numpy as np
+        import prodscreen
+        from prodscreen.cli import main
+        from prodscreen.data import load_dense
+        out = {str(tmp_path)!r}
+        data = out + "/data.csv"
+        assert main(["synth", "--n", "80", "--d", "6", "--planted", "0,1:6;3:5",
+                     "--seed", "7", "--out", out]) == 0
+        assert main(["fit-logistic", "--data", data, "--format", "csv", "--path",
+                     "--n-lambdas", "4", "--min-ratio", "0.1", "--out", out + "/fit"]) == 0
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main(["predict", "--model", out + "/fit/model.json",
+                         "--data", data, "--format", "csv"]) == 0
+        _, y = load_dense(data, 1)
+        assert prodscreen.metrics_auc(np.loadtxt(io.StringIO(buf.getvalue())), y[:, 0]) > 0.5
+        print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+    """)
+    src = str(Path(prodscreen.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=300)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "[]"

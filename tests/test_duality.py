@@ -1,54 +1,87 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from prodscreen import (FeatureSet, PrimalModel, clamp, duality_gap,
-                        logistic_conjugate, primal_basket, primal_logistic,
-                        primal_matrix, soft_threshold)
+from prodscreen import (AtomicMatrix, BasketSpec, FeatureSet, LogisticSpec, MatrixSpec,
+                        PrimalModel, basket_dual, interaction_column, logistic_dual,
+                        matrix_dual)
+from prodscreen.screening import Emitted
+
+ONE_ROW = AtomicMatrix.from_dense(np.ones((1, 1)))
+
+
+def _reduced(obj, thresholds):
+    """obj's reduced dual over copies of the all-ones column, one per
+    threshold; on ONE_ROW, c^T alpha is alpha itself."""
+    fs = FeatureSet((0,))
+    col = interaction_column(obj.A, fs)
+    return obj.reduced([Emitted(fs, col, float(t), 0.0) for t in thresholds])
+
+
+def _logistic(y, tau=1.0):
+    y = np.asarray(y, dtype=float)
+    return logistic_dual(LogisticSpec(labels=y, tau_l2=tau),
+                         AtomicMatrix.from_dense(np.ones((y.size, 1))))
 
 
 def test_soft_threshold():
-    assert soft_threshold(3.0, 1.0) == 2.0
-    assert soft_threshold(-3.0, 1.0) == -2.0
-    assert soft_threshold(0.5, 1.0) == 0.0
-    assert np.allclose(soft_threshold(np.array([2.0, -0.5]), 1.0), [1.0, 0.0])
-    assert np.allclose(soft_threshold(np.array([2.0, 2.0]), np.array([0.5, 3.0])),
-                       [1.5, 0.0])
+    """The logistic primal map at tau = 1 is the soft threshold
+    sign(x) (|x| - lam)_+, with lam a scalar or one per column."""
+    red = _reduced(_logistic([1.0]), [1.0])
+    assert list(red.primal_map(np.array([3.0]))) == [2.0]
+    assert list(red.primal_map(np.array([-3.0]))) == [-2.0]
+    assert list(red.primal_map(np.array([0.5]))) == [0.0]
+    assert list(red.primal_map(np.array([-0.5]))) == [0.0]
+    red = _reduced(_logistic([1.0]), [0.5, 3.0])
+    assert np.allclose(red.primal_map(np.array([2.0])), [1.5, 0.0])
 
 
 def test_clamp():
-    assert clamp(1.5, 0.0, 1.0) == 1.0
-    assert clamp(-0.2, 0.0, 1.0) == 0.0
-    assert np.allclose(clamp(np.array([-1.0, 0.5, 2.0]), 0.0, 1.0), [0, 0.5, 1])
-    with pytest.raises(ValueError):
-        clamp(0.5, 1.0, 0.0)
+    """The basket primal map clips (c^T a - lam) / gamma into [0, 1]; its box
+    width gamma must be positive, which the spec checks."""
+    red = _reduced(basket_dual(BasketSpec(gamma=1.0), ONE_ROW), [0.0])
+    assert list(red.primal_map(np.array([1.5]))) == [1.0]
+    assert list(red.primal_map(np.array([-0.2]))) == [0.0]
+    assert list(red.primal_map(np.array([0.5]))) == [0.5]
+    for bad in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            BasketSpec(gamma=bad)
 
 
 def test_logistic_conjugate_values():
-    assert logistic_conjugate(0.5, 0.0) == pytest.approx(np.log(0.5))
-    # endpoints: 0 log 0 = 0 on both sides
-    assert logistic_conjugate(0.0, 0.0) == 0.0
-    assert logistic_conjugate(0.0, 1.0) == 0.0
-    assert logistic_conjugate(1.0, 0.0) == 0.0
-    with pytest.raises(ValueError):
-        logistic_conjugate(1.5, 0.0)
-    with pytest.raises(ValueError):
-        logistic_conjugate(-0.5, 0.0)
+    """With no active column the logistic dual's value is the summed binary
+    entropy of s = y - alpha, with 0 log 0 = 0 at the box corners."""
+    red = _logistic([0.0, 1.0]).reduced([])
+    assert red.value(np.array([-0.5, 0.5])) == pytest.approx(2.0 * np.log(2.0))
+    s = np.array([0.2, 0.9])
+    want = -np.sum(s * np.log(s) + (1.0 - s) * np.log(1.0 - s))
+    assert red.value(np.array([0.0, 1.0]) - s) == pytest.approx(want, rel=1e-15)
+    y = np.array([0.0, 1.0, 1.0, 0.0])
+    red = _logistic(y).reduced([])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(all="raise"):
+            for alpha in (y, y - 1.0, np.where(y == 1.0, y, y - 1.0)):
+                assert red.value(alpha) == 0.0  # finite, and no warning
 
 
 # The conjugate identities behind each dual, verified by grid search:
 # f*(a) = max_x (a x - f(x)) to within the grid resolution.
 
 def test_logistic_conjugate_is_a_conjugate():
+    """The entropy term is -f*(-alpha) for the logistic loss
+    f(x) = log(1 + e^x) - y x, one row at a time."""
     xs = np.linspace(-12.0, 12.0, 48001)
     base = np.logaddexp(0.0, xs)
     for y in (0.0, 1.0):
         fx = base - y * xs
+        red = _logistic([y]).reduced([])
         for s in (0.05, 0.2, 0.5, 0.8, 0.95):
-            a = s - y
-            grid = np.max(a * xs - fx)
-            assert logistic_conjugate(a, y) == pytest.approx(grid, abs=1e-4)
+            alpha = y - s
+            grid = np.max(-alpha * xs - fx)
+            assert -red.value(np.array([alpha])) == pytest.approx(grid, abs=1e-4)
 
 
 def test_basket_loss_conjugate_identity():
@@ -76,38 +109,39 @@ def test_matrix_loss_conjugate_identity():
 
 
 def test_primal_basket():
-    assert primal_basket(1.5, 1.0, 2.0) == 0.25
-    assert primal_basket(0.5, 1.0, 2.0) == 0.0     # inside the dead zone
-    assert primal_basket(9.0, 1.0, 2.0) == 1.0     # clamped at the box
-    assert np.allclose(primal_basket(np.array([1.5, 0.0]), 1.0, 2.0), [0.25, 0.0])
-    with pytest.raises(ValueError):
-        primal_basket(1.0, 1.0, 0.0)
+    """clip((c^T a - lam) / gamma, 0, 1): zero in the dead zone, one at the box."""
+    obj = basket_dual(BasketSpec(gamma=2.0), ONE_ROW)
+    red = _reduced(obj, [1.0])
+    for a, want in ((1.5, 0.25), (0.5, 0.0), (1.0, 0.0), (9.0, 1.0), (-3.0, 0.0)):
+        assert list(red.primal_map(np.array([a]))) == [want]
+    assert list(_reduced(obj, [1.0, 0.0, 2.0]).primal_map(np.array([1.5]))) == [0.25, 0.75, 0.0]
 
 
 def test_primal_logistic():
-    assert primal_logistic(2.5, 1.0, 2.0) == 0.75
-    assert primal_logistic(-2.5, 1.0, 2.0) == -0.75
-    assert primal_logistic(0.5, 1.0, 2.0) == 0.0
-    # positive homogeneity: scaling tau scales the coefficient down
-    for tau in (0.5, 1.0, 4.0):
-        assert primal_logistic(2.5, 1.0, tau) == pytest.approx(1.5 / tau)
+    """sign(c^T a) (|c^T a| - lam)_+ / tau, with lam per column."""
+    for tau in (0.5, 1.0, 2.0, 4.0):
+        red = _reduced(_logistic([1.0], tau), [1.0])
+        assert red.primal_map(np.array([2.5]))[0] == pytest.approx(1.5 / tau)
+        assert red.primal_map(np.array([-2.5]))[0] == pytest.approx(-1.5 / tau)
+        assert red.primal_map(np.array([0.5]))[0] == 0.0
+    red = _reduced(_logistic([1.0]), [0.5, 3.0])
+    assert list(red.primal_map(np.array([2.0]))) == [1.5, 0.0]
+    assert list(red.primal_map(np.array([-0.5]))) == [0.0, 0.0]
 
 
 def test_primal_matrix():
-    W = primal_matrix(np.array([[3.0, 4.0]]), 5.0, 1.0)
-    assert np.allclose(W, 0.0)                      # row norm at the threshold
-    W = primal_matrix(np.array([[6.0, 8.0]]), 5.0, 1.0)
-    assert np.allclose(W, [[3.0, 4.0]])             # shrink by half
-    W = primal_matrix(np.array([[6.0, 8.0]]), 0.0, 1.0)
-    assert np.allclose(W, [[6.0, 8.0]])             # no shrink at lambda = 0
-    W = primal_matrix(np.array([[0.0, 0.0]]), 0.0, 1.0)
-    assert np.allclose(W, 0.0)                      # zero row stays zero
-    with pytest.raises(ValueError):
-        primal_matrix(np.array([[1.0]]), 0.0, -1.0)
-
-
-def test_duality_gap():
-    assert duality_gap(3.0, 2.5) == 0.5
+    """Row-wise group shrink (1 - lam / |z|)_+ z / eta."""
+    obj = matrix_dual(MatrixSpec(responses=np.zeros((1, 2)), eta_l2=1.0), ONE_ROW)
+    z = np.array([[3.0, 4.0]])
+    red = _reduced(obj, [5.0])
+    assert np.all(red.primal_map(z) == 0.0)                  # row norm at the threshold
+    assert np.allclose(red.primal_map(2.0 * z), [[3.0, 4.0]])  # shrink by half
+    assert np.all(red.primal_map(np.zeros((1, 2))) == 0.0)   # zero row stays zero
+    assert np.allclose(_reduced(obj, [0.0]).primal_map(2.0 * z), [[6.0, 8.0]])  # no shrink
+    obj = matrix_dual(MatrixSpec(responses=np.zeros((1, 2)), eta_l2=0.5), ONE_ROW)
+    W = _reduced(obj, [5.0, 0.0]).primal_map(2.0 * z)
+    assert np.allclose(W, [[6.0, 8.0], [12.0, 16.0]])
+    assert obj.reduced([]).primal_map(z).shape == (0, 2)
 
 
 # ------------------------------------------------------------ PrimalModel --

@@ -42,6 +42,12 @@ def test_spec_validation(rng):
         MatrixSpec(responses=np.zeros(3))
 
 
+def test_matrix_spec_rejects_no_response_columns():
+    """An (n, 0) response matrix would fit nothing and certify the empty model."""
+    with pytest.raises(ValueError, match="T >= 1"):
+        MatrixSpec(responses=np.zeros((3, 0)))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("make", [
     lambda v: BasketSpec(tau_target=v), lambda v: BasketSpec(gamma=v),

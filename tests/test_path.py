@@ -352,6 +352,15 @@ def test_metrics_auc_values():
     assert got == pytest.approx(0.875)
     with pytest.raises(ValueError):
         metrics_auc(np.array([0.1, 0.2]), np.array([1.0, 1.0]))
+    # against every positive-negative pair, on scores drawn from a few values
+    # so that ties are common
+    rng = np.random.default_rng(5)
+    for n in (2, 7, 40, 301):
+        labels = np.r_[0.0, 1.0, (rng.random(n - 2) < 0.4).astype(float)]
+        scores = rng.integers(0, 5, n) * 0.25
+        diff = scores[labels == 1][:, None] - scores[labels == 0][None, :]
+        want = np.mean((diff > 0) + 0.5 * (diff == 0))
+        assert metrics_auc(scores, labels) == pytest.approx(want, rel=1e-14)
 
 
 def test_metrics_r2_values(rng):
