@@ -98,7 +98,7 @@ def _write_path(out: Path, path_result):
             fh.write("\t".join(row) + "\n")
 
 
-def _run_fit(args, obj, A, schedule_shape):
+def _run_fit(args, obj, A, schedule_shape, kept=None):
     scfg = ScreenConfig(max_order=args.max_order, child_parent_prune=args.prune_child)
     cfg = SolverConfig()
     if args.path == (args.lam is not None):
@@ -106,10 +106,13 @@ def _run_fit(args, obj, A, schedule_shape):
     if args.path and args.prune_child:
         raise ValueError("--prune-child applies only to screen and to a --lambda fit")
     schedule = None if args.path else schedule_shape.with_base(args.lam)
+    pcfg = PathConfig(n_lambdas=args.n_lambdas, lambda_min_ratio=args.min_ratio) \
+        if args.path else None
     out = _outdir(args)
+    if kept is not None and args.out:
+        (out / "kept_columns.json").write_text(json.dumps(kept) + "\n")
     _write_items(A, out)
     if args.path:
-        pcfg = PathConfig(n_lambdas=args.n_lambdas, lambda_min_ratio=args.min_ratio)
         pr = run_path(obj, A, pcfg, scfg, cfg, schedule_shape)
         _write_path(out, pr)
         last = pr.points[-1]
@@ -128,32 +131,31 @@ def _run_fit(args, obj, A, schedule_shape):
 
 
 def _dedup_if_asked(args, A):
+    """A without its near-duplicate atoms under --dedup, and the kept atom
+    indices, which the fit writes once its input has passed every check."""
     if args.dedup is None:
-        return A
+        return A, None
     from .screening import dedup_atoms
 
     B, kept = dedup_atoms(A, args.dedup)
-    if args.out:
-        out = _outdir(args)
-        (out / "kept_columns.json").write_text(json.dumps(kept) + "\n")
     print(f"dedup: kept {len(kept)} of {A.n_cols} atom columns", file=sys.stderr)
-    return B
+    return B, kept
 
 
 def _cmd_fit_basket(args):
     A, _ = _load_matrix(args)
-    A = _dedup_if_asked(args, A)
     shape = _parse_penalty(args.penalty, 1.0)
     spec = BasketSpec(tau_target=args.tau, penalty=shape, gamma=args.gamma)
-    return _run_fit(args, basket_dual(spec, A), A, shape)
+    A, kept = _dedup_if_asked(args, A)
+    return _run_fit(args, basket_dual(spec, A), A, shape, kept)
 
 
 def _cmd_fit_logistic(args):
     A, resp = _load_matrix(args, response_cols=1)
-    A = _dedup_if_asked(args, A)
     shape = _parse_penalty(args.penalty, 1.0)
     spec = LogisticSpec(labels=resp[:, 0], penalty=shape, tau_l2=args.tau)
-    return _run_fit(args, logistic_dual(spec, A), A, shape)
+    A, kept = _dedup_if_asked(args, A)
+    return _run_fit(args, logistic_dual(spec, A), A, shape, kept)
 
 
 def _cmd_fit_matrix(args):
@@ -161,8 +163,8 @@ def _cmd_fit_matrix(args):
     shape = _parse_penalty(args.penalty, 1.0)
     spec = MatrixSpec(responses=resp, rho_nuclear=args.rho, penalty=shape,
                       eta_l2=args.eta, fit_intercept=not args.no_intercept)
-    A = _dedup_if_asked(args, A)
-    return _run_fit(args, matrix_dual(spec, A), A, shape)
+    A, kept = _dedup_if_asked(args, A)
+    return _run_fit(args, matrix_dual(spec, A), A, shape, kept)
 
 
 def _cmd_screen(args):

@@ -69,7 +69,7 @@ class Column:
     vector of length n_rows or a matrix with n_rows rows.
     """
 
-    __slots__ = ("n_rows", "tidlist", "values", "_dense")
+    __slots__ = ("n_rows", "tidlist", "values")
 
     def __init__(self, n_rows, tidlist=None, values=None):
         if (tidlist is None) == (values is None):
@@ -77,7 +77,6 @@ class Column:
         self.n_rows = int(n_rows)
         self.tidlist = tidlist
         self.values = values
-        self._dense = None
         if tidlist is not None:
             if len(tidlist) and (tidlist[0] < 0 or tidlist[-1] >= n_rows):
                 raise ValueError("tidlist entries out of row range")
@@ -92,14 +91,11 @@ class Column:
         return int(np.count_nonzero(self.values))
 
     def dense(self) -> np.ndarray:
-        if self._dense is None:
-            if self.tidlist is not None:
-                v = np.zeros(self.n_rows)
-                v[self.tidlist] = 1.0
-                self._dense = v
-            else:
-                self._dense = self.values
-        return self._dense
+        if self.tidlist is None:
+            return self.values
+        v = np.zeros(self.n_rows)
+        v[self.tidlist] = 1.0
+        return v
 
     def dot(self, w: np.ndarray):
         """c^T w; for an (n, T) argument returns the length-T vector of dots."""

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import AtomicMatrix, DualWeights, FeatureSet, interaction_column
-from .screening import Emitted, PenaltySchedule, ScreenConfig
+from .screening import PenaltySchedule, ScreenConfig
 from .solver import ROUND_GUARD, backtrack, qn_step
 
 __all__ = [
@@ -173,14 +173,17 @@ def _sv_excess_jacobian(R: np.ndarray, rho: float):
 
 
 class ReducedDual:
-    """Dual problem restricted to a list of active interaction columns."""
+    """Dual problem restricted to a list of active emissions.  Their
+    columns, stacked into F, come from ``interaction_column``, as
+    ``predict``'s do."""
 
     def __init__(self, obj, active):
         self.obj = obj
         self.active = list(active)
         n = obj.A.n_rows
         if self.active:
-            self.F = np.column_stack([e.column.dense() for e in self.active])
+            self.F = np.column_stack(
+                [interaction_column(obj.A, e.feature_set).dense() for e in self.active])
             self.thr = np.array([e.threshold for e in self.active])
         else:
             self.F = np.zeros((n, 0))

@@ -17,9 +17,12 @@ batch.  The batch gathers the atom matrix at the parent's support rows
 dense data) and the siblings' atoms, and reduces that block against
 [alpha_+, alpha_-] in a fixed order, so a node's statistic does not
 depend on its batch.  The atoms themselves are one such batch.  Only
-emitted nodes and children that stay open get a column of their own.  The
-same walk, with a level that rises to the best ratio found so far, gives
-the critical penalty at which nothing is emitted.
+children that stay open get a column, their tidlist or values, which
+feeds their own children's batches.  The walk emits atom sets, each with
+its statistic and threshold; a model builds the columns of those sets
+with ``interaction_column``.  The same walk, with a level that rises to
+the best ratio found so far, gives the critical penalty at which nothing
+is emitted.
 """
 
 from __future__ import annotations
@@ -49,23 +52,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PenaltySchedule:
-    """Order-dependent penalty lambda * rho(k).
+    """Order-dependent penalty lambda * rho(k), rho(k) = base**((k-1)**exponent).
 
-    rho(1) = 1 always.  "flat" keeps rho = 1; "geometric" uses base**(k-1);
-    "supergeometric" uses base**((k-1)**exponent), which grows fast enough to
-    choke off high orders entirely.
+    rho(1) = 1 always.  "flat" is base 1, so rho = 1; "geometric" is
+    exponent 1, base**(k-1); "supergeometric" has an exponent above 1,
+    which grows fast enough to choke off high orders entirely.
     """
 
     base_lambda: float
-    kind: str = "flat"
     base: float = 1.0
     exponent: float = 1.0
 
     def __post_init__(self):
         if not 0.0 < self.base_lambda < math.inf:
             raise ValueError("base_lambda must be positive and finite")
-        if self.kind not in ("flat", "geometric", "supergeometric"):
-            raise ValueError(f"unknown schedule kind {self.kind!r}")
         if not 1.0 <= self.base < math.inf:
             raise ValueError("base must be finite and >= 1, so thresholds never fall with order")
         if not 1.0 <= self.exponent < math.inf:
@@ -73,23 +73,19 @@ class PenaltySchedule:
 
     @classmethod
     def flat(cls, lam: float) -> "PenaltySchedule":
-        return cls(lam, "flat")
+        return cls(lam)
 
     @classmethod
     def geometric(cls, lam: float, base: float = 1.5) -> "PenaltySchedule":
-        return cls(lam, "geometric", base=base)
+        return cls(lam, base=base)
 
     @classmethod
     def supergeometric(cls, lam: float, base: float = 1.5, exponent: float = 1.5) -> "PenaltySchedule":
-        return cls(lam, "supergeometric", base=base, exponent=exponent)
+        return cls(lam, base=base, exponent=exponent)
 
     def rho(self, k: int) -> float:
         if k < 1:
             raise ValueError("order must be >= 1")
-        if self.kind == "flat":
-            return 1.0
-        if self.kind == "geometric":
-            return self.base ** (k - 1)
         return self.base ** float((k - 1) ** self.exponent)
 
     def threshold(self, k: int) -> float:
@@ -122,10 +118,9 @@ class ScreenConfig:
 
 @dataclass(frozen=True)
 class Emitted:
-    """One screened-in interaction with the threshold it cleared."""
+    """One screened-in atom set, its statistic and the threshold it cleared."""
 
     feature_set: FeatureSet
-    column: Column
     threshold: float
     stat: float
 
@@ -190,14 +185,15 @@ _CHUNK = 1 << 18  # float64 entries per product temporary, 2 MB
 class _Walk:
     """One depth-first pass over the prefix classes at penalty level ``lam``.
 
-    Iterating yields ``(atoms, column, stat, threshold)`` for every node
-    whose statistic exceeds lam * rho(k), with atoms in join order.  All
+    Iterating yields ``(atoms, stat, threshold)`` for every node whose
+    statistic exceeds lam * rho(k), with atoms in join order.  All
     atoms seed the walk; a node of order k >= 2 closes its subtree when its
     bound is at most lam * rho(k + 1).  A parent's children are scored in
     one batch.  The caller may raise ``lam`` between yields: each yield is
     tested at the level current at its turn, and a batch's closure tests
-    run after its yields.  ``explored`` counts the nodes whose statistic
-    was computed and ``pruned`` the subtrees closed.
+    run after its yields.  Only a child that stays open gets a column.
+    ``explored`` counts the nodes whose statistic was computed and
+    ``pruned`` the subtrees closed.
     """
 
     def __init__(self, A: AtomicMatrix, weights: DualWeights, schedule: PenaltySchedule,
@@ -246,28 +242,21 @@ class _Walk:
         stat, bound = _stat_bound(dots[:, :T], dots[:, T:], self._mode)
         return stat, bound, skip
 
-    def _child(self, parent: _Cand | None, j: int) -> Column:
-        return self.A.column(j) if parent is None else self.A.extend(parent.column, j)
-
-    def _emit(self, parent: _Cand | None, sibs: list[_Cand], stat, live, rho_k: float,
-              built: dict):
+    def _emit(self, parent: _Cand | None, sibs: list[_Cand], stat, live, rho_k: float):
         """Yield the live children whose statistic clears lam * rho_k, each
-        tested at the level current at its turn; their columns go to
-        ``built`` by batch index."""
+        tested at the level current at its turn."""
         prefix = parent.atoms if parent is not None else ()
         for i in np.nonzero(live & (stat > self.lam * rho_k))[0].tolist():
             thr = self.lam * rho_k
             if stat[i] > thr:
-                j = sibs[i].ext
-                built[i] = col = self._child(parent, j)
-                yield prefix + (j,), col, float(stat[i]), thr
+                yield prefix + (sibs[i].ext,), float(stat[i]), thr
 
     def __iter__(self):
         A, cfg, rho = self.A, self.cfg, self.schedule.rho
         atoms = [_Cand((j,), j, A.column(j)) for j in range(A.n_cols)]
         stat, bound, _ = self._batch(None, atoms)
         self.explored += A.n_cols
-        yield from self._emit(None, atoms, stat, np.ones(A.n_cols, dtype=bool), rho(1), {})
+        yield from self._emit(None, atoms, stat, np.ones(A.n_cols, dtype=bool), rho(1))
         seeds = [atoms[j] for j in np.lexsort((np.arange(A.n_cols), -bound)).tolist()]
 
         stack = [seeds] if A.n_cols > 1 and cfg.max_order > 1 else []
@@ -281,17 +270,14 @@ class _Walk:
                 stat, bound, skip = self._batch(parent, sibs)
                 self.explored += len(sibs)
                 live = ~skip
-                built: dict[int, Column] = {}
-                yield from self._emit(parent, sibs, stat, live, rho_k, built)
+                yield from self._emit(parent, sibs, stat, live, rho_k)
                 if rho_next is None:
                     continue
                 keep = np.nonzero(live & (bound > self.lam * rho_next))[0].tolist()
                 self.pruned += int(np.count_nonzero(live)) - len(keep)
                 if len(keep) > 1:
-                    stack.append([
-                        _Cand(parent.atoms + (sibs[i].ext,), sibs[i].ext,
-                              built[i] if i in built else self._child(parent, sibs[i].ext))
-                        for i in keep])
+                    stack.append([_Cand(parent.atoms + (sibs[i].ext,), sibs[i].ext,
+                                        A.extend(parent.column, sibs[i].ext)) for i in keep])
 
 
 def _too_similar(G: np.ndarray, parent: Column, sibs: list[_Cand], level: float) -> np.ndarray:
@@ -322,8 +308,8 @@ def screen(A: AtomicMatrix, weights: DualWeights, schedule: PenaltySchedule,
     """
     walk = _Walk(A, weights, schedule, cfg or ScreenConfig(), schedule.base_lambda)
     emitted: list[Emitted] = []
-    for atoms, col, stat, thr in walk:
-        emitted.append(Emitted(FeatureSet(tuple(sorted(atoms))), col, thr, stat))
+    for atoms, stat, thr in walk:
+        emitted.append(Emitted(FeatureSet(tuple(sorted(atoms))), thr, stat))
     emitted.sort(key=lambda e: e.feature_set.atoms)
     for a, b in zip(emitted, emitted[1:]):
         assert a.feature_set.atoms != b.feature_set.atoms, "duplicate emission"
@@ -342,7 +328,7 @@ def critical_lambda(A: AtomicMatrix, weights: DualWeights, schedule: PenaltySche
     """
     cfg = replace(cfg or ScreenConfig(), child_parent_prune=0.0)
     walk = _Walk(A, weights, schedule, cfg, 0.0)
-    for atoms, _, stat, _ in walk:
+    for atoms, stat, _ in walk:
         rho = schedule.rho(len(atoms))
         lam = stat / rho
         while stat > lam * rho:  # the quotient rounded down: step up to the screen's test
@@ -373,8 +359,8 @@ def restrict(result: ScreenResult, schedule: PenaltySchedule) -> ScreenResult:
     ``schedule``'s threshold, with that threshold.  The lower walk visits
     every node the higher one does, a node's statistic does not depend on
     its batch, and the test is the walk's own product and comparison, so
-    the result equals ``screen`` at ``schedule`` bit for bit, apart from
-    the node counts, which stay the lower walk's.
+    the sets, statistics and thresholds equal ``screen``'s at ``schedule``
+    bit for bit; the node counts stay the lower walk's.
     """
     kept = []
     for e in result.emitted:

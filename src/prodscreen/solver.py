@@ -206,14 +206,11 @@ def line_search(red, alpha, value: float, direction, gradient_dir,
 
     The reduced dual sets the quasi-Newton step (``red.step_along``): the
     basket dual steps exactly to the first maximum along its projected ray,
-    the logistic and matrix duals ``backtrack``, and so does an object without
-    that method (anything with ``value`` and ``project``).  When no step is
+    and the logistic and matrix duals ``backtrack``.  When no step is
     found, h grows and the projected gradient is backtracked; failing both
     reports a stall and leaves the iterate unchanged.
     """
-    step = getattr(red, "step_along", None)
-    found = (step(alpha, value, direction, h) if step is not None
-             else backtrack(red, alpha, value, direction, h))
+    found = red.step_along(alpha, value, direction, h)
     if found is not None:
         return LineSearchResult(*found, False, False)
     h = h * _H_GROW

@@ -396,6 +396,26 @@ def test_dedup_writes_kept_columns(tmp_path, capsys):
     assert kept == [0, 2]
 
 
+@pytest.mark.parametrize("argv", [
+    ["fit-logistic", "--format", "csv", "--lambda", "0.5", "--dedup", "0.99"],
+    ["fit-basket", "--lambda", "0.5", "--tau", "-1", "--dedup", "0.9"],
+    ["fit-basket", "--path", "--n-lambdas", "0"],
+    ["fit-basket", "--max-order", "0", "--lambda", "0.5", "--dedup", "0.9"],
+], ids=["logistic-label-2-dedup", "basket-tau-dedup", "basket-path-levels",
+        "basket-order-dedup"])
+def test_fit_input_errors_leave_no_out(tmp_path, capsys, argv):
+    """A fit whose input fails a check exits 1 before it makes --out."""
+    data = tmp_path / "d.csv"
+    data.write_text("x0,x1,y\n1,0,1\n0,1,2\n1,1,0\n")
+    trans = tmp_path / "t.txt"
+    trans.write_text("a b\na b c\nc\na b\n")
+    out = tmp_path / "out"
+    source = data if argv[0] == "fit-logistic" else trans
+    assert main(argv + ["--data", str(source), "--out", str(out)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_basket_synth_roundtrips_through_transactions(tmp_path):
     data, truth = _synth_csv(tmp_path, kind="basket", n=50, d=6)
     A = load_transactions(data)

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prodscreen import (AtomicMatrix, Column, DualWeights, FeatureSet, PenaltySchedule,
-                        interaction_column, jaccard, load_dense,
-                        load_transactions, screen, split_dots)
+from prodscreen import (AtomicMatrix, BasketSpec, Column, DualWeights, FeatureSet,
+                        PenaltySchedule, basket_dual, interaction_column, jaccard,
+                        load_dense, load_transactions, screen, split_dots)
 
 
 # ------------------------------------------------------------- FeatureSet --
@@ -287,11 +287,10 @@ def test_load_dense_reports_the_first_bad_cell(tmp_path, rows, where):
        values=st.sampled_from(["bool", "float01", "quarters", "uniform"]))
 @settings(max_examples=80, deadline=None)
 def test_screen_columns_are_interaction_columns(seed, values):
-    """Every column a screen emits is the one ``interaction_column`` builds
-    for its set: the same tidlist, and the same values bit for bit wherever
-    the products are exact.  The walk multiplies a set's atoms in join
-    order and ``interaction_column`` in sorted order, so on uniform data
-    they agree to the rounding of k - 1 products."""
+    """A model's columns are the ones ``interaction_column`` builds for its
+    sets, bit for bit: the reduced dual over a screen's emissions stacks
+    exactly the columns that ``predict`` and ``rank_report`` rebuild, on
+    binary and on dense data alike."""
     rng = np.random.default_rng(seed)
     n, d = int(rng.integers(2, 25)), int(rng.integers(1, 7))
     X = rng.random((n, d)) < rng.uniform(0.3, 0.9)
@@ -312,13 +311,7 @@ def test_screen_columns_are_interaction_columns(seed, values):
     w = DualWeights.from_alpha(rng.standard_normal(n))
     res = screen(A, w, PenaltySchedule.flat(1e-9))
     assert res.emitted or not X.any()  # an all-zero draw emits nothing
-    for e in res.emitted:
-        want = interaction_column(A, e.feature_set)
-        if A.is_binary:
-            assert np.array_equal(e.column.tidlist, want.tidlist)
-        elif values == "uniform":
-            k = e.feature_set.order
-            tol = 2 * (k - 1) * np.finfo(float).eps * np.abs(want.values)
-            assert np.all(np.abs(e.column.values - want.values) <= tol)
-        else:
-            assert np.array_equal(e.column.values, want.values)
+    F = basket_dual(BasketSpec(), A).reduced(res.emitted).F
+    assert F.shape == (n, len(res.emitted))
+    for k, e in enumerate(res.emitted):
+        assert np.array_equal(F[:, k], interaction_column(A, e.feature_set).dense())

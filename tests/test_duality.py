@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from prodscreen import (AtomicMatrix, BasketSpec, FeatureSet, LogisticSpec, MatrixSpec,
-                        PrimalModel, basket_dual, interaction_column, logistic_dual,
-                        matrix_dual)
+                        PrimalModel, basket_dual, logistic_dual, matrix_dual)
 from prodscreen.screening import Emitted
 
 ONE_ROW = AtomicMatrix.from_dense(np.ones((1, 1)))
@@ -16,8 +15,7 @@ def _reduced(obj, thresholds):
     """obj's reduced dual over copies of the all-ones column, one per
     threshold; on ONE_ROW, c^T alpha is alpha itself."""
     fs = FeatureSet((0,))
-    col = interaction_column(obj.A, fs)
-    return obj.reduced([Emitted(fs, col, float(t), 0.0) for t in thresholds])
+    return obj.reduced([Emitted(fs, float(t), 0.0) for t in thresholds])
 
 
 def _logistic(y, tau=1.0):

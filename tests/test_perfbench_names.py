@@ -76,3 +76,27 @@ def test_worker_solve_call_binds_by_position():
         assert bound.arguments["alpha0"] == "None"
         assert bound.arguments["scfg"] == "None"
         assert bound.arguments["cfg"] == "cfg"
+
+
+@pytest.mark.parametrize("workload", CLI_WORKLOADS)
+def test_worker_marks_cli_fits(workload, tmp_path, monkeypatch):
+    """The worker times a CLI fit by rebinding the loaders and fit calls
+    that ``prodscreen.cli`` reaches as module globals.  Were the CLI to
+    reach them another way, ``fit_s`` would read 0 without an error; here
+    every workload's run marks a load and at least one fit."""
+    from prodscreen import cli
+
+    before = sorted(PERFBENCH.rglob("*"))
+    for name in ("load_dense", "load_transactions", "run_path", "solve", "screen"):
+        monkeypatch.setattr(cli, name, getattr(cli, name))  # restored after the test
+    inputs = _load("inputs")
+    monkeypatch.setitem(sys.modules, "inputs", inputs)
+    desc = inputs.generate(workload, 1, tmp_path / "inputs")
+    worker = _load("worker")
+    marks = worker.Marks(False)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert worker.run_cli(workload, tmp_path / "inputs", desc, out, marks) in ([0], [0, 0])
+    assert marks.loaded is not None
+    assert marks.fits
+    assert sorted(PERFBENCH.rglob("*")) == before

@@ -74,6 +74,9 @@ class _Quad:
     def project(self, a):
         return a
 
+    def step_along(self, a, value, direction, h):
+        return prodscreen.solver.backtrack(self, a, value, direction, h)
+
 
 def test_line_search_accepts_and_shrinks_h():
     red = _Quad()
@@ -114,7 +117,7 @@ def _basket_ray_case(rng, nonneg, gamma, n=9, d=4):
         alpha = rng.normal(0.5, 1.0, n)
     cols = [interaction_column(A, (j,)) for j in range(d)]
     z = rng.uniform(-1.0, 2.0, d) * np.where(rng.random(d) < 0.5, gamma, 2.0)
-    red = obj.reduced([Emitted(FeatureSet((j,)), c, float(c.dense() @ alpha - zj), 0.0)
+    red = obj.reduced([Emitted(FeatureSet((j,)), float(c.dense() @ alpha - zj), 0.0)
                        for j, (c, zj) in enumerate(zip(cols, z))])
     return red, alpha
 
@@ -359,7 +362,7 @@ def _reduced_with_live(obj, A, alpha, want):
         thr = np.where(want, dots - 0.5 * obj.spec.gamma, dots + 1.0)
     else:  # live: |dots| > thr
         thr = np.where(want, 0.5 * np.abs(dots), np.abs(dots) + 1.0)
-    red = obj.reduced([Emitted(FeatureSet((j,)), c, float(t), 0.0)
+    red = obj.reduced([Emitted(FeatureSet((j,)), float(t), 0.0)
                        for j, (c, t) in enumerate(zip(cols, thr))])
     assert np.array_equal(red._curvature(alpha)[1], want)
     return red
