@@ -9,7 +9,7 @@ optimality or grows the active set.
 """
 
 from .data import (AtomicMatrix, Column, DualWeights, FeatureSet, interaction_column,
-                   jaccard, load_dense, load_transactions, split_dots)
+                   interaction_matrix, jaccard, load_dense, load_transactions, split_dots)
 from .duality import PrimalModel
 from .objectives import (BasketSpec, LogisticSpec, MatrixSpec, basket_dual,
                          logistic_dual, matrix_dual, rank_report)
@@ -25,7 +25,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AtomicMatrix", "Column", "DualWeights", "FeatureSet", "interaction_column",
-    "jaccard", "load_dense", "load_transactions", "split_dots",
+    "interaction_matrix", "jaccard", "load_dense", "load_transactions", "split_dots",
     "PrimalModel",
     "BasketSpec", "LogisticSpec", "MatrixSpec", "basket_dual", "logistic_dual",
     "matrix_dual", "rank_report",

@@ -45,20 +45,21 @@ def _load_matrix(args, response_cols: int = 0):
     return A, resp
 
 
-def _add_common(p, needs_lambda=True):
+def _add_common(p, fit=True):
+    """Flags of the fits and of screen; ``fit`` adds those only a fit reads."""
     p.add_argument("--data", required=True, help="input path")
     p.add_argument("--format", choices=("transactions", "csv"), default="transactions")
-    if needs_lambda:
+    if fit:
         p.add_argument("--lambda", dest="lam", type=float, default=None,
                        help="single penalty level (mutually exclusive with --path)")
         p.add_argument("--path", action="store_true", help="trace a full path")
         p.add_argument("--n-lambdas", type=int, default=50)
         p.add_argument("--min-ratio", type=float, default=1e-3)
+        p.add_argument("--dedup", type=float, default=None,
+                       help="drop atom columns at least this similar to an earlier one")
     p.add_argument("--penalty", default="flat",
                    help="flat | geo:BASE | supergeo:BASE:EXP")
     p.add_argument("--max-order", type=int, default=20)
-    p.add_argument("--dedup", type=float, default=None,
-                   help="drop atom columns at least this similar to an earlier one")
     p.add_argument("--prune-child", type=float, default=0.0,
                    help="skip candidates this similar to both parents (0 disables); "
                         "screen and --lambda fits only")
@@ -99,31 +100,32 @@ def _write_path(out: Path, path_result):
 
 
 def _run_fit(args, obj, A, schedule_shape, kept=None):
+    """Fit, then write --out: a fit that fails leaves no output behind."""
     scfg = ScreenConfig(max_order=args.max_order, child_parent_prune=args.prune_child)
     cfg = SolverConfig()
     if args.path == (args.lam is not None):
         raise ValueError("give exactly one of --lambda and --path")
     if args.path and args.prune_child:
         raise ValueError("--prune-child applies only to screen and to a --lambda fit")
-    schedule = None if args.path else schedule_shape.with_base(args.lam)
-    pcfg = PathConfig(n_lambdas=args.n_lambdas, lambda_min_ratio=args.min_ratio) \
-        if args.path else None
+    if args.path:
+        pr = run_path(obj, A, PathConfig(n_lambdas=args.n_lambdas,
+                                         lambda_min_ratio=args.min_ratio),
+                      scfg, cfg, schedule_shape)
+        res = pr.final
+    else:
+        res = solve(obj, A, schedule_shape.with_base(args.lam), None, scfg, cfg)
     out = _outdir(args)
     if kept is not None and args.out:
         (out / "kept_columns.json").write_text(json.dumps(kept) + "\n")
     _write_items(A, out)
+    _write_fit(out, res, A)
     if args.path:
-        pr = run_path(obj, A, pcfg, scfg, cfg, schedule_shape)
         _write_path(out, pr)
-        last = pr.points[-1]
-        _write_fit(out, pr.final, A)
         ok = all(p.converged for p in pr.points)
         print(f"path: {len(pr.points)} levels, lambda in "
               f"[{pr.points[-1].lam:.4g}, {pr.points[0].lam:.4g}], "
-              f"final active {last.active_count}")
+              f"final active {pr.points[-1].active_count}")
         return 0 if ok else 2
-    res = solve(obj, A, schedule, None, scfg, cfg)
-    _write_fit(out, res, A)
     st = res.state
     print(f"lambda {args.lam:g}: active {res.model.n_active}, gap {st.gap:.3e}, "
           f"{st.stop_reason}")
@@ -272,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_fit_matrix)
 
     p = sub.add_parser("screen", help="one-shot screening at a supplied dual vector")
-    _add_common(p, needs_lambda=False)
+    _add_common(p, fit=False)
     p.add_argument("--alpha", required=True, help="text file with the dual, one row per data row")
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--mode", choices=("signed", "nonneg", "group"), default="signed",

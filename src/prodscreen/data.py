@@ -3,12 +3,13 @@
 The base data is an n x d atom matrix X with entries in [0, 1], held as one
 array: bool for binary data, float for dense data.  A feature of the model
 is a non-empty set of atoms u, and its column is the elementwise product of
-the atom columns.  Those product columns are never materialized as a
-matrix: they are built one at a time by ``AtomicMatrix.extend``, which
-multiplies a column by one atom.  A binary column is its tidlist (the
-sorted indices of rows where it equals 1), so a product keeps the rows
-where the atom is set; a dense column is its values.  No other module
-knows how binary atoms are stored.
+the atom columns.  The 2^d - 1 product columns are never materialized:
+``AtomicMatrix.extend`` builds one when needed by multiplying a column by
+one atom.  A binary column is its tidlist (the sorted rows where it is 1),
+so a product keeps the rows where the atom is set; a dense column is its
+values.  ``interaction_matrix`` stacks a model's columns into the n x m
+float matrix that fitting, prediction and the rank readout use.  No other
+module knows how binary atoms are stored.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ __all__ = [
     "load_transactions",
     "load_dense",
     "interaction_column",
+    "interaction_matrix",
     "split_dots",
     "jaccard",
     "cosine",
@@ -337,6 +339,15 @@ def interaction_column(A: AtomicMatrix, u) -> Column:
     for a in fs.atoms[1:]:
         col = A.extend(col, a)
     return col
+
+
+def interaction_matrix(A: AtomicMatrix, sets) -> np.ndarray:
+    """The n x m float matrix whose column k is the product column of
+    ``sets[k]``, as ``interaction_column`` builds it; n x 0 for no sets."""
+    F = np.zeros((A.n_rows, len(sets)))
+    for k, u in enumerate(sets):
+        F[:, k] = interaction_column(A, u).dense()
+    return F
 
 
 def split_dots(col: Column, w: DualWeights):

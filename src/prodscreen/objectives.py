@@ -5,7 +5,10 @@ exactly at the KKT pairing between dual variable and primal scores.  The
 penalty contribution only ever involves the currently active interaction
 columns: inactive columns are those the screen certifies to have inner
 products inside the penalty dead zone, and they contribute nothing to value,
-gradient, or curvature.  All three expose the same surface to the solver:
+gradient, or curvature.  A reduced dual holds the active columns as one
+n x m matrix F from ``interaction_matrix``, the routine that builds
+``predict``'s and ``rank_report``'s columns too.  All three expose the
+same surface to the solver:
 
     value / gradient / hessian_matvec   on the reduced problem,
     newton_direction                    its damped Newton direction,
@@ -27,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import AtomicMatrix, DualWeights, FeatureSet, interaction_column
+from .data import AtomicMatrix, DualWeights, interaction_matrix
 from .screening import PenaltySchedule, ScreenConfig
 from .solver import ROUND_GUARD, backtrack, qn_step
 
@@ -44,6 +47,8 @@ __all__ = [
 ]
 
 _EPS = 1e-12
+# relative cutoff of both rank_report counts
+_RANK_TOL = 1e-8
 
 
 def _xlogx(s):
@@ -174,20 +179,13 @@ def _sv_excess_jacobian(R: np.ndarray, rho: float):
 
 class ReducedDual:
     """Dual problem restricted to a list of active emissions.  Their
-    columns, stacked into F, come from ``interaction_column``, as
-    ``predict``'s do."""
+    columns F come from ``interaction_matrix``, as ``predict``'s do."""
 
     def __init__(self, obj, active):
         self.obj = obj
         self.active = list(active)
-        n = obj.A.n_rows
-        if self.active:
-            self.F = np.column_stack(
-                [interaction_column(obj.A, e.feature_set).dense() for e in self.active])
-            self.thr = np.array([e.threshold for e in self.active])
-        else:
-            self.F = np.zeros((n, 0))
-            self.thr = np.zeros(0)
+        self.F = interaction_matrix(obj.A, [e.feature_set for e in self.active])
+        self.thr = np.array([e.threshold for e in self.active], dtype=float)
 
     def dots(self, alpha):
         return self.F.T @ alpha
@@ -612,19 +610,17 @@ def rank_report(spec: MatrixSpec, A: AtomicMatrix, alpha: np.ndarray, model):
     """(numerical rank of the fitted prediction matrix, count of residual
     singular values above rho_nuclear).  The two coincide at an exact
     optimum, so the pair is a convergence diagnostic as well as a readout
-    of how much rank the nuclear penalty retained."""
+    of how much rank the nuclear penalty retained.  Both counts leave out
+    values within a relative ``_RANK_TOL`` of their edge, 0 or rho: the
+    ascent ends a damped step short of a residual value converging on rho."""
     Y = spec.responses
     Yc = Y - Y.mean(axis=0) if spec.fit_intercept else Y
-    if model.n_active:
-        F = np.column_stack([interaction_column(A, fs).dense() for fs in model.active])
-        P = F @ model.coefficients
-    else:
-        P = np.zeros_like(Yc)
+    W = np.reshape(model.coefficients, (model.n_active, Yc.shape[1]))
+    P = interaction_matrix(A, model.active) @ W
     # singular values straight from the matrix: through the Gram P^T P an
     # exact zero comes back near sqrt(eps) * sigma_1, above the rank cutoff
     sig_p = np.linalg.svd(P, compute_uv=False)
-    top = sig_p.max(initial=0.0)
-    pred_rank = int(np.sum(sig_p > 1e-8 * top)) if top > 0 else 0
+    pred_rank = int(np.sum(sig_p > _RANK_TOL * sig_p.max(initial=0.0)))
     sig_r = np.linalg.svd(Yc - alpha, compute_uv=False)
-    retained = int(np.sum(sig_r > spec.rho_nuclear))
+    retained = int(np.sum(sig_r > spec.rho_nuclear * (1.0 + _RANK_TOL)))
     return pred_rank, retained

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import AtomicMatrix, interaction_column
+from .data import AtomicMatrix, interaction_matrix
 from .duality import PrimalModel
 from .screening import PenaltySchedule, ScreenConfig, ScreenResult, critical_lambda
 from .solver import SolverConfig, solve
@@ -136,17 +136,12 @@ def run_path(obj, A: AtomicMatrix, pcfg: PathConfig | None = None,
 def predict(model: PrimalModel, A: AtomicMatrix) -> np.ndarray:
     """Scores for new rows: raw scores (basket), probabilities (logistic),
     or the predicted response matrix including intercept (matrix)."""
-    n = A.n_rows
+    F = interaction_matrix(A, model.active)
     if model.kind == "matrix":
-        T = model.intercept.shape[0] if model.intercept.size else (
-            model.coefficients.shape[1] if model.n_active else 1)
-        out = np.tile(model.intercept if model.intercept.size else np.zeros(T), (n, 1))
-        for fs, row in zip(model.active, model.coefficients):
-            out += np.outer(interaction_column(A, fs).dense(), row)
-        return out
-    scores = np.zeros(n)
-    for fs, coef in zip(model.active, model.coefficients):
-        scores += coef * interaction_column(A, fs).dense()
+        T = model.intercept.size or (model.coefficients.shape[1] if model.n_active else 1)
+        base = model.intercept if model.intercept.size else np.zeros(T)
+        return base + F @ np.reshape(model.coefficients, (model.n_active, T))
+    scores = F @ model.coefficients
     if model.kind == "logistic":
         return 1.0 / (1.0 + np.exp(-scores))
     return scores

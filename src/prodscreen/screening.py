@@ -1,18 +1,19 @@
 """Depth-first screening of the interaction lattice.
 
-Given a dual vector alpha, every interaction column c_u has an inclusion
-statistic (|c_u^T alpha| in the signed case) and an order-dependent
-threshold lambda * rho(|u|).  Interactions whose statistic clears their
-threshold are emitted; everything else is certifiably inactive.  Because
+Given a dual alpha, every interaction column c_u has an inclusion
+statistic, |c_u^T alpha| (c_u^T alpha when no entry of alpha is negative;
+the norm of that row for an n x T dual), and an order-dependent threshold
+lambda * rho(|u|).  Interactions whose statistic clears their threshold
+are emitted; everything else is certifiably inactive.  Because
 c_t <= c_u entrywise whenever t is a superset of u, the quantity
 
     bound(u) = max(c_u^T alpha_+, c_u^T alpha_-)
 
-dominates the statistic of every superset of u, so a node whose bound falls
-below the next order's threshold closes its whole subtree.  The walk mirrors
-frequent-itemset mining (Eclat): the children of a node are its unions with
-each later sibling of its prefix class, and all of them are scored in one
-batch.  The batch gathers the atom matrix at the parent's support rows
+(its norm for an n x T dual) dominates the statistic of every superset of
+u, so a node whose bound falls below the next order's threshold closes its
+whole subtree.  The walk mirrors frequent-itemset mining (Eclat): the
+children of a node are its unions with each later sibling of its prefix
+class, and all of them are scored in one batch.  The batch gathers the atom matrix at the parent's support rows
 (its tidlist for binary data, every row times the parent's values for
 dense data) and the siblings' atoms, and reduces that block against
 [alpha_+, alpha_-] in a fixed order, so a node's statistic does not
@@ -20,7 +21,7 @@ depend on its batch.  The atoms themselves are one such batch.  Only
 children that stay open get a column, their tidlist or values, which
 feeds their own children's batches.  The walk emits atom sets, each with
 its statistic and threshold; a model builds the columns of those sets
-with ``interaction_column``.  The same walk, with a level that rises to
+with ``interaction_matrix``.  The same walk, with a level that rises to
 the best ratio found so far, gives the critical penalty at which nothing
 is emitted.
 """
@@ -145,9 +146,9 @@ class ScreenResult:
 
 
 def _mode(w: DualWeights) -> str:
-    """The statistic a dual calls for: row norms for an (n, T) dual, c^T alpha
-    for a vector without negative entries (it bounds its supersets), else |c^T alpha|."""
-    return "group" if w.pos.ndim == 2 else "signed" if np.any(w.neg > 0) else "nonneg"
+    """The statistic a dual calls for: row norms for an (n, T) dual, else
+    |c^T alpha|, which is c^T alpha for a dual without negative entries."""
+    return "group" if w.pos.ndim == 2 else "signed"
 
 
 def _stat_bound(p: np.ndarray, m: np.ndarray, mode: str):
@@ -159,10 +160,8 @@ def _stat_bound(p: np.ndarray, m: np.ndarray, mode: str):
         hi = np.maximum(p, m)
         return (np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0]),
                 np.sqrt(np.matmul(hi[:, None, :], hi[:, :, None])[:, 0, 0]))
-    t = (p - m)[:, 0]
-    if mode == "nonneg":  # m = 0, so these are the signed statistic and bound
-        return t, t
-    return np.abs(t), np.maximum(p, m)[:, 0]
+    p, m = p[:, 0], m[:, 0]
+    return np.abs(p - m), np.maximum(p, m)
 
 
 def closure_bound(col: Column, w: DualWeights) -> float:

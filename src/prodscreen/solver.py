@@ -6,15 +6,18 @@ itself (``newton_direction``): the basket and logistic duals, whose
 curvature is a diagonal plus a low-rank term, solve it exactly through one
 small SPD system (Woodbury); the matrix dual runs conjugate gradients
 (``qn_step``) on its curvature operator.  The step length is the reduced
-dual's too (``step_along``): the basket dual, piecewise quadratic along its
-projected ray, steps exactly to the first maximum there; the logistic and
-matrix duals backtrack until the value strictly increases, and their
-damping h grows when the quadratic model misleads and shrinks when a full
-step is accepted first try.  The outer loop alternates inner convergence
-with an exact re-screen of the lattice: any interaction the screen emits
-that is missing from the active set joins it, and the solve finishes when
-the screen certifies the active set complete and the duality gap is below
-tolerance.
+dual's too (``step_along``), along the Newton direction and, when that
+finds no step, along the projected gradient: the basket dual, piecewise
+quadratic along its projected ray, steps exactly to the first maximum
+there; the logistic and matrix duals backtrack until the value strictly
+increases, and their damping h grows when the quadratic model misleads
+and shrinks when a full step is accepted first try.  The outer loop
+alternates inner convergence with an exact re-screen of the lattice: any
+interaction the screen emits that is missing from the active set joins
+it, and the solve finishes when the screen certifies the active set
+complete and the duality gap is below tolerance.  Otherwise the inner
+tolerance tightens, down to a floor, and the solve stalls when no step is
+left or a round at the floor takes none (the next would repeat it).
 """
 
 from __future__ import annotations
@@ -168,6 +171,8 @@ _LS_SHRINK = 0.5
 _LS_MAX = 30
 _POLISH_MAX = 20
 _POLISH_BACKTRACKS = 8
+# the inner gradient tolerance tightens tenfold per uncertified round, to here
+_INNER_TOL_FLOOR = 1e-14
 # rounding allowance relative to the size of what is compared: a value of
 # at least reference - ROUND_GUARD * (1 + |reference|) has not fallen below
 # the reference, and a slope no larger than ROUND_GUARD times the sum of its
@@ -204,17 +209,17 @@ def line_search(red, alpha, value: float, direction, gradient_dir,
                 h: float) -> LineSearchResult:
     """Step along the quasi-Newton direction, then along the gradient.
 
-    The reduced dual sets the quasi-Newton step (``red.step_along``): the
-    basket dual steps exactly to the first maximum along its projected ray,
-    and the logistic and matrix duals ``backtrack``.  When no step is
-    found, h grows and the projected gradient is backtracked; failing both
-    reports a stall and leaves the iterate unchanged.
+    The reduced dual sets both steps (``red.step_along``): the basket dual
+    steps exactly to the first maximum along its projected ray, and the
+    logistic and matrix duals ``backtrack``.  When no step is found along
+    the direction, h grows and the projected gradient is tried; failing
+    both reports a stall and leaves the iterate unchanged.
     """
     found = red.step_along(alpha, value, direction, h)
     if found is not None:
         return LineSearchResult(*found, False, False)
     h = h * _H_GROW
-    found = backtrack(red, alpha, value, gradient_dir, h)
+    found = red.step_along(alpha, value, gradient_dir, h)
     if found is not None:
         return LineSearchResult(found[0], found[1], h, False, True)
     return LineSearchResult(alpha, value, h, True, True)
@@ -368,13 +373,15 @@ def solve(obj, A: AtomicMatrix, schedule: PenaltySchedule, alpha0=None,
             for e in missing:
                 active[e.feature_set.atoms] = e
             expansions += 1
-        elif inner_stop == "stalled":
+        elif inner_stop == "stalled" or (inners == 0 and inner_tol <= _INNER_TOL_FLOOR):
+            # no ascent step left; at the floor, a round without a step
+            # would repeat itself exactly
             stop_reason = "stalled"
             break
         else:
             # inner loop hit its gradient tolerance but the gap is not yet
             # certified; tighten and continue
-            inner_tol = max(inner_tol * 0.1, 1e-14)
+            inner_tol = max(inner_tol * 0.1, _INNER_TOL_FLOOR)
 
     intercept = getattr(obj, "intercept", None)
     model = PrimalModel.from_coefficients(obj.kind, red.feature_sets(), beta, intercept)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import AtomicMatrix, FeatureSet
+from .data import AtomicMatrix, FeatureSet, interaction_matrix
 
 __all__ = ["SynthDataset", "synth_planted"]
 
@@ -58,26 +58,21 @@ def synth_planted(seed: int, n: int, d: int, planted, noise: float = 0.0,
     for fs in truth:
         if fs.atoms[-1] >= d:
             raise ValueError(f"planted atom {fs.atoms[-1]} out of range for d={d}")
-    X = (rng.random((n, d)) < density).astype(float)
-
+    X = rng.random((n, d)) < density
     if kind == "basket":
-        boosted = max(1, n // 5)
         for fs in truth:
-            rows = rng.choice(n, size=boosted, replace=False)
-            X[np.ix_(rows, list(fs.atoms))] = 1.0
-        A = AtomicMatrix.from_dense(X)
+            rows = rng.choice(n, size=max(1, n // 5), replace=False)
+            X[np.ix_(rows, list(fs.atoms))] = True
+    A = AtomicMatrix(X)
+    if kind == "basket":
         return SynthDataset(A, None, truth, weights, kind)
-
-    prods = np.column_stack([X[:, list(fs.atoms)].prod(axis=1) for fs in truth]) \
-        if truth else np.zeros((n, 0))
+    prods = interaction_matrix(A, truth)
+    w = np.asarray(weights, dtype=float)
 
     if kind == "logistic":
-        w = np.asarray(weights)
-        score = prods @ w if len(w) else np.zeros(n)
         margin = 0.5 * w.min() if len(w) else 0.0
         jitter = noise * (w.max() if len(w) else 1.0) * rng.standard_normal(n)
-        labels = (score + jitter > margin).astype(float)
-        A = AtomicMatrix.from_dense(X)
+        labels = (prods @ w + jitter > margin).astype(float)
         return SynthDataset(A, labels, truth, weights, kind)
 
     T = int(n_tasks)
@@ -85,16 +80,9 @@ def synth_planted(seed: int, n: int, d: int, planted, noise: float = 0.0,
         raise ValueError("n_tasks must be >= 1")
     if latent_rank is not None:
         basis = np.linalg.qr(rng.standard_normal((T, min(latent_rank, T))))[0]
-        raw = basis @ rng.standard_normal((basis.shape[1], len(truth))) \
-            if truth else np.zeros((T, 0))
+        raw = basis @ rng.standard_normal((basis.shape[1], len(truth)))
     else:
-        raw = rng.standard_normal((T, len(truth))) if truth else np.zeros((T, 0))
-    if truth:
-        raw /= np.maximum(np.linalg.norm(raw, axis=0, keepdims=True), 1e-12)
-        directions = raw * np.asarray(weights)
-        Y = prods @ directions.T
-    else:
-        Y = np.zeros((n, T))
-    Y = Y + noise * rng.standard_normal((n, T))
-    A = AtomicMatrix.from_dense(X)
+        raw = rng.standard_normal((T, len(truth)))
+    raw /= np.maximum(np.linalg.norm(raw, axis=0, keepdims=True), 1e-12)
+    Y = prods @ (raw * w).T + noise * rng.standard_normal((n, T))
     return SynthDataset(A, Y, truth, weights, kind)

@@ -416,6 +416,30 @@ def test_fit_input_errors_leave_no_out(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+def test_failed_path_fit_leaves_no_out(tmp_path, capsys):
+    """A path on data without signal passes every input check and fails at
+    lambda_max; it too leaves no --out behind."""
+    blank = tmp_path / "blank.txt"
+    blank.write_text("\n\n\n")
+    out = tmp_path / "o1"
+    assert main(["fit-basket", "--data", str(blank), "--path", "--n-lambdas", "3",
+                 "--out", str(out)]) == 1
+    assert "lambda_max is zero" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_screen_rejects_dedup(tmp_path, capsys):
+    """--dedup belongs to the fits, which apply it; screen rejects it rather
+    than screen the duplicate atoms it names."""
+    trans = tmp_path / "t.txt"
+    trans.write_text("a b\na b\nc\n")
+    alpha_file = tmp_path / "alpha.txt"
+    np.savetxt(alpha_file, np.ones(3))
+    assert main(["screen", "--data", str(trans), "--alpha", str(alpha_file),
+                 "--lambda", "0.5", "--mode", "nonneg", "--dedup", "0.9"]) == 1
+    assert "--dedup" in capsys.readouterr().err
+
+
 def test_basket_synth_roundtrips_through_transactions(tmp_path):
     data, truth = _synth_csv(tmp_path, kind="basket", n=50, d=6)
     A = load_transactions(data)

@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prodscreen import (AtomicMatrix, BasketSpec, Column, DualWeights, FeatureSet,
-                        PenaltySchedule, basket_dual, interaction_column, jaccard,
-                        load_dense, load_transactions, screen, split_dots)
+                        PenaltySchedule, basket_dual, interaction_column,
+                        interaction_matrix, jaccard, load_dense, load_transactions, screen,
+                        split_dots)
 
 
 # ------------------------------------------------------------- FeatureSet --
@@ -281,6 +282,20 @@ def test_load_dense_reports_the_first_bad_cell(tmp_path, rows, where):
     p.write_text("u,v,y\n" + "".join(r + "\n" for r in rows))
     with pytest.raises(ValueError, match=re.escape(where)):
         load_dense(p, 1)
+
+
+def test_interaction_matrix_stacks_interaction_columns(rng):
+    """Column k of ``interaction_matrix`` is set k's ``interaction_column``,
+    on binary and dense data; no sets give an n x 0 float matrix."""
+    X = rng.random((9, 4))
+    sets = [FeatureSet((0, 2)), (3,), (1, 2, 3)]
+    for A in (AtomicMatrix(X < 0.5), AtomicMatrix(X)):
+        F = interaction_matrix(A, sets)
+        assert F.shape == (9, 3) and F.dtype == np.float64
+        for k, u in enumerate(sets):
+            assert np.array_equal(F[:, k], interaction_column(A, u).dense())
+        empty = interaction_matrix(A, [])
+        assert empty.shape == (9, 0) and empty.dtype == np.float64
 
 
 @given(seed=st.integers(0, 10 ** 6),

@@ -69,7 +69,7 @@ def test_screen_modes_per_objective(rng):
     b = basket_dual(BasketSpec(), A)
     lo = logistic_dual(LogisticSpec(labels=np.zeros(10)), A)
     m = matrix_dual(MatrixSpec(responses=np.zeros((10, 2)), eta_l2=1.0), A)
-    for obj, mode in ((b, "nonneg"), (lo, "signed"), (m, "group")):
+    for obj, mode in ((b, "signed"), (lo, "signed"), (m, "group")):
         assert obj.screen_config() == ScreenConfig()
         assert obj.screen_config(base) is base
         assert screening._mode(obj.screen_weights(obj.alpha0())) == mode

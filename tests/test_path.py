@@ -8,7 +8,7 @@ from prodscreen import (AtomicMatrix, BasketSpec, FeatureSet, LogisticSpec,
                         MatrixSpec, PathConfig, PenaltySchedule, PrimalModel,
                         ScreenConfig, SolverConfig, basket_dual, lambda_max,
                         logistic_dual, matrix_dual, metrics_auc, metrics_r2,
-                        predict, run_path, screen, solve, synth_planted)
+                        predict, rank_report, run_path, screen, solve, synth_planted)
 from prodscreen import path as path_module
 from prodscreen import screening
 from prodscreen import solver as solver_module
@@ -325,6 +325,20 @@ def test_predict_empty_models(rng):
     out = predict(matrix, A)
     assert out.shape == (6, 2)
     assert np.allclose(out, np.array([1.5, -2.0]))
+
+
+def test_matrix_model_without_entries_from_json(rng):
+    """A matrix model.json with no entries loads with coefficients of shape
+    (0,); it still predicts its intercept in every row and has rank 0."""
+    X, A = random_binary(rng, 6, 3)
+    model = PrimalModel.from_json_dict({"kind": "matrix", "intercept": [1.5, -2.0],
+                                        "entries": []})
+    assert model.coefficients.shape == (0,)
+    assert np.array_equal(predict(model, A), np.tile([1.5, -2.0], (6, 1)))
+    Y = rng.standard_normal((6, 2))
+    spec = MatrixSpec(responses=Y, rho_nuclear=0.5)
+    pred_rank, _ = rank_report(spec, A, np.zeros((6, 2)), model)
+    assert pred_rank == 0
 
 
 def test_predict_matrix_adds_intercept(rng):

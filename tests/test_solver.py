@@ -9,8 +9,8 @@ import prodscreen.solver
 from prodscreen import (AtomicMatrix, BasketSpec, FeatureSet, LogisticSpec, MatrixSpec,
                         PathConfig, PenaltySchedule, ScreenConfig, SolverConfig,
                         basket_dual, cg_solve, interaction_column, lambda_max,
-                        line_search, logistic_dual, matrix_dual, qn_step, run_path,
-                        screen, solve, synth_planted, verify_kkt)
+                        line_search, logistic_dual, matrix_dual, qn_step, rank_report,
+                        run_path, screen, solve, synth_planted, verify_kkt)
 from prodscreen.screening import Emitted
 from prodscreen.solver import LineSearchResult
 
@@ -337,13 +337,18 @@ def test_inner_cap_hits_are_counted():
 
 def test_rank_sweep_solves_stay_under_inner_cap():
     """With the exact spectral curvature, every rank_sweep weight converges
-    well inside the cap: no outer round ends at max_inner."""
+    well inside the cap: no outer round ends at max_inner.  The two rank
+    readouts agree at every weight, also where a residual singular value
+    ends a damped step above rho."""
     ds, rhos = _rank_sweep_instance()
     for rho in rhos:
         res = _rank_sweep_solve(ds, rho, SolverConfig(kkt_tol=1e-8, max_inner=2000))
         assert res.state.converged, rho
         assert res.state.inner_cap_hits == 0, rho
         assert res.state.inner_iterations <= 200, rho
+        spec = MatrixSpec(responses=ds.response, rho_nuclear=float(rho), eta_l2=1e-2)
+        pred_rank, retained = rank_report(spec, ds.matrix, res.state.alpha, res.model)
+        assert pred_rank == retained, rho
 
 
 # ------------------------------------------------- direct Newton direction --
@@ -487,6 +492,40 @@ def test_stop_reasons(rng):
     res = solve(obj, A, PenaltySchedule.flat(3.0), cfg=SolverConfig(max_outer=1, max_inner=1))
     assert res.state.stop_reason == "max_outer" and not res.state.converged
     assert res.state.outer_iterations == 1
+
+
+def _sign_free_basket(seed, n, d, tau, gamma, share, cfg):
+    """A sign-free basket solve at share * lambda_max of the constrained
+    dual, on an overcovered binary instance whose sign-free peak has a
+    negative gap."""
+    X = np.random.default_rng(seed).random((n, d)) < 0.5
+    A = AtomicMatrix(X)
+    spec = BasketSpec(tau_target=tau, gamma=gamma)
+    lm = lambda_max(basket_dual(spec, A), A, PenaltySchedule.flat(1.0))
+    return solve(basket_dual(spec, A, enforce_nonneg=False), A,
+                 PenaltySchedule.flat(share * lm), cfg=cfg)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_sign_free_basket_stalls_in_few_steps(seed):
+    """The gradient retry takes the basket dual's exact step too, so the
+    sign-free solve stops at its flat peak in a few dozen steps instead of
+    creeping up on rounding noise for thousands."""
+    res = _sign_free_basket(seed, 60, 7, 3.0, 2e-3, 0.1,
+                            SolverConfig(kkt_tol=1e-8, max_outer=20))
+    assert res.state.stop_reason == "stalled"
+    assert res.state.inner_iterations <= 40
+
+
+@pytest.mark.parametrize("seed", [10, 18, 19, 26, 34])
+def test_round_without_step_at_tol_floor_stalls(seed):
+    """Once the inner tolerance is at its floor, a round that takes no step
+    and finds nothing missing would repeat itself: the solve stops there,
+    stalled, instead of walking the lattice until max_outer."""
+    res = _sign_free_basket(seed, 40, 6, 4.0, 1e-3, 0.05, SolverConfig())
+    assert res.state.stop_reason == "stalled"
+    assert res.state.outer_iterations <= 10
+    assert res.log[-1][1] == res.log[-2][1]  # no step in the last round
 
 
 def test_one_reduced_dual_per_outer_round():
