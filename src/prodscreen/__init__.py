@@ -9,30 +9,29 @@ optimality or grows the active set.
 """
 
 from .data import (AtomicMatrix, Column, DualWeights, FeatureSet, interaction_column,
-                   interaction_matrix, jaccard, load_dense, load_transactions, split_dots)
+                   interaction_matrix, load_dense, load_transactions)
 from .duality import PrimalModel
 from .objectives import (BasketSpec, LogisticSpec, MatrixSpec, basket_dual,
                          logistic_dual, matrix_dual, rank_report)
 from .path import (PathConfig, PathResult, lambda_max, metrics_auc, metrics_r2,
                    predict, run_path)
 from .screening import (Emitted, PenaltySchedule, ScreenConfig, ScreenResult,
-                        closure_bound, dedup_atoms, frequent_itemsets, screen,
-                        verify_kkt)
-from .solver import SolverConfig, cg_solve, line_search, qn_step, solve
+                        dedup_atoms, frequent_itemsets, screen, verify_kkt)
+from .solver import SolverConfig, solve
 from .synth import SynthDataset, synth_planted
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AtomicMatrix", "Column", "DualWeights", "FeatureSet", "interaction_column",
-    "interaction_matrix", "jaccard", "load_dense", "load_transactions", "split_dots",
+    "interaction_matrix", "load_dense", "load_transactions",
     "PrimalModel",
     "BasketSpec", "LogisticSpec", "MatrixSpec", "basket_dual", "logistic_dual",
     "matrix_dual", "rank_report",
     "PathConfig", "PathResult", "lambda_max", "metrics_auc", "metrics_r2",
     "predict", "run_path",
-    "Emitted", "PenaltySchedule", "ScreenConfig", "ScreenResult", "closure_bound",
+    "Emitted", "PenaltySchedule", "ScreenConfig", "ScreenResult",
     "dedup_atoms", "frequent_itemsets", "screen", "verify_kkt",
-    "SolverConfig", "cg_solve", "line_search", "qn_step", "solve",
+    "SolverConfig", "solve",
     "SynthDataset", "synth_planted",
 ]

@@ -29,8 +29,6 @@ __all__ = [
     "load_dense",
     "interaction_column",
     "interaction_matrix",
-    "split_dots",
-    "jaccard",
     "cosine",
 ]
 
@@ -67,8 +65,7 @@ class FeatureSet:
 class Column:
     """One interaction column, in tidlist or dense form.
 
-    Exactly one of ``tidlist`` / ``values`` is set.  ``dot`` works against a
-    vector of length n_rows or a matrix with n_rows rows.
+    Exactly one of ``tidlist`` / ``values`` is set.
     """
 
     __slots__ = ("n_rows", "tidlist", "values")
@@ -98,20 +95,6 @@ class Column:
         v = np.zeros(self.n_rows)
         v[self.tidlist] = 1.0
         return v
-
-    def dot(self, w: np.ndarray):
-        """c^T w; for an (n, T) argument returns the length-T vector of dots."""
-        if w.shape[0] != self.n_rows:
-            raise ValueError(
-                f"weight has {w.shape[0]} rows, column has {self.n_rows}"
-            )
-        if self.tidlist is not None:
-            if len(self.tidlist) == 0:
-                return 0.0 if w.ndim == 1 else np.zeros(w.shape[1])
-            s = w[self.tidlist].sum(axis=0)
-            return float(s) if w.ndim == 1 else s
-        out = self.values @ w
-        return float(out) if w.ndim == 1 else out
 
 
 class AtomicMatrix:
@@ -348,22 +331,6 @@ def interaction_matrix(A: AtomicMatrix, sets) -> np.ndarray:
     for k, u in enumerate(sets):
         F[:, k] = interaction_column(A, u).dense()
     return F
-
-
-def split_dots(col: Column, w: DualWeights):
-    """Return (c^T pos, c^T neg); both are length-T vectors for matrix weights."""
-    return col.dot(w.pos), col.dot(w.neg)
-
-
-def jaccard(a: Column, b: Column) -> float:
-    """Intersection over union of two binary columns; 1.0 when both empty."""
-    if a.tidlist is None or b.tidlist is None:
-        raise ValueError("jaccard is defined for binary columns only")
-    na, nb = len(a.tidlist), len(b.tidlist)
-    if na == 0 and nb == 0:
-        return 1.0
-    inter = len(np.intersect1d(a.tidlist, b.tidlist, assume_unique=True))
-    return inter / (na + nb - inter)
 
 
 def cosine(a: np.ndarray, b: np.ndarray):

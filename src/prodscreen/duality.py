@@ -8,6 +8,7 @@ ends by mapping its dual point to the coefficients kept here.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -72,25 +73,43 @@ class PrimalModel:
     @classmethod
     def from_json_dict(cls, d: dict) -> "PrimalModel":
         """The model ``to_json_dict`` wrote; a malformed document raises
-        ValueError naming the field at fault."""
+        ValueError naming the field at fault.  Atoms are lists of integers.
+        A basket or logistic entry has a finite ``coef`` and the model no
+        intercept; a matrix entry has a ``coef_row`` of finite numbers as
+        wide as the model's non-empty intercept.  ``entries`` may be empty.
+        """
         if not isinstance(d, dict):
             raise ValueError("model: expected a JSON object")
         for key in ("kind", "entries"):
             if key not in d:
                 raise ValueError(f"model: no {key!r} field")
-        entries = d["entries"]
+        kind, entries = d["kind"], d["entries"]
+        if kind not in ("basket", "logistic", "matrix"):
+            raise ValueError(f"model: unknown 'kind' {kind!r}")
         if not isinstance(entries, list) or not all(
                 isinstance(e, dict) and "atoms" in e for e in entries):
             raise ValueError("model: 'entries' must be a list of objects with 'atoms'")
-        keys = {k for e in entries for k in ("coef", "coef_row") if k in e}
-        if len(keys) > 1:
-            raise ValueError("model: 'entries' mix 'coef' and 'coef_row'")
-        key = keys.pop() if keys else "coef"
-        if not all(key in e for e in entries):
-            raise ValueError(f"model: an entry has no {key!r}")
+        key = "coef_row" if kind == "matrix" else "coef"
+        wrong = {k for e in entries for k in ("coef", "coef_row") if k in e} - {key}
+        if wrong:
+            raise ValueError(f"model: {kind} entries take {key!r}, not {wrong.pop()!r}")
+        intercept = d.get("intercept", [])
+        _check_finite(intercept, "intercept")
+        if (kind == "matrix") != bool(intercept):
+            size = "a non-empty" if kind == "matrix" else "no"
+            raise ValueError(f"model: a {kind} model takes {size} 'intercept'")
+        for e in entries:
+            if not isinstance(e["atoms"], list) or not all(type(a) is int for a in e["atoms"]):
+                raise ValueError("model: 'atoms' must be a list of integers")
+            if key not in e:
+                raise ValueError(f"model: an entry has no {key!r}")
+            _check_finite(e[key] if kind == "matrix" else [e[key]], key)
+            if kind == "matrix" and len(e[key]) != len(intercept):
+                raise ValueError(f"model: a 'coef_row' has {len(e[key])} entries, "
+                                 f"the intercept {len(intercept)}")
         active = tuple(FeatureSet(tuple(e["atoms"])) for e in entries)
         coef = np.array([e[key] for e in entries], dtype=float)
-        return cls(d["kind"], active, coef, np.asarray(d.get("intercept", []), dtype=float))
+        return cls(kind, active, coef, np.asarray(intercept, dtype=float))
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_json_dict(), indent=1) + "\n")
@@ -98,3 +117,11 @@ class PrimalModel:
     @classmethod
     def load(cls, path) -> "PrimalModel":
         return cls.from_json_dict(json.loads(Path(path).read_text()))
+
+
+def _check_finite(values, field: str) -> None:
+    """Raise ValueError naming ``field`` unless ``values`` is a JSON list of
+    numbers (not bools) that floats hold finitely."""
+    if not isinstance(values, list) or not all(
+            type(v) in (int, float) and abs(v) <= sys.float_info.max for v in values):
+        raise ValueError(f"model: {field!r} must hold finite numbers only")

@@ -34,14 +34,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import AtomicMatrix, Column, DualWeights, FeatureSet, cosine, jaccard, split_dots
+from .data import AtomicMatrix, Column, DualWeights, FeatureSet, cosine
 
 __all__ = [
     "PenaltySchedule",
     "ScreenConfig",
     "Emitted",
     "ScreenResult",
-    "closure_bound",
     "screen",
     "critical_lambda",
     "verify_kkt",
@@ -162,13 +161,6 @@ def _stat_bound(p: np.ndarray, m: np.ndarray, mode: str):
                 np.sqrt(np.matmul(hi[:, None, :], hi[:, :, None])[:, 0, 0]))
     p, m = p[:, 0], m[:, 0]
     return np.abs(p - m), np.maximum(p, m)
-
-
-def closure_bound(col: Column, w: DualWeights) -> float:
-    """Upper bound on the statistic of every superset of the column's atom set."""
-    p, m = split_dots(col, w)
-    _, bound = _stat_bound(np.reshape(p, (1, -1)), np.reshape(m, (1, -1)), _mode(w))
-    return float(bound[0])
 
 
 @dataclass
@@ -373,26 +365,27 @@ def dedup_atoms(A: AtomicMatrix, sim: float):
     """Greedy left-to-right removal of near-duplicate atom columns.
 
     A column is dropped when its similarity to an already-kept column is
-    >= sim (Jaccard for binary data, cosine for dense).  Returns the reduced
-    matrix and the kept original indices; apply the same selection to any
-    future data before using a model trained on the reduced matrix.
+    >= sim.  The d x d similarity matrix is built once: Jaccard from the
+    Gram matrix X^T X for binary data (its counts are exact; two empty
+    columns score 1.0), cosine for dense data.  Returns the reduced matrix
+    and the kept original indices; apply the same selection to any future
+    data before using a model trained on the reduced matrix.
     """
     if not 0.0 < sim <= 1.0:
         raise ValueError("sim must lie in (0, 1]")
+    X = A.atom_matrix()
+    if A.is_binary:
+        Xf = X.astype(float)
+        inter = Xf.T @ Xf
+        size = np.diag(inter)
+        union = size[:, None] + size[None, :] - inter
+        S = np.divide(inter, union, out=np.ones_like(inter), where=union > 0.0)
+    else:
+        Xt = np.ascontiguousarray(X.T)
+        S = np.array([cosine(Xt, Xt[j]) for j in range(A.n_cols)])
     kept: list[int] = []
     for j in range(A.n_cols):
-        cj = A.column(j)
-        dup = False
-        for i in kept:
-            ci = A.column(i)
-            if A.is_binary:
-                s = jaccard(ci, cj)
-            else:
-                s = cosine(ci.values, cj.values)
-            if s >= sim:
-                dup = True
-                break
-        if not dup:
+        if not np.any(S[j, kept] >= sim):
             kept.append(j)
     return A.select(kept), kept
 

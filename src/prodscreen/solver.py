@@ -347,9 +347,11 @@ def solve(obj, A: AtomicMatrix, schedule: PenaltySchedule, alpha0=None,
     cap_hits = 0
     stop_reason = "max_outer"
     log: list[tuple] = []
+    missing: list = []
 
     for outer in range(1, cfg.max_outer + 1):
-        red = obj.reduced(list(active.values()))
+        if outer == 1 or missing:  # the active set grew in the last round
+            red = obj.reduced(list(active.values()))
         alpha, dval, h, inners, inner_stop = _inner_ascent(red, alpha, h, cfg, inner_tol)
         total_inner += inners
         cap_hits += inner_stop == "max_inner"

@@ -53,8 +53,14 @@ def synth_planted(seed: int, n: int, d: int, planted, noise: float = 0.0,
         raise ValueError(f"unknown synthetic kind {kind!r}")
     if not 0.0 < density < 1.0:
         raise ValueError("density must lie in (0, 1)")
+    if not np.isfinite(noise):
+        raise ValueError("noise must be finite")
+    if latent_rank is not None and latent_rank < 1:
+        raise ValueError("latent_rank must be >= 1")
     rng = np.random.default_rng(seed)
     truth, weights = _planted_sets(planted)
+    if not np.all(np.isfinite(weights)):
+        raise ValueError("planted weights must be finite")
     for fs in truth:
         if fs.atoms[-1] >= d:
             raise ValueError(f"planted atom {fs.atoms[-1]} out of range for d={d}")

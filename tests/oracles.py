@@ -1,14 +1,23 @@
 """Independent brute-force oracles used across the test suite.
 
-Everything here works on the fully materialized interaction matrix (all
-2^d - 1 product columns), so it is only usable at toy scale, which is the
-point: results from the implicit-lattice solver must match these within
-tight tolerances.  Two exceptions: the reference walk, the lattice walk
-one node at a time, which the library's batched walk must match node for
-node; dense_hessian, a reduced dual's curvature operator written out as a
-dense matrix, which the direct Newton solve is checked against; and
-ray_first_max, the basket dual along a projected ray searched point by
-point, which the exact step length is checked against.
+Most of what is here works on the fully materialized interaction matrix
+(all 2^d - 1 product columns), so it is only usable at toy scale, which is
+the point: results from the implicit-lattice solver must match these
+within tight tolerances.  The rest are references the library keeps no
+second copy of:
+
+* column_dot, split_dots and closure_bound: one column's dots with a dual
+  and its superset bound, node by node, against which the lattice walk's
+  batched bound is checked (the reference walk is built on them);
+* reference_walk, the lattice walk one node at a time, which the
+  library's batched walk must match node for node;
+* jaccard, and dedup_kept, the greedy pass scored pair by pair (jaccard
+  for binary data, the library's cosine for dense data), which
+  ``dedup_atoms`` and its similarity matrix must match;
+* dense_hessian, a reduced dual's curvature operator written out as a
+  dense matrix, which the direct Newton solve is checked against;
+* ray_first_max, the basket dual along a projected ray searched point by
+  point, which the exact step length is checked against.
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ from itertools import combinations
 
 import numpy as np
 
-from prodscreen.data import Column, cosine, split_dots
+from prodscreen.data import Column, cosine
 
 
 def dense_hessian(red, alpha):
@@ -131,6 +140,60 @@ def closure_bounds(P: np.ndarray, alpha: np.ndarray, mode: str = "signed"):
     if mode == "nonneg":
         return P.T @ alpha
     return np.maximum(P.T @ pos, P.T @ neg)
+
+
+# ------------------------------------------------------- column by column ---
+
+def column_dot(col, w):
+    """c^T w for a vector of length n_rows; for an (n, T) matrix the
+    length-T vector of dots.  Rows must agree."""
+    if w.shape[0] != col.n_rows:
+        raise ValueError(f"weight has {w.shape[0]} rows, column has {col.n_rows}")
+    if col.tidlist is not None:
+        if len(col.tidlist) == 0:
+            return 0.0 if w.ndim == 1 else np.zeros(w.shape[1])
+        s = w[col.tidlist].sum(axis=0)
+        return float(s) if w.ndim == 1 else s
+    out = col.values @ w
+    return float(out) if w.ndim == 1 else out
+
+
+def split_dots(col, w):
+    """(c^T pos, c^T neg) of a DualWeights; length-T vectors for an (n, T) dual."""
+    return column_dot(col, w.pos), column_dot(col, w.neg)
+
+
+def closure_bound(col, w):
+    """Upper bound on the statistic of every superset of the column's atom set."""
+    return _node_stat_bound(col, w)[1]
+
+
+def jaccard(a, b):
+    """Intersection over union of two binary columns; 1.0 when both empty."""
+    if a.tidlist is None or b.tidlist is None:
+        raise ValueError("jaccard is defined for binary columns only")
+    na, nb = len(a.tidlist), len(b.tidlist)
+    if na == 0 and nb == 0:
+        return 1.0
+    inter = len(np.intersect1d(a.tidlist, b.tidlist, assume_unique=True))
+    return inter / (na + nb - inter)
+
+
+def dedup_kept(A, sim):
+    """The atoms a pairwise greedy pass keeps: a column goes when its
+    jaccard (binary data) or cosine (dense data) with a kept column is at
+    least sim."""
+    kept = []
+    for j in range(A.n_cols):
+        cj = A.column(j)
+        for i in kept:
+            ci = A.column(i)
+            s = jaccard(ci, cj) if A.is_binary else cosine(ci.values, cj.values)
+            if s >= sim:
+                break
+        else:
+            kept.append(j)
+    return kept
 
 
 # ------------------------------------------------------- reference walk ---

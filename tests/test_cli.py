@@ -232,7 +232,30 @@ def test_predict_cli_roundtrip(tmp_path, capsys):
       "entries": [{"atoms": [0], "coef": 1.0}, {"atoms": [1], "coef_row": [1.0, 2.0]}]},
      "'coef_row'"),
     ([{"atoms": [0], "coef": 1.0}], "JSON object"),
-], ids=["no-kind", "no-entries", "mixed-coef", "top-level-list"])
+    ({"kind": "basket", "intercept": [], "entries": [{"atoms": [0], "coef": None}]},
+     "'coef'"),
+    ({"kind": "basket", "intercept": [], "entries": [{"atoms": [0], "coef": "inf"}]},
+     "'coef'"),
+    ({"kind": "logistic", "intercept": [],
+      "entries": [{"atoms": [0], "coef": float("inf")}]}, "'coef'"),
+    ({"kind": "basket", "intercept": [], "entries": [{"atoms": [0], "coef_row": [1.0, 2.0]}]},
+     "'coef_row'"),
+    ({"kind": "basket", "intercept": [0.5], "entries": [{"atoms": [0], "coef": 1.0}]},
+     "'intercept'"),
+    ({"kind": "matrix", "entries": [{"atoms": [0], "coef": 1.0}]}, "'coef_row'"),
+    ({"kind": "matrix", "entries": [{"atoms": [0], "coef_row": [1.0]}]}, "'intercept'"),
+    ({"kind": "matrix", "intercept": [0.0, 0.0],
+      "entries": [{"atoms": [0], "coef_row": [1.0, 2.0]}, {"atoms": [1], "coef_row": [1.0]}]},
+     "'coef_row'"),
+    ({"kind": "matrix", "intercept": [0.0],
+      "entries": [{"atoms": [0], "coef_row": [float("nan")]}]}, "'coef_row'"),
+    ({"kind": "basket", "intercept": [], "entries": [{"atoms": 0, "coef": 1.0}]}, "'atoms'"),
+    ({"kind": "basket", "intercept": [], "entries": [{"atoms": [0.5], "coef": 1.0}]},
+     "'atoms'"),
+], ids=["no-kind", "no-entries", "mixed-coef", "top-level-list", "null-coef", "string-coef",
+        "infinite-coef", "basket-coef-row", "basket-intercept", "matrix-coef",
+        "matrix-no-intercept", "ragged-coef-row", "nan-coef-row", "scalar-atoms",
+        "fractional-atom"])
 def test_predict_rejects_malformed_model(tmp_path, capsys, doc, field):
     """A malformed model.json exits 1 with one error line, not a traceback."""
     model = tmp_path / "model.json"
@@ -242,6 +265,37 @@ def test_predict_rejects_malformed_model(tmp_path, capsys, doc, field):
     assert main(["predict", "--model", str(model), "--data", str(data)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and field in err[0]
+
+
+@pytest.mark.parametrize("doc, want", [
+    ({"kind": "basket", "intercept": [], "entries": []}, [[0.0], [0.0]]),
+    ({"kind": "logistic", "entries": []}, [[0.5], [0.5]]),
+    ({"kind": "matrix", "intercept": [1.5, -2.0], "entries": []}, [[1.5, -2.0]] * 2),
+], ids=["basket", "logistic", "matrix"])
+def test_predict_loads_model_without_entries(tmp_path, capsys, doc, want):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    data = tmp_path / "t.txt"
+    data.write_text("a b\nb\n")
+    assert main(["predict", "--model", str(model), "--data", str(data)]) == 0
+    assert np.loadtxt(capsys.readouterr().out.splitlines(), ndmin=2).tolist() == want
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--planted", "0,1:nan"], "weights must be finite"),
+    (["--planted", "0,1:inf;2:3"], "weights must be finite"),
+    (["--noise", "nan"], "noise must be finite"),
+    (["--kind", "matrix", "--tasks", "3", "--rank", "0"], "latent_rank"),
+], ids=["nan-weight", "inf-weight", "nan-noise", "rank-0"])
+def test_synth_rejects_invalid_values(tmp_path, capsys, argv, message):
+    """Non-finite weights or noise would write NaN into truth.json (not
+    JSON) and zero every label; rank 0 would drop the planted signal."""
+    out = tmp_path / "out"
+    assert main(["synth", "--n", "20", "--d", "4", "--planted", "0,1:6", "--out", str(out),
+                 *argv]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and message in err[0]
+    assert not out.exists()
 
 
 def test_predict_maps_items_by_name(tmp_path, capsys):

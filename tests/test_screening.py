@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import oracles as oc
 from prodscreen import (AtomicMatrix, DualWeights, PenaltySchedule,
-                        ScreenConfig, closure_bound, dedup_atoms,
+                        ScreenConfig, dedup_atoms,
                         frequent_itemsets, interaction_column, screen, verify_kkt)
 from prodscreen import screening
 from prodscreen.data import Column
@@ -75,10 +75,10 @@ def test_screen_config_validation():
 def test_closure_bound_modes():
     c = Column(4, tidlist=np.array([0, 1, 2]))
     w = DualWeights.from_alpha(np.array([1.0, -0.5, 0.25, 7.0]))
-    assert closure_bound(c, w) == pytest.approx(1.25)
+    assert oc.closure_bound(c, w) == pytest.approx(1.25)
     w2 = DualWeights.from_alpha(np.array([1.0, 1.0, 0.0, 0.0]))
     c2 = Column(4, tidlist=np.array([0, 1]))
-    assert closure_bound(c2, w2) == pytest.approx(2.0)
+    assert oc.closure_bound(c2, w2) == pytest.approx(2.0)
     # group: per-column maxima (3, 4) -> 5
     pos = np.zeros((2, 2))
     neg = np.zeros((2, 2))
@@ -86,7 +86,7 @@ def test_closure_bound_modes():
     neg[0, 1] = 4.0
     w3 = DualWeights(pos, neg)
     c3 = Column(2, tidlist=np.array([0]))
-    assert closure_bound(c3, w3) == pytest.approx(5.0)
+    assert oc.closure_bound(c3, w3) == pytest.approx(5.0)
 
 
 def test_matrix_dual_screens_row_norms(rng):
@@ -212,6 +212,39 @@ def test_dedup_dense_cosine(rng):
     A = AtomicMatrix(X)
     B, kept = dedup_atoms(A, 0.999)
     assert kept == [0, 2]  # scaled copy is cosine-identical
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.booleans(), st.sampled_from([0.5, 0.9, 0.999, 1.0]))
+@settings(max_examples=200, deadline=None)
+def test_dedup_matches_pairwise_greedy(seed, binary, sim):
+    """dedup_atoms keeps exactly the atoms a pairwise greedy pass keeps, by
+    jaccard for binary data and cosine for dense data, on matrices with
+    empty, duplicated, near-duplicated and (dense) half-scaled columns."""
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(1, 25)), int(rng.integers(1, 9))
+    if binary:
+        X = rng.random((n, d)) < rng.uniform(0.1, 0.9)
+    elif rng.random() < 0.3:
+        X = rng.integers(0, 2, (n, d)).astype(float)  # 0/1 values held dense
+    else:
+        X = rng.random((n, d)) * (rng.random((n, d)) < 0.8)
+    for j in range(1, d):
+        src = X[:, rng.integers(j)]
+        r = rng.random()
+        if r < 0.15:
+            X[:, j] = 0
+        elif r < 0.35:
+            X[:, j] = src
+        elif r < 0.5:
+            X[:, j] = src
+            i = rng.integers(n)
+            X[i, j] = not X[i, j] if binary else rng.random()
+        elif r < 0.65 and not binary:
+            X[:, j] = 0.5 * src
+    A = AtomicMatrix(X)
+    B, kept = dedup_atoms(A, sim)
+    assert kept == oc.dedup_kept(A, sim)
+    assert np.array_equal(B.atom_matrix(), X[:, kept])
 
 
 # ------------------------------------------------------- child-parent skip --

@@ -7,12 +7,12 @@ from scipy.optimize import minimize_scalar
 import oracles as oc
 import prodscreen.solver
 from prodscreen import (AtomicMatrix, BasketSpec, FeatureSet, LogisticSpec, MatrixSpec,
-                        PathConfig, PenaltySchedule, ScreenConfig, SolverConfig,
-                        basket_dual, cg_solve, interaction_column, lambda_max,
-                        line_search, logistic_dual, matrix_dual, qn_step, rank_report,
-                        run_path, screen, solve, synth_planted, verify_kkt)
+                        PathConfig, PenaltySchedule, PrimalModel, ScreenConfig,
+                        SolverConfig, basket_dual, interaction_column, lambda_max, logistic_dual,
+                        matrix_dual, rank_report, run_path, screen, solve, synth_planted,
+                        verify_kkt)
 from prodscreen.screening import Emitted
-from prodscreen.solver import LineSearchResult
+from prodscreen.solver import LineSearchResult, cg_solve, line_search, qn_step
 
 
 def test_cg_known_solution():
@@ -539,3 +539,39 @@ def test_one_reduced_dual_per_outer_round():
         res = solve(obj, A, flat.with_base(0.5 * lambda_max(obj, A, flat)))
         assert res.state.converged and res.state.outer_iterations == rounds
         assert len(builds) == rounds
+
+
+def _matrix_instance(seed, rho):
+    rng = np.random.default_rng(seed)
+    A = AtomicMatrix(rng.random((60, 6)) < 0.4)
+    spec = MatrixSpec(responses=rng.standard_normal((60, 3)), rho_nuclear=rho, eta_l2=1e-3)
+    obj = matrix_dual(spec, A)
+    sched = PenaltySchedule.geometric(1.0, 1.5)
+    return obj, A, sched.with_base(0.2 * lambda_max(obj, A, sched))
+
+
+def test_reduced_dual_rebuilt_only_after_expansion():
+    """Rounds that only tighten the inner tolerance keep the reduced dual;
+    a solve builds one at its start and one after each expansion."""
+    obj, A, sched = _matrix_instance(7, 3.0)
+    builds = []
+    build = obj.reduced
+    obj.reduced = lambda active: builds.append(1) or build(active)
+    res = solve(obj, A, sched, cfg=SolverConfig(kkt_tol=1e-10, max_inner=40))
+    assert res.state.converged
+    assert res.state.outer_iterations > 1 + res.expansions
+    assert len(builds) == 1 + res.expansions
+
+
+def test_model_pairs_with_its_sets_when_max_outer_ends_an_expansion():
+    """A solve whose last allowed round expands the active set returns the
+    model of the sets its final dual point was solved over, not the grown set."""
+    obj, A, sched = _matrix_instance(4, 0.0)
+    res = solve(obj, A, sched, cfg=SolverConfig(kkt_tol=1e-10, max_inner=40, max_outer=1))
+    assert res.state.stop_reason == "max_outer" and res.expansions == 1
+    first = screen(A, obj.screen_weights(obj.project(obj.alpha0())), sched)
+    red = obj.reduced(list(first.emitted))
+    want = PrimalModel.from_coefficients(
+        "matrix", red.feature_sets(), red.primal_map(res.state.alpha), obj.intercept)
+    assert res.model.active == want.active
+    assert np.array_equal(res.model.coefficients, want.coefficients)
