@@ -13,11 +13,14 @@ c_t <= c_u entrywise whenever t is a superset of u, the quantity
 u, so a node whose bound falls below the next order's threshold closes its
 whole subtree.  The walk mirrors frequent-itemset mining (Eclat): the
 children of a node are its unions with each later sibling of its prefix
-class, and all of them are scored in one batch.  The batch gathers the atom matrix at the parent's support rows
-(its tidlist for binary data, every row times the parent's values for
-dense data) and the siblings' atoms, and reduces that block against
-[alpha_+, alpha_-] in a fixed order, so a node's statistic does not
-depend on its batch.  The atoms themselves are one such batch.  Only
+class, and all of them are scored in one batch.  For each half of the
+dual, alpha_+ and alpha_-, that has a nonzero entry, the batch gathers
+the siblings' atoms at the parent's support rows where that half is
+nonzero (the parent's tidlist for binary data, every row times the
+parent's values for dense data) and reduces that block against the half
+row by row, so a node's statistic does not depend on its batch.  An
+all-zero half, such as alpha_- of a dual without negative entries,
+costs nothing.  The atoms themselves are one such batch.  Only
 children that stay open get a column, their tidlist or values, which
 feeds their own children's batches.  The walk emits atom sets, each with
 its statistic and threshold; a model builds the columns of those sets
@@ -197,40 +200,62 @@ class _Walk:
         self.explored = 0
         self.pruned = 0
         n = A.n_rows
-        self._W = np.hstack([weights.pos.reshape(n, -1), weights.neg.reshape(n, -1)])
+        pos, neg = weights.pos.reshape(n, -1), weights.neg.reshape(n, -1)
+        self._T = pos.shape[1]
+        # each half of the dual that has a nonzero entry: its index, its
+        # (n, T) weights, which rows are nonzero and their indices
+        self._halves = []
+        for i, h in enumerate((pos, neg)):
+            nz = np.any(h > 0.0, axis=1)
+            if nz.any():
+                self._halves.append((i, h, nz, np.flatnonzero(nz)))
         self._X = A.atom_matrix()
 
     def _batch(self, parent: _Cand | None, sibs: list[_Cand]):
         """Statistics, bounds and child-parent skip mask of the children
         parent + sibling.ext, one per sibling; no parent means the atoms.
 
-        The gather takes the siblings' atoms at the parent's support rows:
-        its tidlist for binary data, every row times the parent's values
-        for dense data.  One product with [pos, neg] and a sum over rows
-        follow.  Each child's dots are running sums in row order, so they
-        do not depend on how many children share the batch or on the
-        chunking.
+        Each half of the dual, pos and neg, is reduced only over the
+        parent's support rows where that half is nonzero: the parent's
+        tidlist for binary data, every row for dense data.  The gather takes
+        the siblings' atoms at those rows (times the parent's values there
+        for dense data); one product with the half's weights and a sum over
+        rows follow.  A half that is all zero scores zero.  Each child's
+        dots are running sums in row order, and a skipped row adds +0.0, so
+        they equal the sums over every row and do not depend on how many
+        children share the batch or on the chunking.
         """
         col = parent.column if parent is not None else None
         rows = col.tidlist if col is not None else None
-        W = self._W if rows is None else self._W[rows]
+        scale = col.values if col is not None and rows is None else None
         exts = np.array([s.ext for s in sibs], dtype=np.int64)
-        k, K = len(sibs), W.shape[1]
-        dots = np.empty((k, K))
-        level = self.cfg.child_parent_prune if parent is not None else 0.0
+        k = len(sibs)
+        dots = np.zeros((2, k, self._T))
+        for half, w, nz, support in self._halves:
+            r = support if rows is None else rows[nz[rows]]
+            W = w[r]
+            X = self._X.take(r, axis=0)
+            v = scale[r][:, None] if scale is not None else None
+            step = max(1, _CHUNK // max(1, W.size))
+            for a in range(0, k, step):
+                e = exts[a:a + step]
+                # a (rows, 1, 1) product would be summed pairwise: pad it to
+                # two children so that every dot stays a running sum
+                G = X.take(e if self._T * len(e) > 1 else e.repeat(2), axis=1)
+                if v is not None:
+                    G = G * v
+                dots[half, a:a + len(e)] = (W[:, :, None] * G[:, None, :]).sum(axis=0).T[:len(e)]
+        stat, bound = _stat_bound(dots[0], dots[1], self._mode)
         skip = np.zeros(k, dtype=bool)
-        step = max(1, _CHUNK // max(1, W.size))
-        X = self._X if rows is None else self._X.take(rows, axis=0)
-        for a in range(0, k, step):
-            G = X.take(exts[a:a + step], axis=1)  # (rows, children), C order
-            G = G * col.values[:, None] if rows is None and col is not None \
-                else G.astype(np.float64)
-            # K >= 2 keeps every reduction a running sum, even for one child
-            dots[a:a + step] = (W[:, :, None] * G[:, None, :]).sum(axis=0).T
-            if level > 0.0:
+        level = self.cfg.child_parent_prune if parent is not None else 0.0
+        if level > 0.0:
+            X = self._X if rows is None else self._X.take(rows, axis=0)
+            step = max(1, _CHUNK // max(1, len(X)))
+            for a in range(0, k, step):
+                G = X.take(exts[a:a + step], axis=1)
+                if scale is not None:
+                    G = G * scale[:, None]
                 skip[a:a + step] = _too_similar(G, col, sibs[a:a + step], level)
-        T = K // 2
-        stat, bound = _stat_bound(dots[:, :T], dots[:, T:], self._mode)
         return stat, bound, skip
 
     def _emit(self, parent: _Cand | None, sibs: list[_Cand], stat, live, rho_k: float):

@@ -9,6 +9,9 @@ second copy of:
 * column_dot, split_dots and closure_bound: one column's dots with a dual
   and its superset bound, node by node, against which the lattice walk's
   batched bound is checked (the reference walk is built on them);
+* running_dots and running_stat: a column's dots summed row by row over
+  all n rows, which the walk's statistics on binary data must equal bit
+  for bit, though the walk sums each half of the dual over fewer rows;
 * reference_walk, the lattice walk one node at a time, which the
   library's batched walk must match node for node;
 * jaccard, and dedup_kept, the greedy pass scored pair by pair (jaccard
@@ -161,6 +164,25 @@ def column_dot(col, w):
 def split_dots(col, w):
     """(c^T pos, c^T neg) of a DualWeights; length-T vectors for an (n, T) dual."""
     return column_dot(col, w.pos), column_dot(col, w.neg)
+
+
+def running_dots(col, w):
+    """(c^T pos, c^T neg) of a DualWeights as running sums in row order over
+    all n rows, each a length-T vector (T = 1 for a vector dual)."""
+    c = col.dense()[:, None]
+    n = col.n_rows
+    return (np.cumsum(c * w.pos.reshape(n, -1), axis=0)[-1],
+            np.cumsum(c * w.neg.reshape(n, -1), axis=0)[-1])
+
+
+def running_stat(col, w):
+    """A column's statistic from its running_dots: the norm of pos - neg for
+    an (n, T) dual, one BLAS dot as the walk takes it, else |pos - neg|."""
+    p, m = running_dots(col, w)
+    diff = p - m
+    if w.pos.ndim == 2:
+        return math.sqrt(float(diff @ diff))
+    return abs(float(diff[0]))
 
 
 def closure_bound(col, w):

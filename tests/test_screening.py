@@ -348,21 +348,30 @@ def test_frequent_itemsets_match_enumeration(four_transactions):
 
 # ------------------------------------------------------------ batched walk --
 
-def _weights(rng, n, mode, integer):
+def _weights(rng, n, mode, integer, sparse=False):
+    """A signed, nonneg, nonpositive or (n, T) group dual.  ``sparse`` sets
+    half the rows to exactly 0, as a basket dual's rows at the bound are,
+    so the walk skips rows within each half."""
     shape = (n, int(rng.integers(1, 4))) if mode == "group" else (n,)
     alpha = rng.integers(-3, 4, size=shape).astype(float) if integer \
         else rng.standard_normal(shape)
-    return DualWeights.from_alpha(np.abs(alpha) if mode == "nonneg" else alpha)
+    if sparse:
+        alpha[rng.permutation(n)[:n // 2]] = 0.0
+    if mode == "nonneg":
+        alpha = np.abs(alpha)
+    elif mode == "nonpositive":
+        alpha = -np.abs(alpha)
+    return DualWeights.from_alpha(alpha)
 
 
 @given(seed=st.integers(0, 10 ** 6), values=st.sampled_from(["binary", "quarters", "uniform"]),
-       mode=st.sampled_from(["signed", "nonneg", "group"]),
+       mode=st.sampled_from(["signed", "nonneg", "nonpositive", "group"]),
        kind=st.sampled_from(["flat", "geometric", "supergeometric"]), integer=st.booleans(),
        max_order=st.sampled_from([20, 1, 2, 3]), prune=st.sampled_from([0.0, 0.5, 0.8, 0.95]),
-       frac=st.floats(0.05, 0.95))
+       frac=st.floats(0.05, 0.95), sparse=st.booleans())
 @settings(max_examples=120, deadline=None)
 def test_batched_walk_matches_reference(seed, values, mode, kind, integer, max_order, prune,
-                                        frac):
+                                        frac, sparse):
     """screen and critical_lambda against the per-node reference walk: the
     same emitted sets, thresholds and counts; stats exact where the
     arithmetic is (integer weights on 0/1 or quarter values), else to 1e-12.
@@ -380,7 +389,7 @@ def test_batched_walk_matches_reference(seed, values, mode, kind, integer, max_o
     if values == "binary":
         mats.append(AtomicMatrix.from_dense(X))
     assert [A.is_binary for A in mats] == [False, True][:len(mats)]
-    w = _weights(rng, n, mode, integer)
+    w = _weights(rng, n, mode, integer, sparse)
     shape = {"flat": PenaltySchedule.flat(1.0), "geometric": PenaltySchedule.geometric(1.0, 1.3),
              "supergeometric": PenaltySchedule.supergeometric(1.0, 1.4, 1.5)}[kind]
     cfg = ScreenConfig(max_order=max_order, child_parent_prune=prune)
@@ -433,20 +442,48 @@ def test_one_column_dual_matches_vector_dual(seed, values, sign, prune):
         assert (a.explored_count, a.pruned_by_closure) == (b.explored_count, b.pruned_by_closure)
 
 
+@given(seed=st.integers(0, 10 ** 6),
+       mode=st.sampled_from(["signed", "nonneg", "nonpositive", "group"]), sparse=st.booleans())
+@settings(max_examples=120, deadline=None)
+def test_binary_stats_equal_running_sums_over_every_row(seed, mode, sparse):
+    """On binary data a node's statistic equals the oracle's running sums
+    over all n rows in row order, bit for bit, though the walk sums each
+    half of the dual only over the node's rows where that half is nonzero.
+    At a base of 1e-9 the screen emits every node with a nonzero statistic.
+    (Dense data builds its products in join order, so it is checked against
+    the reference walk to 1e-12 instead.)"""
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(3, 60)), int(rng.integers(1, 8))
+    A = AtomicMatrix(rng.random((n, d)) < rng.uniform(0.3, 0.9))
+    w = _weights(rng, n, mode, integer=False, sparse=sparse)
+    sched = PenaltySchedule.geometric(1e-9, 1.2)
+    want = {}
+    for u in oc.all_subsets(d):
+        stat = oc.running_stat(interaction_column(A, u), w)
+        if stat > sched.threshold(len(u)):
+            want[u] = stat
+    got = {e.feature_set.atoms: e.stat for e in screen(A, w, sched).emitted}
+    assert got == want
+
+
 @pytest.mark.parametrize("chunk", [1, 1000, 5000])
-@pytest.mark.parametrize("mode", ["signed", "group"])
+@pytest.mark.parametrize("mode", ["signed", "group", "nonneg", "nonpositive", "sparse"])
 @pytest.mark.parametrize("binary", [True, False])
 def test_node_stats_do_not_depend_on_batch_width(monkeypatch, chunk, mode, binary):
     """A node scores the same bits in a batch of any width: a screen whose
     batches are cut into chunks (one child each at chunk=1) equals the
     unchunked one, and critical_lambda, whose batches are narrowed by its
-    rising level, finds exactly the largest ratio of a full screen."""
+    rising level, finds exactly the largest ratio of a full screen.  A
+    vector dual at chunk=1 reduces a one-column half for one child, which
+    must stay a running sum too; "sparse" is a signed dual with half its
+    rows at 0."""
     rng = np.random.default_rng(11)
     n, d = 300, 8
     X = (rng.random((n, d)) < 0.7).astype(float)
     A = AtomicMatrix.from_dense(X if binary else X * rng.random((n, d)))
     assert A.is_binary == binary
-    w = _weights(rng, n, mode, integer=False)
+    w = _weights(rng, n, "signed" if mode == "sparse" else mode, integer=False,
+                 sparse=mode == "sparse")
     shape = PenaltySchedule.geometric(1.0, 1.2)
     whole = screen(A, w, shape.with_base(1e-9))
     assert len(whole.emitted) == 2 ** d - 1  # every node scored in a full batch
@@ -491,11 +528,12 @@ def test_negative_dual_screens_signed():
 
 @given(seed=st.integers(0, 10 ** 6),
        values=st.sampled_from(["bool", "float01", "quarters", "uniform"]),
-       mode=st.sampled_from(["signed", "nonneg", "group"]),
+       mode=st.sampled_from(["signed", "nonneg", "nonpositive", "group"]),
        kind=st.sampled_from(["flat", "geometric", "supergeometric"]),
-       frac=st.floats(0.05, 1.0), lower=st.sampled_from([1.0, 0.999, 0.9, 0.5, 0.1]))
+       frac=st.floats(0.05, 1.0), lower=st.sampled_from([1.0, 0.999, 0.9, 0.5, 0.1]),
+       sparse=st.booleans())
 @settings(max_examples=120, deadline=None)
-def test_restrict_equals_screen_at_higher_level(seed, values, mode, kind, frac, lower):
+def test_restrict_equals_screen_at_higher_level(seed, values, mode, kind, frac, lower, sparse):
     """An exact screen at lam' <= lam, restricted to lam, is the screen at
     lam: the same sets, stats and thresholds, bit for bit.  The node counts
     stay those of the walk at lam'."""
@@ -508,7 +546,7 @@ def test_restrict_equals_screen_at_higher_level(seed, values, mode, kind, frac, 
         X *= rng.random((n, d))
     A = AtomicMatrix.from_dense(X) if values == "bool" else AtomicMatrix(X)
     assert A.is_binary == (values == "bool")
-    w = _weights(rng, n, mode, integer=False)
+    w = _weights(rng, n, mode, integer=False, sparse=sparse)
     shape = {"flat": PenaltySchedule.flat(1.0), "geometric": PenaltySchedule.geometric(1.0, 1.3),
              "supergeometric": PenaltySchedule.supergeometric(1.0, 1.4, 1.5)}[kind]
     top = screening.critical_lambda(A, w, shape)
