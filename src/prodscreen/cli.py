@@ -60,9 +60,6 @@ def _add_common(p, fit=True):
     p.add_argument("--penalty", default="flat",
                    help="flat | geo:BASE | supergeo:BASE:EXP")
     p.add_argument("--max-order", type=int, default=20)
-    p.add_argument("--prune-child", type=float, default=0.0,
-                   help="skip candidates this similar to both parents (0 disables); "
-                        "screen and --lambda fits only")
     p.add_argument("--out", default=None, help="output directory")
 
 
@@ -101,12 +98,10 @@ def _write_path(out: Path, path_result):
 
 def _run_fit(args, obj, A, schedule_shape, kept=None):
     """Fit, then write --out: a fit that fails leaves no output behind."""
-    scfg = ScreenConfig(max_order=args.max_order, child_parent_prune=args.prune_child)
+    scfg = ScreenConfig(max_order=args.max_order)
     cfg = SolverConfig()
     if args.path == (args.lam is not None):
         raise ValueError("give exactly one of --lambda and --path")
-    if args.path and args.prune_child:
-        raise ValueError("--prune-child applies only to screen and to a --lambda fit")
     if args.path:
         pr = run_path(obj, A, PathConfig(n_lambdas=args.n_lambdas,
                                          lambda_min_ratio=args.min_ratio),
@@ -178,7 +173,7 @@ def _cmd_screen(args):
             raise ValueError(f"{args.alpha}: --mode {args.mode} takes one dual column"
                              + (" without negative entries" if args.mode == "nonneg" else ""))
     schedule = _parse_penalty(args.penalty, args.lam)
-    cfg = ScreenConfig(max_order=args.max_order, child_parent_prune=args.prune_child)
+    cfg = ScreenConfig(max_order=args.max_order)
     res = screen(A, DualWeights.from_alpha(alpha), schedule, cfg)
     lines = list(res.to_jsonl(A.item_names))
     if args.out:
@@ -204,6 +199,9 @@ def _cmd_predict(args):
     doc = json.loads(Path(args.model).read_text())
     model = PrimalModel.from_json_dict(doc)
     names = doc.get("item_names")  # models built in the library map by position
+    if names is not None and not (isinstance(names, list) and all(isinstance(t, str) for t in names)
+                                  and len(set(names)) == len(names)):
+        raise ValueError(f"{args.model}: 'item_names' must be a list of distinct strings")
     if args.format == "transactions":
         A = load_transactions(args.data)
         if names is not None:

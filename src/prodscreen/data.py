@@ -15,6 +15,7 @@ module knows how binary atoms are stored.
 from __future__ import annotations
 
 import csv
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -82,12 +83,6 @@ class Column:
         else:
             if values.shape != (self.n_rows,):
                 raise ValueError("values must have shape (n_rows,)")
-
-    @property
-    def support_size(self) -> int:
-        if self.tidlist is not None:
-            return len(self.tidlist)
-        return int(np.count_nonzero(self.values))
 
     def dense(self) -> np.ndarray:
         if self.tidlist is None:
@@ -245,7 +240,9 @@ def load_dense(path, response_cols: int = 0, columns=None):
     responses, and the others are features unless ``columns`` names the
     feature headers to read, in its order (other columns are then not
     read).  Feature entries must lie in [0, 1] and responses must be
-    finite; exact 0/1 feature data is stored as bool.  Returns
+    finite; exact 0/1 feature data is stored as bool.  A feature name must
+    pick out one column, so a name repeated among the features read (or in
+    the header, for a name in ``columns``) is an error.  Returns
     ``(AtomicMatrix, responses)`` with responses of shape (n, response_cols).
     """
     with open(path, newline="") as fh:
@@ -268,6 +265,11 @@ def load_dense(path, response_cols: int = 0, columns=None):
         if missing:
             raise ValueError(f"{path}: no column {missing[0]!r}")
         feats = [index[c] for c in columns]
+    names = [header[j] for j in feats]
+    in_header = Counter(header if columns is not None else names)
+    repeated = [c for c, k in Counter(names).items() if k > 1 or in_header[c] > 1]
+    if repeated:
+        raise ValueError(f"{path}: feature column {repeated[0]!r} is named more than once")
     take = feats + list(range(width - response_cols, width))
     n_feat = len(feats)
     for i, row in enumerate(raw):

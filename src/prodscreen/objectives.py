@@ -10,7 +10,7 @@ n x m matrix F from ``interaction_matrix``, the routine that builds
 ``predict``'s and ``rank_report``'s columns too.  All three expose the
 same surface to the solver:
 
-    value / gradient / hessian_matvec   on the reduced problem,
+    value / gradient                    on the reduced problem,
     newton_direction                    its damped Newton direction,
     step_along                          and the step taken along it,
     project / free_mask                 for the feasible set,
@@ -194,16 +194,6 @@ class ReducedDual:
         """(D, live, c) with negative Hessian D + F_B F_B^T / c, where D is
         a diagonal (vector or scalar) and F_B the columns flagged live."""
         raise NotImplementedError
-
-    def hessian_matvec(self, alpha):
-        """v -> (D + F_B F_B^T / c) v, the negative Hessian at alpha."""
-        diag, live, c = self._curvature(alpha)
-        FB = self.F[:, live]
-
-        def hv(v):
-            return diag * v + FB @ (FB.T @ v) / c
-
-        return hv
 
     def newton_direction(self, alpha, grad, mask, h: float):
         """Solution x of (H + h I) x = grad on the free coordinates (mask),

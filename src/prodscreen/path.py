@@ -96,9 +96,8 @@ def run_path(obj, A: AtomicMatrix, pcfg: PathConfig | None = None,
              schedule: PenaltySchedule | None = None) -> PathResult:
     """Solve along a geometric grid from lambda_max down, warm-starting each
     step at the previous dual point.  Each solve but the last walks at the
-    next grid level and hands its last walk on as the next prediction, so
-    ``scfg.child_parent_prune`` has no effect here; a point's
-    ``explored_count`` is that walk's."""
+    next grid level and hands its last walk on as the next prediction; a
+    point's ``explored_count`` is that walk's."""
     pcfg = pcfg or PathConfig()
     cfg = cfg or SolverConfig()
     schedule = schedule if schedule is not None else obj.spec.penalty

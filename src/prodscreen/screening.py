@@ -101,22 +101,14 @@ class PenaltySchedule:
 
 @dataclass(frozen=True)
 class ScreenConfig:
-    """Knobs for the lattice walk.
-
-    child_parent_prune drops a candidate when it is more than that similar
-    to both of its generating parents (0 disables; it trades exactness for
-    speed on data with heavily correlated columns, so it is off by default).
-    The statistic is not configured: it follows from the dual (see _mode).
-    """
+    """Settings of the lattice walk: the highest order it visits.  The
+    statistic is not configured: it follows from the dual (see _mode)."""
 
     max_order: int = 20
-    child_parent_prune: float = 0.0
 
     def __post_init__(self):
         if self.max_order < 1:
             raise ValueError("max_order must be >= 1")
-        if not 0.0 <= self.child_parent_prune <= 1.0:
-            raise ValueError("child_parent_prune must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -212,8 +204,8 @@ class _Walk:
         self._X = A.atom_matrix()
 
     def _batch(self, parent: _Cand | None, sibs: list[_Cand]):
-        """Statistics, bounds and child-parent skip mask of the children
-        parent + sibling.ext, one per sibling; no parent means the atoms.
+        """Statistics and bounds of the children parent + sibling.ext, one
+        per sibling; no parent means the atoms.
 
         Each half of the dual, pos and neg, is reduced only over the
         parent's support rows where that half is nonzero: the parent's
@@ -245,24 +237,13 @@ class _Walk:
                 if v is not None:
                     G = G * v
                 dots[half, a:a + len(e)] = (W[:, :, None] * G[:, None, :]).sum(axis=0).T[:len(e)]
-        stat, bound = _stat_bound(dots[0], dots[1], self._mode)
-        skip = np.zeros(k, dtype=bool)
-        level = self.cfg.child_parent_prune if parent is not None else 0.0
-        if level > 0.0:
-            X = self._X if rows is None else self._X.take(rows, axis=0)
-            step = max(1, _CHUNK // max(1, len(X)))
-            for a in range(0, k, step):
-                G = X.take(exts[a:a + step], axis=1)
-                if scale is not None:
-                    G = G * scale[:, None]
-                skip[a:a + step] = _too_similar(G, col, sibs[a:a + step], level)
-        return stat, bound, skip
+        return _stat_bound(dots[0], dots[1], self._mode)
 
-    def _emit(self, parent: _Cand | None, sibs: list[_Cand], stat, live, rho_k: float):
-        """Yield the live children whose statistic clears lam * rho_k, each
+    def _emit(self, parent: _Cand | None, sibs: list[_Cand], stat, rho_k: float):
+        """Yield the children whose statistic clears lam * rho_k, each
         tested at the level current at its turn."""
         prefix = parent.atoms if parent is not None else ()
-        for i in np.nonzero(live & (stat > self.lam * rho_k))[0].tolist():
+        for i in np.nonzero(stat > self.lam * rho_k)[0].tolist():
             thr = self.lam * rho_k
             if stat[i] > thr:
                 yield prefix + (sibs[i].ext,), float(stat[i]), thr
@@ -270,9 +251,9 @@ class _Walk:
     def __iter__(self):
         A, cfg, rho = self.A, self.cfg, self.schedule.rho
         atoms = [_Cand((j,), j, A.column(j)) for j in range(A.n_cols)]
-        stat, bound, _ = self._batch(None, atoms)
+        stat, bound = self._batch(None, atoms)
         self.explored += A.n_cols
-        yield from self._emit(None, atoms, stat, np.ones(A.n_cols, dtype=bool), rho(1))
+        yield from self._emit(None, atoms, stat, rho(1))
         seeds = [atoms[j] for j in np.lexsort((np.arange(A.n_cols), -bound)).tolist()]
 
         stack = [seeds] if A.n_cols > 1 and cfg.max_order > 1 else []
@@ -283,34 +264,16 @@ class _Walk:
             rho_next = rho(order + 1) if order < cfg.max_order else None
             for k, parent in enumerate(cls[:-1]):
                 sibs = cls[k + 1:]
-                stat, bound, skip = self._batch(parent, sibs)
+                stat, bound = self._batch(parent, sibs)
                 self.explored += len(sibs)
-                live = ~skip
-                yield from self._emit(parent, sibs, stat, live, rho_k)
+                yield from self._emit(parent, sibs, stat, rho_k)
                 if rho_next is None:
                     continue
-                keep = np.nonzero(live & (bound > self.lam * rho_next))[0].tolist()
-                self.pruned += int(np.count_nonzero(live)) - len(keep)
+                keep = np.nonzero(bound > self.lam * rho_next)[0].tolist()
+                self.pruned += len(sibs) - len(keep)
                 if len(keep) > 1:
                     stack.append([_Cand(parent.atoms + (sibs[i].ext,), sibs[i].ext,
                                         A.extend(parent.column, sibs[i].ext)) for i in keep])
-
-
-def _too_similar(G: np.ndarray, parent: Column, sibs: list[_Cand], level: float) -> np.ndarray:
-    """Which children, the columns of G, are more than ``level`` similar to
-    both of their generating parents: by support ratio for binary data (a
-    child's support is nested in each parent's), by cosine for dense data."""
-    if parent.tidlist is not None:
-        counts = G.sum(axis=0)
-        sizes = np.array([s.column.support_size for s in sibs])
-        pn = parent.support_size
-        to_parent = counts / pn if pn else np.ones(len(sibs))
-        to_sib = np.divide(counts, sizes, out=np.ones(len(sibs)), where=sizes > 0)
-    else:
-        children = np.ascontiguousarray(G.T)
-        to_parent = cosine(children, parent.values)
-        to_sib = cosine(children, np.stack([s.column.values for s in sibs]))
-    return (to_parent > level) & (to_sib > level)
 
 
 def screen(A: AtomicMatrix, weights: DualWeights, schedule: PenaltySchedule,
@@ -339,11 +302,9 @@ def critical_lambda(A: AtomicMatrix, weights: DualWeights, schedule: PenaltySche
 
     The walk starts at level 0 and rises to each ratio it meets, so a
     subtree closes once its bound cannot beat the best ratio so far; the
-    result does not depend on traversal order.  The child-parent shortcut
-    is off here, so the level is exact.
+    result does not depend on traversal order.
     """
-    cfg = replace(cfg or ScreenConfig(), child_parent_prune=0.0)
-    walk = _Walk(A, weights, schedule, cfg, 0.0)
+    walk = _Walk(A, weights, schedule, cfg or ScreenConfig(), 0.0)
     for atoms, stat, _ in walk:
         rho = schedule.rho(len(atoms))
         lam = stat / rho
@@ -358,14 +319,13 @@ def verify_kkt(A: AtomicMatrix, weights: DualWeights, schedule: PenaltySchedule,
     """Re-screen at the given dual point and return the screen with the
     emissions missing from ``active`` (an iterable of FeatureSet or of
     Emitted).  An empty list certifies that no interaction outside the
-    active set carries weight.  The screen runs without the child-parent
-    shortcut, whatever ``cfg`` says, so the certificate is exact.
+    active set carries weight.
     """
     have = set()
     for a in active:
         fs = a.feature_set if isinstance(a, Emitted) else a
         have.add(fs.atoms)
-    res = screen(A, weights, schedule, replace(cfg, child_parent_prune=0.0))
+    res = screen(A, weights, schedule, cfg)
     return res, [e for e in res.emitted if e.feature_set.atoms not in have]
 
 

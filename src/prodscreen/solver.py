@@ -23,7 +23,7 @@ left or a round at the floor takes none (the next would repeat it).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -311,18 +311,16 @@ def solve(obj, A: AtomicMatrix, schedule: PenaltySchedule, alpha0=None,
     Screens at the starting dual point to predict the active set, maximizes
     the reduced dual, then re-screens: emissions outside the active set are
     pulled in and the cycle repeats.  Converged means the final screen found
-    nothing new and primal - dual <= kkt_tol * (1 + |primal|).  The
-    re-screens are exact certificates: they run without the child-parent
-    shortcut, which only the predicting screen honours.
+    nothing new and primal - dual <= kkt_tol * (1 + |primal|).
 
     ``first``, when given, is a screen already taken at the projected
     starting point and ``schedule``; it stands in for the predicting
-    screen, so ``scfg.child_parent_prune`` then goes unused.  Each
-    re-screen walks at ``next_lambda`` (at most ``schedule.base_lambda``)
-    when it is given and at ``schedule`` otherwise, and the certificate is
-    that walk restricted to ``schedule``.  The last walk, returned as
-    ``walk``, is then the exact screen a solve at ``next_lambda`` starting
-    from this one's end point would predict with.
+    screen.  Each re-screen walks at ``next_lambda`` (at most
+    ``schedule.base_lambda``) when it is given and at ``schedule``
+    otherwise, and the certificate is that walk restricted to
+    ``schedule``.  The last walk, returned as ``walk``, is then the exact
+    screen a solve at ``next_lambda`` starting from this one's end point
+    would predict with.
     """
     cfg = cfg or SolverConfig()
     scfg = obj.screen_config(scfg)
@@ -330,7 +328,6 @@ def solve(obj, A: AtomicMatrix, schedule: PenaltySchedule, alpha0=None,
     if next_lambda is not None and not next_lambda <= schedule.base_lambda:
         raise ValueError("next_lambda must not exceed the schedule's base penalty")
     walk_schedule = schedule if next_lambda is None else schedule.with_base(next_lambda)
-    exact = replace(scfg, child_parent_prune=0.0)
 
     if first is None:
         first = screen(A, obj.screen_weights(alpha), schedule, scfg)
@@ -356,7 +353,7 @@ def solve(obj, A: AtomicMatrix, schedule: PenaltySchedule, alpha0=None,
         total_inner += inners
         cap_hits += inner_stop == "max_inner"
 
-        walk = screen(A, obj.screen_weights(alpha), walk_schedule, exact)
+        walk = screen(A, obj.screen_weights(alpha), walk_schedule, scfg)
         check = restrict(walk, schedule)
         missing = [e for e in check.emitted if e.feature_set.atoms not in active]
         beta = red.primal_map(alpha)

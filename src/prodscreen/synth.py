@@ -51,6 +51,8 @@ def synth_planted(seed: int, n: int, d: int, planted, noise: float = 0.0,
     """
     if kind not in ("basket", "logistic", "matrix"):
         raise ValueError(f"unknown synthetic kind {kind!r}")
+    if d < 1:
+        raise ValueError("d must be >= 1")
     if not 0.0 < density < 1.0:
         raise ValueError("density must lie in (0, 1)")
     if not np.isfinite(noise):

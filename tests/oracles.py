@@ -17,8 +17,11 @@ second copy of:
 * jaccard, and dedup_kept, the greedy pass scored pair by pair (jaccard
   for binary data, the library's cosine for dense data), which
   ``dedup_atoms`` and its similarity matrix must match;
-* dense_hessian, a reduced dual's curvature operator written out as a
-  dense matrix, which the direct Newton solve is checked against;
+* hessian_matvec, a reduced dual's curvature operator, D + F_B F_B^T / c
+  from the ``_curvature`` that the direct Newton solve reads (the matrix
+  dual's own operator for the matrix dual), and dense_hessian, that
+  operator written out as a dense matrix, which the direct Newton solve
+  is checked against;
 * ray_first_max, the basket dual along a projected ray searched point by
   point, which the exact step length is checked against.
 """
@@ -26,7 +29,6 @@ second copy of:
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -34,10 +36,25 @@ import numpy as np
 from prodscreen.data import Column, cosine
 
 
+def hessian_matvec(red, alpha):
+    """v -> (D + F_B F_B^T / c) v, the negative Hessian at alpha from
+    ``red._curvature``; the matrix dual, whose curvature is not a diagonal
+    plus low rank, uses its own ``hessian_matvec``."""
+    if hasattr(red, "hessian_matvec"):
+        return red.hessian_matvec(alpha)
+    diag, live, c = red._curvature(alpha)
+    FB = red.F[:, live]
+
+    def hv(v):
+        return diag * v + FB @ (FB.T @ v) / c
+
+    return hv
+
+
 def dense_hessian(red, alpha):
-    """red.hessian_matvec(alpha) as a dense matrix over alpha's flattened
+    """hessian_matvec(red, alpha) as a dense matrix over alpha's flattened
     entries, one matvec per column."""
-    hv = red.hessian_matvec(alpha)
+    hv = hessian_matvec(red, alpha)
     H = np.zeros((alpha.size, alpha.size))
     for i in range(alpha.size):
         e = np.zeros(alpha.shape)
@@ -235,13 +252,6 @@ def _node_stat_bound(col, w):
     return abs(p - m), max(p, m)
 
 
-def _too_similar(child, parent_col, level):
-    if child.tidlist is not None:
-        pn = parent_col.support_size
-        return (1.0 if pn == 0 else child.support_size / pn) > level
-    return cosine(child.values, parent_col.values) > level
-
-
 def reference_walk(A, weights, schedule, cfg, lam):
     """The lattice walk one node at a time: a Column and two dots per node.
 
@@ -277,10 +287,6 @@ def reference_walk(A, weights, schedule, cfg, lam):
                 else:
                     col = Column(A.n_rows, values=pcol.values * X[:, ext])
                 explored += 1
-                level = cfg.child_parent_prune
-                if level > 0.0 and _too_similar(col, pcol, level) \
-                        and _too_similar(col, scol, level):
-                    continue
                 stat, bound = _node_stat_bound(col, weights)
                 thr = lam[0] * rho_k
                 if stat > thr:
@@ -314,7 +320,6 @@ def reference_screen(A, weights, schedule, cfg):
 def reference_critical_lambda(A, weights, schedule, cfg):
     """Largest stat / rho over the lattice by the reference walk, stepped up
     where the quotient rounds down, as ``critical_lambda`` defines it."""
-    cfg = replace(cfg, child_parent_prune=0.0)
     lam = [0.0]
     for atoms, stat, _ in reference_walk(A, weights, schedule, cfg, lam):
         rho = schedule.rho(len(atoms))

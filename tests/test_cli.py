@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -11,7 +13,7 @@ import pytest
 import oracles as oc
 import prodscreen
 from prodscreen import AtomicMatrix, PenaltySchedule, PrimalModel, predict
-from prodscreen.cli import main
+from prodscreen.cli import build_parser, main
 from prodscreen.data import load_dense, load_transactions
 from prodscreen.solver import LOG_HEADER
 
@@ -252,12 +254,18 @@ def test_predict_cli_roundtrip(tmp_path, capsys):
     ({"kind": "basket", "intercept": [], "entries": [{"atoms": 0, "coef": 1.0}]}, "'atoms'"),
     ({"kind": "basket", "intercept": [], "entries": [{"atoms": [0.5], "coef": 1.0}]},
      "'atoms'"),
+    ({"kind": "basket", "intercept": [], "entries": [{"atoms": [0, 1], "coef": 1.0}],
+      "item_names": ["a", "a", "b"]}, "'item_names'"),
+    ({"kind": "basket", "intercept": [], "entries": [], "item_names": "ab"}, "'item_names'"),
+    ({"kind": "basket", "intercept": [], "entries": [], "item_names": ["a", 1]},
+     "'item_names'"),
 ], ids=["no-kind", "no-entries", "mixed-coef", "top-level-list", "null-coef", "string-coef",
         "infinite-coef", "basket-coef-row", "basket-intercept", "matrix-coef",
         "matrix-no-intercept", "ragged-coef-row", "nan-coef-row", "scalar-atoms",
-        "fractional-atom"])
+        "fractional-atom", "repeated-item-name", "string-item-names", "non-string-item-name"])
 def test_predict_rejects_malformed_model(tmp_path, capsys, doc, field):
-    """A malformed model.json exits 1 with one error line, not a traceback."""
+    """A malformed model.json exits 1 with one error line, not a traceback.
+    Repeated item names would map two atoms to one column of new data."""
     model = tmp_path / "model.json"
     model.write_text(json.dumps(doc))
     data = tmp_path / "t.txt"
@@ -286,10 +294,12 @@ def test_predict_loads_model_without_entries(tmp_path, capsys, doc, want):
     (["--planted", "0,1:inf;2:3"], "weights must be finite"),
     (["--noise", "nan"], "noise must be finite"),
     (["--kind", "matrix", "--tasks", "3", "--rank", "0"], "latent_rank"),
-], ids=["nan-weight", "inf-weight", "nan-noise", "rank-0"])
+    (["--d", "0", "--planted", ""], "d must be >= 1"),
+], ids=["nan-weight", "inf-weight", "nan-noise", "rank-0", "d-0"])
 def test_synth_rejects_invalid_values(tmp_path, capsys, argv, message):
     """Non-finite weights or noise would write NaN into truth.json (not
-    JSON) and zero every label; rank 0 would drop the planted signal."""
+    JSON) and zero every label; rank 0 would drop the planted signal; d 0
+    would write a data.csv with no feature column."""
     out = tmp_path / "out"
     assert main(["synth", "--n", "20", "--d", "4", "--planted", "0,1:6", "--out", str(out),
                  *argv]) == 1
@@ -363,6 +373,33 @@ def test_predict_reads_only_model_columns(tmp_path, capsys):
     want = np.loadtxt(capsys.readouterr().out.splitlines())
     assert got.shape == (60, 2)
     assert np.array_equal(got, want)
+
+
+def test_fit_rejects_a_repeated_csv_feature_name(tmp_path, capsys):
+    """Two feature columns named alike would make predict score both atoms
+    from one of them: the fit exits 1 before making --out."""
+    data = tmp_path / "d.csv"
+    data.write_text("a,a,b,y\n1,0,1,1\n0,1,1,0\n1,1,0,1\n0,0,1,0\n")
+    out = tmp_path / "fit"
+    assert main(["fit-logistic", "--data", str(data), "--format", "csv",
+                 "--lambda", "0.5", "--out", str(out)]) == 1
+    assert "'a' is named more than once" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_readme_documents_every_cli_flag():
+    """The README's command-line section names in its prose, not only in
+    the example block, every long flag of every subcommand, and names no
+    flag that no subcommand takes."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme[readme.index("## Command line"):readme.index("## Tests")]
+    prose = re.sub(r"```.*?```", "", section, flags=re.S)
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", prose))
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {(cmd, opt) for cmd, p in sub.choices.items() for a in p._actions
+             for opt in a.option_strings if opt.startswith("--") and opt != "--help"}
+    assert sorted((cmd, opt) for cmd, opt in flags if opt not in named) == []
+    assert sorted(named - {opt for _, opt in flags}) == []
 
 
 def test_screen_nonneg_rejects_negative_dual(tmp_path, capsys):
@@ -504,23 +541,6 @@ def test_basket_synth_roundtrips_through_transactions(tmp_path):
                  "--tau", "2.0", "--out", str(fit)])
     assert code in (0, 2)
     assert (fit / "model.json").exists()
-
-
-def test_prune_child_is_rejected_on_a_path(tmp_path, capsys):
-    """A path predicts level 1 with nothing and each later level with the
-    previous level's exact walk, so --prune-child would do nothing there:
-    the fit refuses it before writing output, and a --lambda fit takes it."""
-    data = tmp_path / "t.txt"
-    data.write_text("a b\na\nb c\na b c\nc\n" * 4)
-    common = ["fit-basket", "--data", str(data), "--tau", "2.0", "--prune-child", "0.8"]
-    out = tmp_path / "path"
-    assert main(common + ["--path", "--n-lambdas", "3", "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert "--prune-child" in err and "--lambda" in err
-    assert not out.exists()
-    out = tmp_path / "single"
-    assert main(common + ["--lambda", "0.5", "--out", str(out)]) in (0, 2)
-    assert (out / "model.json").exists()
 
 
 def test_runtime_loads_no_scipy(tmp_path):

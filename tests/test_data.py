@@ -93,6 +93,14 @@ def test_load_dense_errors(tmp_path):
     p.write_text("u,v\n")
     with pytest.raises(ValueError, match="no data rows"):
         load_dense(p, 0)
+    # a name must pick out one feature column; a response may share it
+    p.write_text("a,a,b,y\n1,0,1,1\n0,1,1,0\n")
+    for response_cols, columns in ((1, None), (0, ["a", "b"]), (0, ["b", "y", "b"])):
+        with pytest.raises(ValueError, match="'[ab]' is named more than once"):
+            load_dense(p, response_cols, columns=columns)
+    assert load_dense(p, 0, columns=["b", "y"])[0].item_names == ["b", "y"]
+    p.write_text("a,b,a\n1,0,1\n")
+    assert load_dense(p, 1)[0].item_names == ["a", "b"]
 
 
 # ----------------------------------------------------------------- columns --

@@ -65,7 +65,7 @@ def test_screen_modes_per_objective(rng):
     """Each objective's screen config is the caller's, unchanged; the
     statistic follows from the screen weights of its dual."""
     _, A = random_binary(rng, 10, 4)
-    base = ScreenConfig(max_order=3, child_parent_prune=0.5)
+    base = ScreenConfig(max_order=3)
     b = basket_dual(BasketSpec(), A)
     lo = logistic_dual(LogisticSpec(labels=np.zeros(10)), A)
     m = matrix_dual(MatrixSpec(responses=np.zeros((10, 2)), eta_l2=1.0), A)

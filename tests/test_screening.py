@@ -66,8 +66,6 @@ def test_schedule_rejects_non_finite(bad):
 def test_screen_config_validation():
     with pytest.raises(ValueError):
         ScreenConfig(max_order=0)
-    with pytest.raises(ValueError):
-        ScreenConfig(child_parent_prune=1.5)
 
 
 # ----------------------------------------------------------- closure bound --
@@ -247,26 +245,6 @@ def test_dedup_matches_pairwise_greedy(seed, binary, sim):
     assert np.array_equal(B.atom_matrix(), X[:, kept])
 
 
-# ------------------------------------------------------- child-parent skip --
-
-def test_child_parent_prune_drops_nested_support():
-    # cols 0 and 1 are identical, so their pair duplicates both parents
-    A = AtomicMatrix.from_tidlists(
-        [np.array([0, 1, 2, 3]), np.array([0, 1, 2, 3]), np.array([2, 3, 4])], 5)
-    w = DualWeights.from_alpha(np.ones(5))
-    sched = PenaltySchedule.flat(0.5)
-    base = screen(A, w, sched)
-    pruned = screen(A, w, sched,
-                    ScreenConfig(child_parent_prune=0.9))
-    base_sets = {e.feature_set.atoms for e in base.emitted}
-    pruned_sets = {e.feature_set.atoms for e in pruned.emitted}
-    assert pruned_sets < base_sets
-    assert (0, 1) in base_sets and (0, 1) not in pruned_sets
-    # a threshold of 1.0 can never prune
-    full = screen(A, w, sched, ScreenConfig(child_parent_prune=1.0))
-    assert {e.feature_set.atoms for e in full.emitted} == base_sets
-
-
 # -------------------------------------------------------------- invariants --
 
 @given(st.integers(0, 10 ** 6), st.sampled_from(["signed", "nonneg", "group"]))
@@ -367,11 +345,10 @@ def _weights(rng, n, mode, integer, sparse=False):
 @given(seed=st.integers(0, 10 ** 6), values=st.sampled_from(["binary", "quarters", "uniform"]),
        mode=st.sampled_from(["signed", "nonneg", "nonpositive", "group"]),
        kind=st.sampled_from(["flat", "geometric", "supergeometric"]), integer=st.booleans(),
-       max_order=st.sampled_from([20, 1, 2, 3]), prune=st.sampled_from([0.0, 0.5, 0.8, 0.95]),
-       frac=st.floats(0.05, 0.95), sparse=st.booleans())
+       max_order=st.sampled_from([20, 1, 2, 3]), frac=st.floats(0.05, 0.95), sparse=st.booleans())
 @settings(max_examples=120, deadline=None)
-def test_batched_walk_matches_reference(seed, values, mode, kind, integer, max_order, prune,
-                                        frac, sparse):
+def test_batched_walk_matches_reference(seed, values, mode, kind, integer, max_order, frac,
+                                        sparse):
     """screen and critical_lambda against the per-node reference walk: the
     same emitted sets, thresholds and counts; stats exact where the
     arithmetic is (integer weights on 0/1 or quarter values), else to 1e-12.
@@ -392,7 +369,7 @@ def test_batched_walk_matches_reference(seed, values, mode, kind, integer, max_o
     w = _weights(rng, n, mode, integer, sparse)
     shape = {"flat": PenaltySchedule.flat(1.0), "geometric": PenaltySchedule.geometric(1.0, 1.3),
              "supergeometric": PenaltySchedule.supergeometric(1.0, 1.4, 1.5)}[kind]
-    cfg = ScreenConfig(max_order=max_order, child_parent_prune=prune)
+    cfg = ScreenConfig(max_order=max_order)
     for A in mats:
         exact = (integer and values != "uniform") or \
             (A.is_binary and mode == "group" and w.pos.shape[1] >= 2)
@@ -416,9 +393,9 @@ def test_batched_walk_matches_reference(seed, values, mode, kind, integer, max_o
 
 
 @given(seed=st.integers(0, 10 ** 6), values=st.sampled_from(["binary", "uniform"]),
-       sign=st.sampled_from(["signed", "nonneg"]), prune=st.sampled_from([0.0, 0.8]))
+       sign=st.sampled_from(["signed", "nonneg"]))
 @settings(max_examples=60, deadline=None)
-def test_one_column_dual_matches_vector_dual(seed, values, sign, prune):
+def test_one_column_dual_matches_vector_dual(seed, values, sign):
     """A one-column (n, 1) dual takes the group path and a vector dual the
     signed or non-negative one; the two agree bit for bit: the same emitted
     sets and stats, and the same explored and pruned counts."""
@@ -432,11 +409,10 @@ def test_one_column_dual_matches_vector_dual(seed, values, sign, prune):
         alpha = np.abs(alpha)
     vec, col = DualWeights.from_alpha(alpha), DualWeights.from_alpha(alpha[:, None])
     sched = PenaltySchedule.geometric(float(rng.uniform(0.05, 1.0)) * np.abs(alpha).sum(), 1.3)
-    cfg = ScreenConfig(child_parent_prune=prune)
     mats = [AtomicMatrix(X)] + ([AtomicMatrix.from_dense(X)] if values == "binary" else [])
     assert [A.is_binary for A in mats] == [False, True][:len(mats)]
     for A in mats:
-        a, b = screen(A, vec, sched, cfg), screen(A, col, sched, cfg)
+        a, b = screen(A, vec, sched), screen(A, col, sched)
         assert [(e.feature_set.atoms, e.stat) for e in a.emitted] == \
             [(e.feature_set.atoms, e.stat) for e in b.emitted]
         assert (a.explored_count, a.pruned_by_closure) == (b.explored_count, b.pruned_by_closure)
