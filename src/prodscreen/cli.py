@@ -110,7 +110,7 @@ def _run_fit(args, obj, A, schedule_shape, kept=None):
     else:
         res = solve(obj, A, schedule_shape.with_base(args.lam), None, scfg, cfg)
     out = _outdir(args)
-    if kept is not None and args.out:
+    if kept is not None:
         (out / "kept_columns.json").write_text(json.dumps(kept) + "\n")
     _write_items(A, out)
     _write_fit(out, res, A)

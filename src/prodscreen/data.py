@@ -5,11 +5,13 @@ array: bool for binary data, float for dense data.  A feature of the model
 is a non-empty set of atoms u, and its column is the elementwise product of
 the atom columns.  The 2^d - 1 product columns are never materialized:
 ``AtomicMatrix.extend`` builds one when needed by multiplying a column by
-one atom.  A binary column is its tidlist (the sorted rows where it is 1),
-so a product keeps the rows where the atom is set; a dense column is its
-values.  ``interaction_matrix`` stacks a model's columns into the n x m
-float matrix that fitting, prediction and the rank readout use.  No other
-module knows how binary atoms are stored.
+one atom.  A column is a plain array: for binary data its tidlist (the
+sorted int rows where it is 1), so a product keeps the rows where the atom
+is set; for dense data its float values.  ``interaction_column`` gives a
+set's column as n floats, and ``interaction_matrix`` stacks a model's
+columns into the n x m float matrix that fitting, prediction and the rank
+readout use.  No other module but the lattice walk knows how a column is
+stored.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import numpy as np
 
 __all__ = [
     "FeatureSet",
-    "Column",
     "AtomicMatrix",
     "DualWeights",
     "load_transactions",
@@ -63,35 +64,6 @@ class FeatureSet:
         return len(self.atoms)
 
 
-class Column:
-    """One interaction column, in tidlist or dense form.
-
-    Exactly one of ``tidlist`` / ``values`` is set.
-    """
-
-    __slots__ = ("n_rows", "tidlist", "values")
-
-    def __init__(self, n_rows, tidlist=None, values=None):
-        if (tidlist is None) == (values is None):
-            raise ValueError("exactly one of tidlist/values must be given")
-        self.n_rows = int(n_rows)
-        self.tidlist = tidlist
-        self.values = values
-        if tidlist is not None:
-            if len(tidlist) and (tidlist[0] < 0 or tidlist[-1] >= n_rows):
-                raise ValueError("tidlist entries out of row range")
-        else:
-            if values.shape != (self.n_rows,):
-                raise ValueError("values must have shape (n_rows,)")
-
-    def dense(self) -> np.ndarray:
-        if self.tidlist is None:
-            return self.values
-        v = np.zeros(self.n_rows)
-        v[self.tidlist] = 1.0
-        return v
-
-
 class AtomicMatrix:
     """The n x d atom matrix X: bool for binary data, float in [0, 1] for
     dense data.  The array's dtype decides which: a float array of 0/1
@@ -118,21 +90,8 @@ class AtomicMatrix:
             raise ValueError("item_names length must equal column count")
         self.item_names = list(item_names) if item_names is not None else None
         self._X = X
-        if self.is_binary:
-            self._columns = [Column(self.n_rows, tidlist=np.flatnonzero(X[:, j]))
-                             for j in range(self.n_cols)]
-        else:
-            self._columns = [Column(self.n_rows, values=X[:, j]) for j in range(self.n_cols)]
-
-    @classmethod
-    def from_tidlists(cls, tidlists, n_rows, item_names=None):
-        X = np.zeros((n_rows, len(tidlists)), dtype=bool)
-        for j, t in enumerate(tidlists):
-            t = np.asarray(t, dtype=np.int64)
-            if len(t) and (np.any(np.diff(t) <= 0) or t[0] < 0 or t[-1] >= n_rows):
-                raise ValueError("tidlists must be strictly increasing row indices")
-            X[t, j] = True
-        return cls(X, item_names)
+        self._columns = [np.flatnonzero(X[:, j]) if self.is_binary else X[:, j]
+                         for j in range(self.n_cols)]
 
     @classmethod
     def from_dense(cls, dense, item_names=None):
@@ -150,18 +109,19 @@ class AtomicMatrix:
         """The n x d atom matrix X.  Do not write to it."""
         return self._X
 
-    def column(self, j: int) -> Column:
+    def column(self, j: int) -> np.ndarray:
+        """Atom j's column: its tidlist for binary data, its values for
+        dense data.  Do not write to it."""
         if not 0 <= j < self.n_cols:
             raise ValueError(f"column index {j} out of range [0, {self.n_cols})")
         return self._columns[j]
 
-    def extend(self, col: Column, j: int) -> Column:
-        """The product of ``col`` with atom j: its support rows where atom j
+    def extend(self, col: np.ndarray, j: int) -> np.ndarray:
+        """The product of ``col`` with atom j: its tidlist rows where atom j
         is set for binary data, its values times atom j for dense data."""
-        if col.tidlist is not None:
-            rows = col.tidlist
-            return Column(self.n_rows, tidlist=rows[self._X[rows, j]])
-        return Column(self.n_rows, values=col.values * self._X[:, j])
+        if self.is_binary:
+            return col[self._X[col, j]]
+        return col * self._X[:, j]
 
     def select(self, columns) -> "AtomicMatrix":
         """New matrix keeping the given columns, in the given order."""
@@ -315,15 +275,20 @@ def _parse_cells(cells):
     return data, unparsed
 
 
-def interaction_column(A: AtomicMatrix, u) -> Column:
-    """The product column for atom set u: ``A.extend`` folded over its atoms."""
+def interaction_column(A: AtomicMatrix, u) -> np.ndarray:
+    """The product column for atom set u as n floats: ``A.extend`` folded
+    over its sorted atoms."""
     fs = u if isinstance(u, FeatureSet) else FeatureSet(tuple(sorted(u)))
     if fs.atoms[-1] >= A.n_cols:
         raise ValueError(f"atom {fs.atoms[-1]} out of range for {A.n_cols} columns")
     col = A.column(fs.atoms[0])
     for a in fs.atoms[1:]:
         col = A.extend(col, a)
-    return col
+    if not A.is_binary:
+        return col
+    dense = np.zeros(A.n_rows)
+    dense[col] = 1.0
+    return dense
 
 
 def interaction_matrix(A: AtomicMatrix, sets) -> np.ndarray:
@@ -331,7 +296,7 @@ def interaction_matrix(A: AtomicMatrix, sets) -> np.ndarray:
     ``sets[k]``, as ``interaction_column`` builds it; n x 0 for no sets."""
     F = np.zeros((A.n_rows, len(sets)))
     for k, u in enumerate(sets):
-        F[:, k] = interaction_column(A, u).dense()
+        F[:, k] = interaction_column(A, u)
     return F
 
 

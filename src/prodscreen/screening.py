@@ -13,16 +13,17 @@ c_t <= c_u entrywise whenever t is a superset of u, the quantity
 u, so a node whose bound falls below the next order's threshold closes its
 whole subtree.  The walk mirrors frequent-itemset mining (Eclat): the
 children of a node are its unions with each later sibling of its prefix
-class, and all of them are scored in one batch.  For each half of the
-dual, alpha_+ and alpha_-, that has a nonzero entry, the batch gathers
-the siblings' atoms at the parent's support rows where that half is
-nonzero (the parent's tidlist for binary data, every row times the
-parent's values for dense data) and reduces that block against the half
-row by row, so a node's statistic does not depend on its batch.  An
+class, and all of them are scored in one batch.  A prefix class is its
+prefix, the prefix's column and the array of atoms that extend it.  For
+each half of the dual, alpha_+ and alpha_-, that has a nonzero entry, the
+batch gathers the siblings' atoms at the parent's support rows where that
+half is nonzero (the parent's tidlist for binary data, every row times
+the parent's values for dense data) and reduces that block against the
+half row by row, so a node's statistic does not depend on its batch.  An
 all-zero half, such as alpha_- of a dual without negative entries,
-costs nothing.  The atoms themselves are one such batch.  Only
-children that stay open get a column, their tidlist or values, which
-feeds their own children's batches.  The walk emits atom sets, each with
+costs nothing.  The atoms themselves are one such batch.  Only a node
+that becomes a parent gets a column, built from its prefix's column just
+before its children's batch.  The walk emits atom sets, each with
 its statistic and threshold; a model builds the columns of those sets
 with ``interaction_matrix``.  The same walk, with a level that rises to
 the best ratio found so far, gives the critical penalty at which nothing
@@ -37,7 +38,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import AtomicMatrix, Column, DualWeights, FeatureSet, cosine
+from .data import AtomicMatrix, DualWeights, FeatureSet, cosine
 
 __all__ = [
     "PenaltySchedule",
@@ -158,13 +159,6 @@ def _stat_bound(p: np.ndarray, m: np.ndarray, mode: str):
     return np.abs(p - m), np.maximum(p, m)
 
 
-@dataclass
-class _Cand:
-    atoms: tuple[int, ...]  # in join order, not sorted
-    ext: int  # the atom this candidate added to its class prefix
-    column: Column
-
-
 _CHUNK = 1 << 18  # float64 entries per product temporary, 2 MB
 
 
@@ -177,7 +171,10 @@ class _Walk:
     bound is at most lam * rho(k + 1).  A parent's children are scored in
     one batch.  The caller may raise ``lam`` between yields: each yield is
     tested at the level current at its turn, and a batch's closure tests
-    run after its yields.  Only a child that stays open gets a column.
+    run after its yields.  A stack entry is one prefix class: its prefix
+    atoms in join order, the prefix's column (None for the atoms) and the
+    int array of atoms that extend it.  A node's column is built when it
+    becomes a parent, so the last member of a class never gets one.
     ``explored`` counts the nodes whose statistic was computed and
     ``pruned`` the subtrees closed.
     """
@@ -203,9 +200,10 @@ class _Walk:
                 self._halves.append((i, h, nz, np.flatnonzero(nz)))
         self._X = A.atom_matrix()
 
-    def _batch(self, parent: _Cand | None, sibs: list[_Cand]):
-        """Statistics and bounds of the children parent + sibling.ext, one
-        per sibling; no parent means the atoms.
+    def _batch(self, col: np.ndarray | None, exts: np.ndarray):
+        """Statistics and bounds of the children parent + e for each atom e
+        of ``exts``, where ``col`` is the parent's column; no column means
+        the atoms.
 
         Each half of the dual, pos and neg, is reduced only over the
         parent's support rows where that half is nonzero: the parent's
@@ -217,11 +215,8 @@ class _Walk:
         they equal the sums over every row and do not depend on how many
         children share the batch or on the chunking.
         """
-        col = parent.column if parent is not None else None
-        rows = col.tidlist if col is not None else None
-        scale = col.values if col is not None and rows is None else None
-        exts = np.array([s.ext for s in sibs], dtype=np.int64)
-        k = len(sibs)
+        rows, scale = (col, None) if self.A.is_binary else (None, col)
+        k = len(exts)
         dots = np.zeros((2, k, self._T))
         for half, w, nz, support in self._halves:
             r = support if rows is None else rows[nz[rows]]
@@ -239,41 +234,41 @@ class _Walk:
                 dots[half, a:a + len(e)] = (W[:, :, None] * G[:, None, :]).sum(axis=0).T[:len(e)]
         return _stat_bound(dots[0], dots[1], self._mode)
 
-    def _emit(self, parent: _Cand | None, sibs: list[_Cand], stat, rho_k: float):
-        """Yield the children whose statistic clears lam * rho_k, each
-        tested at the level current at its turn."""
-        prefix = parent.atoms if parent is not None else ()
+    def _emit(self, prefix: tuple[int, ...], exts: np.ndarray, stat, rho_k: float):
+        """Yield the children prefix + e whose statistic clears
+        lam * rho_k, each tested at the level current at its turn."""
         for i in np.nonzero(stat > self.lam * rho_k)[0].tolist():
             thr = self.lam * rho_k
             if stat[i] > thr:
-                yield prefix + (sibs[i].ext,), float(stat[i]), thr
+                yield prefix + (int(exts[i]),), float(stat[i]), thr
 
     def __iter__(self):
         A, cfg, rho = self.A, self.cfg, self.schedule.rho
-        atoms = [_Cand((j,), j, A.column(j)) for j in range(A.n_cols)]
+        atoms = np.arange(A.n_cols)
         stat, bound = self._batch(None, atoms)
         self.explored += A.n_cols
-        yield from self._emit(None, atoms, stat, rho(1))
-        seeds = [atoms[j] for j in np.lexsort((np.arange(A.n_cols), -bound)).tolist()]
+        yield from self._emit((), atoms, stat, rho(1))
+        seeds = np.lexsort((atoms, -bound))
 
-        stack = [seeds] if A.n_cols > 1 and cfg.max_order > 1 else []
+        stack = [((), None, seeds)] if A.n_cols > 1 and cfg.max_order > 1 else []
         while stack:
-            cls = stack.pop()
-            order = len(cls[0].atoms) + 1
+            prefix, pcol, exts = stack.pop()
+            order = len(prefix) + 2
             rho_k = rho(order)
             rho_next = rho(order + 1) if order < cfg.max_order else None
-            for k, parent in enumerate(cls[:-1]):
-                sibs = cls[k + 1:]
-                stat, bound = self._batch(parent, sibs)
+            for k, e in enumerate(exts[:-1].tolist()):
+                parent = prefix + (e,)
+                col = A.column(e) if pcol is None else A.extend(pcol, e)
+                sibs = exts[k + 1:]
+                stat, bound = self._batch(col, sibs)
                 self.explored += len(sibs)
                 yield from self._emit(parent, sibs, stat, rho_k)
                 if rho_next is None:
                     continue
-                keep = np.nonzero(bound > self.lam * rho_next)[0].tolist()
+                keep = np.flatnonzero(bound > self.lam * rho_next)
                 self.pruned += len(sibs) - len(keep)
                 if len(keep) > 1:
-                    stack.append([_Cand(parent.atoms + (sibs[i].ext,), sibs[i].ext,
-                                        A.extend(parent.column, sibs[i].ext)) for i in keep])
+                    stack.append((parent, col, sibs[keep]))
 
 
 def screen(A: AtomicMatrix, weights: DualWeights, schedule: PenaltySchedule,

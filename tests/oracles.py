@@ -7,8 +7,9 @@ within tight tolerances.  The rest are references the library keeps no
 second copy of:
 
 * column_dot, split_dots and closure_bound: one column's dots with a dual
-  and its superset bound, node by node, against which the lattice walk's
-  batched bound is checked (the reference walk is built on them);
+  and its superset bound, node by node (a column here is n floats),
+  against which the lattice walk's batched bound is checked (the
+  reference walk is built on them);
 * running_dots and running_stat: a column's dots summed row by row over
   all n rows, which the walk's statistics on binary data must equal bit
   for bit, though the walk sums each half of the dual over fewer rows;
@@ -33,7 +34,7 @@ from itertools import combinations
 
 import numpy as np
 
-from prodscreen.data import Column, cosine
+from prodscreen.data import cosine
 
 
 def hessian_matvec(red, alpha):
@@ -164,18 +165,15 @@ def closure_bounds(P: np.ndarray, alpha: np.ndarray, mode: str = "signed"):
 
 # ------------------------------------------------------- column by column ---
 
-def column_dot(col, w):
-    """c^T w for a vector of length n_rows; for an (n, T) matrix the
-    length-T vector of dots.  Rows must agree."""
-    if w.shape[0] != col.n_rows:
-        raise ValueError(f"weight has {w.shape[0]} rows, column has {col.n_rows}")
-    if col.tidlist is not None:
-        if len(col.tidlist) == 0:
-            return 0.0 if w.ndim == 1 else np.zeros(w.shape[1])
-        s = w[col.tidlist].sum(axis=0)
-        return float(s) if w.ndim == 1 else s
-    out = col.values @ w
-    return float(out) if w.ndim == 1 else out
+def column_dot(c, w):
+    """c^T w for a weight vector of the column's length; for an (n, T)
+    matrix the length-T vector of dots, each a running sum in row order.
+    Rows must agree."""
+    if w.shape[0] != len(c):
+        raise ValueError(f"weight has {w.shape[0]} rows, column has {len(c)}")
+    if w.ndim == 1:
+        return float(c @ w)
+    return (c[:, None] * w).sum(axis=0)
 
 
 def split_dots(col, w):
@@ -186,8 +184,8 @@ def split_dots(col, w):
 def running_dots(col, w):
     """(c^T pos, c^T neg) of a DualWeights as running sums in row order over
     all n rows, each a length-T vector (T = 1 for a vector dual)."""
-    c = col.dense()[:, None]
-    n = col.n_rows
+    c = col[:, None]
+    n = len(col)
     return (np.cumsum(c * w.pos.reshape(n, -1), axis=0)[-1],
             np.cumsum(c * w.neg.reshape(n, -1), axis=0)[-1])
 
@@ -208,13 +206,13 @@ def closure_bound(col, w):
 
 
 def jaccard(a, b):
-    """Intersection over union of two binary columns; 1.0 when both empty."""
-    if a.tidlist is None or b.tidlist is None:
+    """Intersection over union of two 0/1 columns; 1.0 when both empty."""
+    if not np.all((a == 0.0) | (a == 1.0)) or not np.all((b == 0.0) | (b == 1.0)):
         raise ValueError("jaccard is defined for binary columns only")
-    na, nb = len(a.tidlist), len(b.tidlist)
+    na, nb = int(a.sum()), int(b.sum())
     if na == 0 and nb == 0:
         return 1.0
-    inter = len(np.intersect1d(a.tidlist, b.tidlist, assume_unique=True))
+    inter = int((a * b).sum())
     return inter / (na + nb - inter)
 
 
@@ -222,12 +220,11 @@ def dedup_kept(A, sim):
     """The atoms a pairwise greedy pass keeps: a column goes when its
     jaccard (binary data) or cosine (dense data) with a kept column is at
     least sim."""
+    X = A.atom_matrix().astype(float)
     kept = []
     for j in range(A.n_cols):
-        cj = A.column(j)
         for i in kept:
-            ci = A.column(i)
-            s = jaccard(ci, cj) if A.is_binary else cosine(ci.values, cj.values)
+            s = jaccard(X[:, i], X[:, j]) if A.is_binary else cosine(X[:, i], X[:, j])
             if s >= sim:
                 break
         else:
@@ -253,7 +250,7 @@ def _node_stat_bound(col, w):
 
 
 def reference_walk(A, weights, schedule, cfg, lam):
-    """The lattice walk one node at a time: a Column and two dots per node.
+    """The lattice walk one node at a time: a dense column and two dots per node.
 
     A generator of ``(atoms, stat, threshold)`` in join order, like the
     library's batched walk, with the same pruning rules; it returns
@@ -261,10 +258,10 @@ def reference_walk(A, weights, schedule, cfg, lam):
     raise between yields.
     """
     explored = pruned = 0
-    X = A.atom_matrix()
+    X = A.atom_matrix().astype(float)
     seeds = []
     for j in range(A.n_cols):
-        col = A.column(j)
+        col = X[:, j]
         stat, bound = _node_stat_bound(col, weights)
         explored += 1
         thr = lam[0] * schedule.rho(1)
@@ -280,12 +277,8 @@ def reference_walk(A, weights, schedule, cfg, lam):
         rho_next = schedule.rho(order + 1) if order < cfg.max_order else None
         for k, (atoms, _, pcol, _) in enumerate(cls):
             children = []
-            for _, ext, scol, _ in cls[k + 1:]:
-                if A.is_binary:
-                    tid = np.intersect1d(pcol.tidlist, scol.tidlist, assume_unique=True)
-                    col = Column(A.n_rows, tidlist=tid)
-                else:
-                    col = Column(A.n_rows, values=pcol.values * X[:, ext])
+            for _, ext, _, _ in cls[k + 1:]:
+                col = pcol * X[:, ext]
                 explored += 1
                 stat, bound = _node_stat_bound(col, weights)
                 thr = lam[0] * rho_k

@@ -487,6 +487,17 @@ def test_dedup_writes_kept_columns(tmp_path, capsys):
     assert kept == [0, 2]
 
 
+def test_dedup_without_out_writes_kept_columns(tmp_path, monkeypatch):
+    """With no --out a --dedup fit writes kept_columns.json next to
+    model.json, in the current directory."""
+    monkeypatch.chdir(tmp_path)
+    Path("t.txt").write_text("a b\na b c\nc\na b\na b c\nc\na b c\n")
+    assert main(["fit-basket", "--data", "t.txt", "--lambda", "0.5",
+                 "--tau", "2.0", "--dedup", "0.99"]) == 0
+    assert (tmp_path / "model.json").is_file()
+    assert json.loads((tmp_path / "kept_columns.json").read_text()) == [0, 2]
+
+
 @pytest.mark.parametrize("argv", [
     ["fit-logistic", "--format", "csv", "--lambda", "0.5", "--dedup", "0.99"],
     ["fit-basket", "--lambda", "0.5", "--tau", "-1", "--dedup", "0.9"],

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles as oc
-from prodscreen import (AtomicMatrix, BasketSpec, Column, DualWeights, FeatureSet,
+from prodscreen import (AtomicMatrix, BasketSpec, DualWeights, FeatureSet,
                         PenaltySchedule, basket_dual, interaction_column,
                         interaction_matrix, load_dense, load_transactions, screen)
 
@@ -37,9 +37,9 @@ def test_load_transactions_example(four_transactions):
     assert A.is_binary
     assert (A.n_rows, A.n_cols) == (4, 3)
     assert A.item_names == ["a", "b", "c"]  # first-seen order
-    assert list(A.column(0).tidlist) == [0, 1, 3]
-    assert list(A.column(1).tidlist) == [0, 1, 2]
-    assert list(A.column(2).tidlist) == [1, 2]
+    assert list(A.column(0)) == [0, 1, 3]
+    assert list(A.column(1)) == [0, 1, 2]
+    assert list(A.column(2)) == [1, 2]
 
 
 def test_load_transactions_blank_line_is_empty_row(tmp_path):
@@ -47,7 +47,7 @@ def test_load_transactions_blank_line_is_empty_row(tmp_path):
     p.write_text("a b\n\nb\n")
     A = load_transactions(p)
     assert A.n_rows == 3
-    assert list(A.column(0).tidlist) == [0]
+    assert list(A.column(0)) == [0]
 
 
 def test_load_transactions_errors(tmp_path):
@@ -79,7 +79,7 @@ def test_load_dense_binary_autodetect(tmp_path):
     A, resp = load_dense(p, 0)
     assert A.is_binary
     assert resp.shape == (3, 0)
-    assert list(A.column(0).tidlist) == [0, 2]
+    assert list(A.column(0)) == [0, 2]
 
 
 def test_load_dense_errors(tmp_path):
@@ -106,15 +106,15 @@ def test_load_dense_errors(tmp_path):
 # ----------------------------------------------------------------- columns --
 
 def test_interaction_column_binary_intersection():
-    A = AtomicMatrix.from_tidlists([np.array([0, 1, 3]), np.array([1, 3, 4])], 5)
+    A = AtomicMatrix(np.array([[1, 0], [1, 1], [0, 0], [1, 1], [0, 1]], dtype=bool))
     c = interaction_column(A, (0, 1))
-    assert list(c.tidlist) == [1, 3]
+    assert c.dtype == np.float64 and list(c) == [0.0, 1.0, 0.0, 1.0, 0.0]
 
 
 def test_interaction_column_dense_product():
     A = AtomicMatrix(np.array([[0.5, 0.5], [1.0, 0.0]]))
     c = interaction_column(A, (0, 1))
-    assert np.allclose(c.values, [0.25, 0.0])
+    assert np.allclose(c, [0.25, 0.0])
 
 
 def test_interaction_column_out_of_range(four_transactions):
@@ -123,7 +123,7 @@ def test_interaction_column_out_of_range(four_transactions):
 
 
 def test_column_dot_shapes(four_transactions):
-    c = four_transactions.column(0)  # rows {0,1,3}
+    c = interaction_column(four_transactions, (0,))  # rows {0,1,3}
     v = np.array([1.0, 2.0, 4.0, 8.0])
     assert oc.column_dot(c, v) == 11.0
     M = np.column_stack([v, -v])
@@ -133,7 +133,7 @@ def test_column_dot_shapes(four_transactions):
 
 
 def test_split_dots_example():
-    c = Column(4, tidlist=np.array([0, 1, 2]))
+    c = np.array([1.0, 1.0, 1.0, 0.0])
     w = DualWeights.from_alpha(np.array([1.0, -0.5, 0.25, 7.0]))
     p, m = oc.split_dots(c, w)
     assert p == pytest.approx(1.25)
@@ -141,13 +141,11 @@ def test_split_dots_example():
 
 
 def test_jaccard():
-    a = Column(5, tidlist=np.array([0, 1, 2]))
-    b = Column(5, tidlist=np.array([1, 2, 3]))
+    a = np.array([1.0, 1.0, 1.0, 0.0, 0.0])
+    b = np.array([0.0, 1.0, 1.0, 1.0, 0.0])
     assert oc.jaccard(a, b) == pytest.approx(0.5)
-    e1 = Column(5, tidlist=np.array([], dtype=np.int64))
-    e2 = Column(5, tidlist=np.array([], dtype=np.int64))
-    assert oc.jaccard(e1, e2) == 1.0
-    dense = Column(5, values=np.zeros(5))
+    assert oc.jaccard(np.zeros(5), np.zeros(5)) == 1.0
+    dense = np.full(5, 0.5)
     with pytest.raises(ValueError, match="binary"):
         oc.jaccard(a, dense)
 
@@ -177,10 +175,6 @@ def test_atomic_matrix_range_validation():
         AtomicMatrix(np.array([0.0, 1.0]))
     with pytest.raises(ValueError, match="at least one row"):
         AtomicMatrix(np.zeros((0, 2), dtype=bool))
-    with pytest.raises(ValueError, match="increasing"):
-        AtomicMatrix.from_tidlists([np.array([2, 1])], 3)
-    with pytest.raises(ValueError, match="increasing"):
-        AtomicMatrix.from_tidlists([np.array([0, 3])], 3)
 
 
 # -------------------------------------------------------------- properties --
@@ -197,8 +191,8 @@ def test_superset_columns_shrink(seed):
     atoms = sorted(rng.choice(d, size=int(rng.integers(2, d + 1)), replace=False))
     u = tuple(atoms[:-1])
     t = tuple(atoms)
-    cu = interaction_column(A, u).dense()
-    ct = interaction_column(A, t).dense()
+    cu = interaction_column(A, u)
+    ct = interaction_column(A, t)
     assert np.all(ct <= cu + 1e-15)
     # and the product column agrees with the explicit dense product
     assert np.allclose(ct, X[:, list(t)].prod(axis=1))
@@ -211,8 +205,9 @@ def test_split_dots_reconstruction(seed):
     n = int(rng.integers(1, 20))
     alpha = rng.standard_normal(n) * 3
     w = DualWeights.from_alpha(alpha)
-    tid = np.flatnonzero(rng.random(n) < 0.5).astype(np.int64)
-    c = Column(n, tidlist=tid)
+    tid = np.flatnonzero(rng.random(n) < 0.5)
+    c = np.zeros(n)
+    c[tid] = 1.0
     p, m = oc.split_dots(c, w)
     direct = float(alpha[tid].sum()) if len(tid) else 0.0
     assert p - m == pytest.approx(direct, rel=1e-12, abs=1e-12)
@@ -301,7 +296,7 @@ def test_interaction_matrix_stacks_interaction_columns(rng):
         F = interaction_matrix(A, sets)
         assert F.shape == (9, 3) and F.dtype == np.float64
         for k, u in enumerate(sets):
-            assert np.array_equal(F[:, k], interaction_column(A, u).dense())
+            assert np.array_equal(F[:, k], interaction_column(A, u))
         empty = interaction_matrix(A, [])
         assert empty.shape == (9, 0) and empty.dtype == np.float64
 
@@ -328,13 +323,13 @@ def test_screen_columns_are_interaction_columns(seed, values):
     for j in range(d):
         col = A.column(j)
         if A.is_binary:
-            assert np.array_equal(col.tidlist, np.flatnonzero(X[:, j]))
+            assert np.array_equal(col, np.flatnonzero(X[:, j]))
         else:
-            assert np.array_equal(col.values, X[:, j])
+            assert np.array_equal(col, X[:, j])
     w = DualWeights.from_alpha(rng.standard_normal(n))
     res = screen(A, w, PenaltySchedule.flat(1e-9))
     assert res.emitted or not X.any()  # an all-zero draw emits nothing
     F = basket_dual(BasketSpec(), A).reduced(res.emitted).F
     assert F.shape == (n, len(res.emitted))
     for k, e in enumerate(res.emitted):
-        assert np.array_equal(F[:, k], interaction_column(A, e.feature_set).dense())
+        assert np.array_equal(F[:, k], interaction_column(A, e.feature_set))

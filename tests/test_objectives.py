@@ -255,7 +255,7 @@ def _model_scores(A, model):
     from prodscreen.data import interaction_column
     if not model.n_active:
         return None
-    F = np.column_stack([interaction_column(A, fs).dense() for fs in model.active])
+    F = np.column_stack([interaction_column(A, fs) for fs in model.active])
     return F @ model.coefficients
 
 
@@ -404,8 +404,8 @@ def test_rank_report_consistency(rng):
     from prodscreen import FeatureSet
     rng = np.random.default_rng(7)
     X, A = random_binary(rng, 30, 5)
-    c1 = interaction_column(A, FeatureSet((0, 1))).dense()
-    c2 = interaction_column(A, FeatureSet((2,))).dense()
+    c1 = interaction_column(A, FeatureSet((0, 1)))
+    c2 = interaction_column(A, FeatureSet((2,)))
     B = (np.outer(c1, [3.0, 1.0, 0.0, 0.0])
          + np.outer(c2, [0.0, 0.0, 2.5, -1.5]))
     Y = B + 0.05 * rng.standard_normal((30, 4))

@@ -309,7 +309,7 @@ def test_predict_reproduces_training_scores(rng):
     # rebuild scores from the model alone
     scores = np.zeros(18)
     for fs, coef in zip(res.model.active, res.model.coefficients):
-        scores += coef * interaction_column(A, fs).dense()
+        scores += coef * interaction_column(A, fs)
     assert np.allclose(probs, 1.0 / (1.0 + np.exp(-scores)), atol=1e-10)
     assert np.all((probs > 0.0) & (probs < 1.0))
 
@@ -347,7 +347,7 @@ def test_predict_matrix_adds_intercept(rng):
     model = PrimalModel.from_coefficients(
         "matrix", (fs,), np.array([[2.0, -1.0]]), intercept=np.array([0.5, 0.5]))
     out = predict(model, A)
-    col = interaction_column(A, fs).dense()
+    col = interaction_column(A, fs)
     assert np.allclose(out, np.outer(col, [2.0, -1.0]) + [0.5, 0.5])
 
 

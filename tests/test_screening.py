@@ -10,7 +10,6 @@ from prodscreen import (AtomicMatrix, DualWeights, PenaltySchedule,
                         ScreenConfig, dedup_atoms,
                         frequent_itemsets, interaction_column, screen, verify_kkt)
 from prodscreen import screening
-from prodscreen.data import Column
 
 
 # --------------------------------------------------------------- schedule --
@@ -71,11 +70,11 @@ def test_screen_config_validation():
 # ----------------------------------------------------------- closure bound --
 
 def test_closure_bound_modes():
-    c = Column(4, tidlist=np.array([0, 1, 2]))
+    c = np.array([1.0, 1.0, 1.0, 0.0])
     w = DualWeights.from_alpha(np.array([1.0, -0.5, 0.25, 7.0]))
     assert oc.closure_bound(c, w) == pytest.approx(1.25)
     w2 = DualWeights.from_alpha(np.array([1.0, 1.0, 0.0, 0.0]))
-    c2 = Column(4, tidlist=np.array([0, 1]))
+    c2 = np.array([1.0, 1.0, 0.0, 0.0])
     assert oc.closure_bound(c2, w2) == pytest.approx(2.0)
     # group: per-column maxima (3, 4) -> 5
     pos = np.zeros((2, 2))
@@ -83,7 +82,7 @@ def test_closure_bound_modes():
     pos[0, 0] = 3.0
     neg[0, 1] = 4.0
     w3 = DualWeights(pos, neg)
-    c3 = Column(2, tidlist=np.array([0]))
+    c3 = np.array([1.0, 0.0])
     assert oc.closure_bound(c3, w3) == pytest.approx(5.0)
 
 
@@ -185,20 +184,18 @@ def test_verify_kkt(four_transactions):
 # ------------------------------------------------------------------- dedup --
 
 def test_dedup_replicated_column():
-    tid = np.array([0, 2, 4], dtype=np.int64)
-    A = AtomicMatrix.from_tidlists([tid.copy() for _ in range(23)], 6)
+    A = AtomicMatrix(np.tile(np.array([[1], [0], [1], [0], [1], [0]], dtype=bool), 23))
     B, kept = dedup_atoms(A, 0.999)
     assert kept == [0]
     assert B.n_cols == 1
 
 
 def test_dedup_distinct_columns_survive_at_one():
-    A = AtomicMatrix.from_tidlists(
-        [np.array([0, 1]), np.array([0, 2]), np.array([1, 2])], 3)
+    A = AtomicMatrix(np.array([[1, 1, 0], [1, 0, 1], [0, 1, 1]], dtype=bool))
     B, kept = dedup_atoms(A, 1.0)
     assert kept == [0, 1, 2]
     # identical copies still collapse at sim = 1.0
-    C = AtomicMatrix.from_tidlists([np.array([0, 1]), np.array([0, 1])], 3)
+    C = AtomicMatrix(np.array([[1, 1], [1, 1], [0, 0]], dtype=bool))
     _, kept2 = dedup_atoms(C, 1.0)
     assert kept2 == [0]
 
@@ -473,6 +470,41 @@ def test_node_stats_do_not_depend_on_batch_width(monkeypatch, chunk, mode, binar
     while best.stat > lam * rho:
         lam = np.nextafter(lam, np.inf)
     assert screening.critical_lambda(A, w, shape) == lam
+
+
+def test_walk_builds_a_column_only_for_a_parent(monkeypatch):
+    """``extend`` runs once per batch whose parent has order >= 2: a node
+    gets a column only when its children are scored, so the last member of
+    a prefix class, which has no later sibling, never gets one.  Of the
+    batches, one scores the atoms and d - 1 have an atom as parent."""
+    calls = {"extend": 0, "batch": 0}
+    extend, batch = AtomicMatrix.extend, screening._Walk._batch
+
+    def counting_extend(self, col, j):
+        calls["extend"] += 1
+        return extend(self, col, j)
+
+    def counting_batch(self, *args):
+        calls["batch"] += 1
+        return batch(self, *args)
+
+    monkeypatch.setattr(AtomicMatrix, "extend", counting_extend)
+    monkeypatch.setattr(screening._Walk, "_batch", counting_batch)
+    rng = np.random.default_rng(5)
+    deep = 0
+    for _ in range(60):
+        n, d = int(rng.integers(3, 40)), int(rng.integers(2, 8))
+        X = rng.random((n, d)) < rng.uniform(0.4, 0.9)
+        A = AtomicMatrix(X if rng.random() < 0.5 else X * rng.random((n, d)))
+        alpha = rng.standard_normal(n)
+        sched = PenaltySchedule.geometric(float(rng.uniform(0.01, 0.2)) * np.abs(alpha).sum(), 1.2)
+        cfg = ScreenConfig(max_order=int(rng.integers(2, 6)))
+        calls.update(extend=0, batch=0)
+        screen(A, DualWeights.from_alpha(alpha), sched, cfg)
+        parents = calls["batch"] - 1 - (d - 1)
+        assert calls["extend"] == parents
+        deep += parents
+    assert deep > 100  # the instances do descend past the pairs
 
 
 def test_negative_dual_screens_signed():

@@ -1,7 +1,9 @@
 """The scripts in scripts/ run end to end on small inputs and print their
-header line.  Each runs in its own interpreter, as a user would run it."""
+header line, and the README's library quick start runs as written.  Each
+runs in its own interpreter, as a user would run it."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,10 +20,25 @@ ROOT = Path(__file__).resolve().parents[1]
     ("rank_sweep.py", ["--n-weights", "2"], "n=60 d=8 tasks=4 planted latent rank 2"),
 ])
 def test_script_runs(script, args, header):
+    proc = _run([str(ROOT / "scripts" / script), *args])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == header
+
+
+def test_readme_quick_start_runs():
+    """The README's python block fits the planted path and prints both
+    planted sets, so an API change that breaks it fails here."""
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert len(blocks) == 1
+    proc = _run(["-c", blocks[0]])
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "(0, 1)" in lines and "(4, 5, 6)" in lines
+
+
+def _run(args):
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                         os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
-                          capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[0] == header
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=120)

@@ -116,7 +116,7 @@ def _basket_ray_case(rng, nonneg, gamma, n=9, d=4):
         alpha = rng.normal(0.5, 1.0, n)
     cols = [interaction_column(A, (j,)) for j in range(d)]
     z = rng.uniform(-1.0, 2.0, d) * np.where(rng.random(d) < 0.5, gamma, 2.0)
-    red = obj.reduced([Emitted(FeatureSet((j,)), float(c.dense() @ alpha - zj), 0.0)
+    red = obj.reduced([Emitted(FeatureSet((j,)), float(c @ alpha - zj), 0.0)
                        for j, (c, zj) in enumerate(zip(cols, z))])
     return red, alpha
 
@@ -361,7 +361,7 @@ def _reduced_with_live(obj, A, alpha, want):
     """Reduced dual over every atom column, with thresholds placed so that
     exactly the columns flagged in ``want`` are live at alpha."""
     cols = [interaction_column(A, (j,)) for j in range(A.n_cols)]
-    dots = np.array([c.dense() @ alpha for c in cols])
+    dots = np.array([c @ alpha for c in cols])
     if obj.kind == "basket":  # live: 0 < dots - thr < gamma
         thr = np.where(want, dots - 0.5 * obj.spec.gamma, dots + 1.0)
     else:  # live: |dots| > thr
