@@ -7,11 +7,13 @@ the atom columns.  The 2^d - 1 product columns are never materialized:
 ``AtomicMatrix.extend`` builds one when needed by multiplying a column by
 one atom.  A column is a plain array: for binary data its tidlist (the
 sorted int rows where it is 1), so a product keeps the rows where the atom
-is set; for dense data its float values.  ``interaction_column`` gives a
-set's column as n floats, and ``interaction_matrix`` stacks a model's
-columns into the n x m float matrix that fitting, prediction and the rank
-readout use.  No other module but the lattice walk knows how a column is
-stored.
+is set; for dense data its float values.  The atoms are also held
+column-major, one row per atom (a contiguous bool copy for binary data, a
+view for dense data), so a product reads its atom from one row.
+``interaction_column`` gives a set's column as n floats, and
+``interaction_matrix`` stacks a model's columns into the n x m float matrix
+that fitting, prediction and the rank readout use.  No other module but the
+lattice walk knows how a column is stored.
 """
 
 from __future__ import annotations
@@ -69,9 +71,11 @@ class AtomicMatrix:
     dense data.  The array's dtype decides which: a float array of 0/1
     values stays dense (``from_dense`` is the constructor that detects 0/1).
 
-    The d atom columns are built once: a binary atom is the tidlist of its
-    rows, a dense atom its column of X.  ``extend`` is the one product of a
-    column with an atom.  ``item_names`` optionally maps column index to
+    The atoms are held column-major: a d x n bool copy for binary data
+    (1 byte an entry), the view X.T for dense data.  ``column(j)`` reads
+    atom j from its row: a binary atom is the tidlist of its rows, a dense
+    atom its column of X.  ``extend`` is the one product of a column with
+    an atom.  ``item_names`` optionally maps column index to
     the source token for transaction data.
     """
 
@@ -90,8 +94,7 @@ class AtomicMatrix:
             raise ValueError("item_names length must equal column count")
         self.item_names = list(item_names) if item_names is not None else None
         self._X = X
-        self._columns = [np.flatnonzero(X[:, j]) if self.is_binary else X[:, j]
-                         for j in range(self.n_cols)]
+        self._Xt = np.ascontiguousarray(X.T) if self.is_binary else X.T
 
     @classmethod
     def from_dense(cls, dense, item_names=None):
@@ -114,14 +117,14 @@ class AtomicMatrix:
         dense data.  Do not write to it."""
         if not 0 <= j < self.n_cols:
             raise ValueError(f"column index {j} out of range [0, {self.n_cols})")
-        return self._columns[j]
+        return np.flatnonzero(self._Xt[j]) if self.is_binary else self._Xt[j]
 
     def extend(self, col: np.ndarray, j: int) -> np.ndarray:
         """The product of ``col`` with atom j: its tidlist rows where atom j
         is set for binary data, its values times atom j for dense data."""
         if self.is_binary:
-            return col[self._X[col, j]]
-        return col * self._X[:, j]
+            return col[self._Xt[j][col]]
+        return col * self._Xt[j]
 
     def select(self, columns) -> "AtomicMatrix":
         """New matrix keeping the given columns, in the given order."""

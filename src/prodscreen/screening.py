@@ -18,16 +18,18 @@ prefix, the prefix's column and the array of atoms that extend it.  For
 each half of the dual, alpha_+ and alpha_-, that has a nonzero entry, the
 batch gathers the siblings' atoms at the parent's support rows where that
 half is nonzero (the parent's tidlist for binary data, every row times
-the parent's values for dense data) and reduces that block against the
-half row by row, so a node's statistic does not depend on its batch.  An
-all-zero half, such as alpha_- of a dual without negative entries,
-costs nothing.  The atoms themselves are one such batch.  Only a node
-that becomes a parent gets a column, built from its prefix's column just
-before its children's batch.  The walk emits atom sets, each with
-its statistic and threshold; a model builds the columns of those sets
-with ``interaction_matrix``.  The same walk, with a level that rises to
-the best ratio found so far, gives the critical penalty at which nothing
-is emitted.
+the parent's values for dense data) and reduces that block against each
+weight column of the half in one pass, with no product temporary.  Each
+child's dot is a running sum in row order, so a node's statistic does not
+depend on its batch.  An all-zero half, such as alpha_- of a dual without
+negative entries, costs nothing.  The atoms themselves are one such
+batch.  Only a node that becomes a parent gets a column, built from its
+prefix's column and the atom's row of the column-major atom store just
+before its children's batch.  The walk emits atom sets, each with its
+statistic and threshold; a model builds the columns of those sets with
+``interaction_matrix``.  The same walk, with a level that rises to the
+best ratio found so far, gives the critical penalty at which nothing is
+emitted.
 """
 
 from __future__ import annotations
@@ -159,7 +161,7 @@ def _stat_bound(p: np.ndarray, m: np.ndarray, mode: str):
     return np.abs(p - m), np.maximum(p, m)
 
 
-_CHUNK = 1 << 18  # float64 entries per product temporary, 2 MB
+_CHUNK = 1 << 18  # entries per gathered block (rows x children): 256 KB bool, 2 MB float
 
 
 class _Walk:
@@ -191,13 +193,14 @@ class _Walk:
         n = A.n_rows
         pos, neg = weights.pos.reshape(n, -1), weights.neg.reshape(n, -1)
         self._T = pos.shape[1]
-        # each half of the dual that has a nonzero entry: its index, its
-        # (n, T) weights, which rows are nonzero and their indices
+        # each half of the dual that has a nonzero entry: its index, its (T, n)
+        # weights, which rows are nonzero (None if all are) and their indices
         self._halves = []
         for i, h in enumerate((pos, neg)):
             nz = np.any(h > 0.0, axis=1)
             if nz.any():
-                self._halves.append((i, h, nz, np.flatnonzero(nz)))
+                self._halves.append((i, np.ascontiguousarray(h.T), None if nz.all() else nz,
+                                     np.flatnonzero(nz)))
         self._X = A.atom_matrix()
 
     def _batch(self, col: np.ndarray | None, exts: np.ndarray):
@@ -209,29 +212,32 @@ class _Walk:
         parent's support rows where that half is nonzero: the parent's
         tidlist for binary data, every row for dense data.  The gather takes
         the siblings' atoms at those rows (times the parent's values there
-        for dense data); one product with the half's weights and a sum over
-        rows follow.  A half that is all zero scores zero.  Each child's
-        dots are running sums in row order, and a skipped row adds +0.0, so
-        they equal the sums over every row and do not depend on how many
-        children share the batch or on the chunking.
+        for dense data).  Each weight column of the half is then reduced
+        against that block in one pass, ``einsum('r,rk->k')``, with no
+        product temporary.  A half that is all zero scores zero, and a half
+        nonzero on every row takes the parent's rows as they are.  Each
+        child's dots are running sums in row order, and a skipped row adds
+        +0.0, so they equal the sums over every row and do not depend on how
+        many children share the batch or on the chunking.
         """
         rows, scale = (col, None) if self.A.is_binary else (None, col)
         k = len(exts)
         dots = np.zeros((2, k, self._T))
-        for half, w, nz, support in self._halves:
-            r = support if rows is None else rows[nz[rows]]
-            W = w[r]
+        for half, wt, nz, support in self._halves:
+            r = support if rows is None else rows if nz is None else rows[nz[rows]]
+            W = wt.take(r, axis=1)
             X = self._X.take(r, axis=0)
             v = scale[r][:, None] if scale is not None else None
-            step = max(1, _CHUNK // max(1, W.size))
+            step = max(1, _CHUNK // max(1, len(r)))
             for a in range(0, k, step):
                 e = exts[a:a + step]
-                # a (rows, 1, 1) product would be summed pairwise: pad it to
-                # two children so that every dot stays a running sum
-                G = X.take(e if self._T * len(e) > 1 else e.repeat(2), axis=1)
+                # a one-column reduction would not be summed in row order:
+                # pad it to two children so that every dot stays a running sum
+                G = X.take(e if len(e) > 1 else e.repeat(2), axis=1)
                 if v is not None:
                     G = G * v
-                dots[half, a:a + len(e)] = (W[:, :, None] * G[:, None, :]).sum(axis=0).T[:len(e)]
+                for t, w_t in enumerate(W):
+                    dots[half, a:a + len(e), t] = np.einsum('r,rk->k', w_t, G)[:len(e)]
         return _stat_bound(dots[0], dots[1], self._mode)
 
     def _emit(self, prefix: tuple[int, ...], exts: np.ndarray, stat, rho_k: float):
@@ -286,7 +292,8 @@ def screen(A: AtomicMatrix, weights: DualWeights, schedule: PenaltySchedule,
         emitted.append(Emitted(FeatureSet(tuple(sorted(atoms))), thr, stat))
     emitted.sort(key=lambda e: e.feature_set.atoms)
     for a, b in zip(emitted, emitted[1:]):
-        assert a.feature_set.atoms != b.feature_set.atoms, "duplicate emission"
+        if a.feature_set.atoms == b.feature_set.atoms:
+            raise RuntimeError(f"duplicate emission of {a.feature_set.atoms}")
     return ScreenResult(tuple(emitted), walk.explored, walk.pruned)
 
 

@@ -439,6 +439,58 @@ def test_binary_stats_equal_running_sums_over_every_row(seed, mode, sparse):
     assert got == want
 
 
+@pytest.mark.parametrize("mode", ["nonneg", "signed", "sparse", "group"])
+def test_large_batches_keep_running_sums(mode):
+    """Batches wider than numpy's 8,192-entry iterator buffer (up to 3,000
+    rows x 8 atoms) still give every binary node the oracle's running sums
+    over all n rows, bit for bit.  "sparse" is a signed dual with half its
+    rows at 0; the group dual has T = 3."""
+    rng = np.random.default_rng(23)
+    n, d = 3000, 8
+    A = AtomicMatrix(rng.random((n, d)) < 0.7)
+    alpha = rng.standard_normal((n, 3) if mode == "group" else n)
+    if mode == "nonneg":
+        alpha = np.abs(alpha)
+    elif mode == "sparse":
+        alpha[rng.permutation(n)[:n // 2]] = 0.0
+    w = DualWeights.from_alpha(alpha)
+    res = screen(A, w, PenaltySchedule.geometric(1e-9, 1.2))
+    assert len(res.emitted) == 2 ** d - 1
+    for e in res.emitted:
+        assert e.stat == oc.running_stat(interaction_column(A, e.feature_set), w)
+
+
+@pytest.mark.parametrize("mode", ["nonneg", "signed", "group"])
+def test_dense_stats_equal_running_sums_in_join_order(mode):
+    """On dense data each node the walk yields has the running row-order
+    statistic of its product column, bit for bit, when that column is
+    multiplied out in the walk's join order (the order of the yielded
+    atoms).  At level 0 and a flat schedule the walk yields every node."""
+    rng = np.random.default_rng(29)
+    for _ in range(4):
+        n, d = int(rng.integers(20, 80)), int(rng.integers(4, 8))
+        X = rng.random((n, d)) * (rng.random((n, d)) < 0.8)
+        A = AtomicMatrix(X)
+        alpha = rng.standard_normal((n, 3) if mode == "group" else n)
+        w = DualWeights.from_alpha(np.abs(alpha) if mode == "nonneg" else alpha)
+        walk = list(screening._Walk(A, w, PenaltySchedule.flat(1.0), ScreenConfig(), 0.0))
+        assert len(walk) == 2 ** d - 1
+        for atoms, stat, _ in walk:
+            col = A.column(atoms[0])
+            for a in atoms[1:]:
+                col = A.extend(col, a)
+            assert stat == oc.running_stat(col, w)
+
+
+def test_screen_rejects_a_duplicate_emission(monkeypatch, four_transactions):
+    """The duplicate check holds under ``python -O`` too: it raises, it is
+    not an assert."""
+    twice = [((0, 1), 2.0, 1.0), ((1, 0), 2.0, 1.0)]
+    monkeypatch.setattr(screening._Walk, "__iter__", lambda self: iter(twice))
+    with pytest.raises(RuntimeError, match="duplicate emission"):
+        screen(four_transactions, DualWeights.from_alpha(np.ones(4)), PenaltySchedule.flat(1.0))
+
+
 @pytest.mark.parametrize("chunk", [1, 1000, 5000])
 @pytest.mark.parametrize("mode", ["signed", "group", "nonneg", "nonpositive", "sparse"])
 @pytest.mark.parametrize("binary", [True, False])

@@ -1,6 +1,7 @@
 """The scripts in scripts/ run end to end on small inputs and print their
-header line, and the README's library quick start runs as written.  Each
-runs in its own interpreter, as a user would run it."""
+header line, the README's library quick start runs as written, and the
+benchmark's self-test passes.  Each runs in its own interpreter, as a user
+would run it."""
 
 import os
 import re
@@ -36,9 +37,19 @@ def test_readme_quick_start_runs():
     assert "(0, 1)" in lines and "(4, 5, 6)" in lines
 
 
-def _run(args):
+def test_perfbench_selftest_passes():
+    """The benchmark's checks accept the program's own seed-1 outputs on
+    every workload and reject corrupted copies.  A kernel change that moves
+    a statistic's bits far enough to flip a checked readout, such as
+    matrix_rank's rank, fails here.  It runs from the repository root, as
+    the benchmark does, and writes only under perfbench/work/."""
+    proc = _run([str(ROOT / "perfbench" / "selftest.py")], cwd=ROOT)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def _run(args, cwd=None):
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                         os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          env=env, timeout=120)
+                          env=env, cwd=cwd, timeout=120)
