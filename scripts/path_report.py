@@ -10,11 +10,18 @@ Usage:
     python3 scripts/path_report.py [--n 300] [--d 20] [--tau 6.0]
 """
 import argparse
+import os
 import time
 
-import numpy as np
+# one BLAS thread unless the environment says otherwise, set before numpy
+# loads: at two threads the solver's small matrix products make timings jumpy
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
-from prodscreen import (
+import numpy as np  # noqa: E402
+
+from prodscreen import (  # noqa: E402
     AtomicMatrix,
     BasketSpec,
     PathConfig,

@@ -13,20 +13,22 @@ c_t <= c_u entrywise whenever t is a superset of u, the quantity
 u, so a node whose bound falls below the next order's threshold closes its
 whole subtree.  The walk mirrors frequent-itemset mining (Eclat): the
 children of a node are its unions with each later sibling of its prefix
-class, and all of them are scored in one batch.  A prefix class is its
-prefix, the prefix's column and the array of atoms that extend it.  For
-each half of the dual, alpha_+ and alpha_-, that has a nonzero entry, the
-batch gathers the siblings' atoms at the parent's support rows where that
-half is nonzero (the parent's tidlist for binary data, every row times
-the parent's values for dense data) and reduces that block against each
-weight column of the half in one pass, with no product temporary.  Each
-child's dot is a running sum in row order, so a node's statistic does not
-depend on its batch.  An all-zero half, such as alpha_- of a dual without
-negative entries, costs nothing.  The atoms themselves are one such
-batch.  Only a node that becomes a parent gets a column, built from its
-prefix's column and the atom's row of the column-major atom store just
-before its children's batch.  The walk emits atom sets, each with its
-statistic and threshold; a model builds the columns of those sets with
+class, and a prefix class is scored as one unit.  A prefix class is its
+prefix, the prefix's column and the array of atoms that extend it.  The
+walk gathers the class's atom columns once.  Every member but the last is
+a parent: it gets its column, built from the prefix's column and the
+atom's row of the column-major atom store, and for each half of the dual,
+alpha_+ and alpha_-, that has a nonzero entry, its support rows where that
+half is nonzero (its tidlist for binary data, every row times its values
+for dense data) are taken from the class block and reduced against all T
+weight columns of the half in one pass, with no product temporary.  The
+dots fill the parent's row of a class matrix, whose strict upper triangle
+gives the statistics and bounds of all the class's children in one call.
+Each dot is a running sum in row order, so a node's statistic does not
+depend on which parents or siblings share its pass.  An all-zero half,
+such as alpha_- of a dual without negative entries, costs nothing.  The
+atoms themselves are one such pass.  The walk emits atom sets, each with
+its statistic and threshold; a model builds the columns of those sets with
 ``interaction_matrix``.  The same walk, with a level that rises to the
 best ratio found so far, gives the critical penalty at which nothing is
 emitted.
@@ -161,24 +163,32 @@ def _stat_bound(p: np.ndarray, m: np.ndarray, mode: str):
     return np.abs(p - m), np.maximum(p, m)
 
 
-_CHUNK = 1 << 18  # entries per gathered block (rows x children): 256 KB bool, 2 MB float
+# entries of one half of a slice's class matrix (parents x members x T), 32 KB:
+# a class is scored in slices of parents so that the matrix stays small when d is large
+_CHUNK = 1 << 12
 
 
 class _Walk:
     """One depth-first pass over the prefix classes at penalty level ``lam``.
 
     Iterating yields ``(atoms, stat, threshold)`` for every node whose
-    statistic exceeds lam * rho(k), with atoms in join order.  All
-    atoms seed the walk; a node of order k >= 2 closes its subtree when its
-    bound is at most lam * rho(k + 1).  A parent's children are scored in
-    one batch.  The caller may raise ``lam`` between yields: each yield is
-    tested at the level current at its turn, and a batch's closure tests
-    run after its yields.  A stack entry is one prefix class: its prefix
-    atoms in join order, the prefix's column (None for the atoms) and the
-    int array of atoms that extend it.  A node's column is built when it
-    becomes a parent, so the last member of a class never gets one.
-    ``explored`` counts the nodes whose statistic was computed and
-    ``pruned`` the subtrees closed.
+    statistic exceeds lam * rho(k), with atoms in join order.  All atoms
+    seed the walk; a node of order k >= 2 closes its subtree when its bound
+    is at most lam * rho(k + 1).  A stack entry is one prefix class: its
+    prefix atoms in join order, the prefix's column (None for the atoms)
+    and the int array of its m member atoms.  The class's atom columns are
+    gathered once, and its m - 1 parents, every member but the last, are
+    scored in slices of at most max(1, ``_CHUNK`` // (m * T)).  In a slice,
+    each parent gets its column and fills its row of the class matrix with
+    its dots with the later members; the strict upper triangle then gives
+    the statistics and bounds of the slice's children in one call, and
+    they are emitted row by row.  The caller may raise ``lam`` between
+    yields: each yield is tested at the level current at its turn, and a
+    slice's closure tests run after all its yields.  A test at a higher
+    level than the node's turn closes no subtree that holds a node above
+    the final level, so ``critical_lambda`` keeps its value.  The last
+    member of a class never gets a column.  ``explored`` counts the nodes
+    whose statistic was computed and ``pruned`` the subtrees closed.
     """
 
     def __init__(self, A: AtomicMatrix, weights: DualWeights, schedule: PenaltySchedule,
@@ -203,78 +213,84 @@ class _Walk:
                                      np.flatnonzero(nz)))
         self._X = A.atom_matrix()
 
-    def _batch(self, col: np.ndarray | None, exts: np.ndarray):
-        """Statistics and bounds of the children parent + e for each atom e
-        of ``exts``, where ``col`` is the parent's column; no column means
-        the atoms.
+    def _dots(self, col: np.ndarray | None, Xc: np.ndarray, first: int, out: np.ndarray):
+        """Fill ``out[h, first:]``, each (T,) row, with the dots of half h
+        of the dual with the products of ``col`` and the columns ``first:``
+        of ``Xc``, at least two of them; no column means the atoms
+        themselves.
 
-        Each half of the dual, pos and neg, is reduced only over the
-        parent's support rows where that half is nonzero: the parent's
-        tidlist for binary data, every row for dense data.  The gather takes
-        the siblings' atoms at those rows (times the parent's values there
-        for dense data).  Each weight column of the half is then reduced
-        against that block in one pass, ``einsum('r,rk->k')``, with no
-        product temporary.  A half that is all zero scores zero, and a half
-        nonzero on every row takes the parent's rows as they are.  Each
-        child's dots are running sums in row order, and a skipped row adds
-        +0.0, so they equal the sums over every row and do not depend on how
-        many children share the batch or on the chunking.
+        Each half is reduced only over the column's support rows where that
+        half is nonzero: the tidlist for binary data, every row for dense
+        data, whose taken rows are scaled by the column's values there.
+        All T weight columns of the half are reduced against that block in
+        one ``einsum('tr,rk->kt')``, with no product temporary.  With at
+        least two columns each dot is a running sum in row order, and a
+        skipped row adds +0.0, so a dot equals the sum over every row and
+        does not depend on which other columns share the block.
         """
         rows, scale = (col, None) if self.A.is_binary else (None, col)
-        k = len(exts)
-        dots = np.zeros((2, k, self._T))
         for half, wt, nz, support in self._halves:
             r = support if rows is None else rows if nz is None else rows[nz[rows]]
-            W = wt.take(r, axis=1)
-            X = self._X.take(r, axis=0)
-            v = scale[r][:, None] if scale is not None else None
-            step = max(1, _CHUNK // max(1, len(r)))
-            for a in range(0, k, step):
-                e = exts[a:a + step]
-                # a one-column reduction would not be summed in row order:
-                # pad it to two children so that every dot stays a running sum
-                G = X.take(e if len(e) > 1 else e.repeat(2), axis=1)
-                if v is not None:
-                    G = G * v
-                for t, w_t in enumerate(W):
-                    dots[half, a:a + len(e), t] = np.einsum('r,rk->k', w_t, G)[:len(e)]
-        return _stat_bound(dots[0], dots[1], self._mode)
+            G = Xc.take(r, axis=0)[:, first:]
+            # a contiguous copy: einsum reduces a strided bool view more slowly
+            G = np.ascontiguousarray(G) if scale is None else G * scale[r][:, None]
+            # einsum's out= reorders its loops, and the dots then lose their row order
+            out[half, first:] = np.einsum('tr,rk->kt', wt.take(r, axis=1), G)
 
-    def _emit(self, prefix: tuple[int, ...], exts: np.ndarray, stat, rho_k: float):
-        """Yield the children prefix + e whose statistic clears
-        lam * rho_k, each tested at the level current at its turn."""
-        for i in np.nonzero(stat > self.lam * rho_k)[0].tolist():
+    def _passing(self, stat: np.ndarray, rho_k: float, where=True):
+        """The indices i, in order, whose statistic clears lam * rho_k (and
+        ``where`` holds), each with its threshold, tested at the level
+        current at its turn."""
+        for i in np.flatnonzero((stat > self.lam * rho_k) & where).tolist():
             thr = self.lam * rho_k
             if stat[i] > thr:
-                yield prefix + (int(exts[i]),), float(stat[i]), thr
+                yield i, thr
 
     def __iter__(self):
-        A, cfg, rho = self.A, self.cfg, self.schedule.rho
-        atoms = np.arange(A.n_cols)
-        stat, bound = self._batch(None, atoms)
-        self.explored += A.n_cols
-        yield from self._emit((), atoms, stat, rho(1))
-        seeds = np.lexsort((atoms, -bound))
+        A, cfg, rho, T = self.A, self.cfg, self.schedule.rho, self._T
+        d = A.n_cols
+        # a lone atom is reduced beside a copy of itself, so that its dot is a running sum too
+        Xa = self._X.repeat(2, axis=1) if d == 1 else self._X
+        D = np.zeros((2, Xa.shape[1], T))
+        self._dots(None, Xa, 0, D)
+        stat, bound = _stat_bound(D[0, :d], D[1, :d], self._mode)
+        self.explored += d
+        for j, thr in self._passing(stat, rho(1)):
+            yield (j,), float(stat[j]), thr
+        seeds = np.lexsort((np.arange(d), -bound))
 
-        stack = [((), None, seeds)] if A.n_cols > 1 and cfg.max_order > 1 else []
+        stack = [((), None, seeds)] if d > 1 and cfg.max_order > 1 else []
         while stack:
             prefix, pcol, exts = stack.pop()
             order = len(prefix) + 2
             rho_k = rho(order)
             rho_next = rho(order + 1) if order < cfg.max_order else None
-            for k, e in enumerate(exts[:-1].tolist()):
-                parent = prefix + (e,)
-                col = A.column(e) if pcol is None else A.extend(pcol, e)
-                sibs = exts[k + 1:]
-                stat, bound = self._batch(col, sibs)
-                self.explored += len(sibs)
-                yield from self._emit(parent, sibs, stat, rho_k)
+            m = len(exts)
+            Xc = self._X.take(exts, axis=1)
+            step = max(1, _CHUNK // (m * T))
+            for a in range(0, m - 1, step):
+                p = min(step, m - 1 - a)
+                D = np.zeros((2, p, m, T))
+                cols = []
+                for i in range(p):
+                    e = int(exts[a + i])
+                    cols.append(A.column(e) if pcol is None else A.extend(pcol, e))
+                    # the later members; the last parent also takes itself, for two columns
+                    self._dots(cols[i], Xc, min(a + i + 1, m - 2), D[:, i])
+                # row i is parent a + i; its children join the later members l > a + i
+                upper = np.arange(m) > np.arange(a, a + p)[:, None]
+                stat, bound = _stat_bound(D[0].reshape(-1, T), D[1].reshape(-1, T), self._mode)
+                children = int(np.count_nonzero(upper))
+                self.explored += children
+                for f, thr in self._passing(stat, rho_k, upper.ravel()):
+                    i, l = divmod(f, m)
+                    yield prefix + (int(exts[a + i]), int(exts[l])), float(stat[f]), thr
                 if rho_next is None:
                     continue
-                keep = np.flatnonzero(bound > self.lam * rho_next)
-                self.pruned += len(sibs) - len(keep)
-                if len(keep) > 1:
-                    stack.append((parent, col, sibs[keep]))
+                keep = (bound.reshape(p, m) > self.lam * rho_next) & upper
+                self.pruned += children - int(np.count_nonzero(keep))
+                for i in np.flatnonzero(np.count_nonzero(keep, axis=1) > 1).tolist():
+                    stack.append((prefix + (int(exts[a + i]),), cols[i], exts[keep[i]]))
 
 
 def screen(A: AtomicMatrix, weights: DualWeights, schedule: PenaltySchedule,
@@ -286,7 +302,11 @@ def screen(A: AtomicMatrix, weights: DualWeights, schedule: PenaltySchedule,
     bound clears the next order's threshold.  Output is sorted by atom tuple
     and identical across runs on identical input.
     """
-    walk = _Walk(A, weights, schedule, cfg or ScreenConfig(), schedule.base_lambda)
+    return _collect(_Walk(A, weights, schedule, cfg or ScreenConfig(), schedule.base_lambda))
+
+
+def _collect(walk: _Walk) -> ScreenResult:
+    """Run a walk at a fixed level; its emissions sorted by atom tuple."""
     emitted: list[Emitted] = []
     for atoms, stat, thr in walk:
         emitted.append(Emitted(FeatureSet(tuple(sorted(atoms))), thr, stat))
@@ -381,10 +401,14 @@ def frequent_itemsets(A: AtomicMatrix, min_support: float, max_order: int = 20):
     """Itemsets whose support strictly exceeds ``min_support``.
 
     This is the special case of screening with a linear covering loss and
-    all-ones dual: the statistic of a set is its support count.  Returns
-    (FeatureSet, support) pairs sorted by atom tuple.
+    all-ones dual: the statistic of a set is its support count.  The walk
+    runs at level ``min_support`` itself, as ``critical_lambda``'s runs at
+    0, so ``min_support`` = 0 asks for every itemset that occurs at all.
+    Returns (FeatureSet, support) pairs sorted by atom tuple.
     """
+    if not 0.0 <= min_support < math.inf:
+        raise ValueError("min_support must be non-negative and finite")
     w = DualWeights.from_alpha(np.ones(A.n_rows))
-    res = screen(A, w, PenaltySchedule.flat(min_support),
-                 ScreenConfig(max_order=max_order))
-    return [(e.feature_set, e.stat) for e in res.emitted]
+    walk = _Walk(A, w, PenaltySchedule.flat(1.0), ScreenConfig(max_order=max_order),
+                 float(min_support))
+    return [(e.feature_set, e.stat) for e in _collect(walk).emitted]

@@ -1,4 +1,6 @@
 import json
+import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -321,6 +323,29 @@ def test_frequent_itemsets_match_enumeration(four_transactions):
         assert [(fs.atoms, s) for fs, s in got] == [(s, c) for s, c in expect]
 
 
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=40, deadline=None)
+def test_frequent_itemsets_at_zero_support_match_enumeration(seed):
+    """Support > 0 is the plain Apriori query: every itemset that occurs in
+    some transaction, with its count, on data with empty rows and columns."""
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(1, 20)), int(rng.integers(1, 8))
+    X = rng.random((n, d)) < rng.uniform(0.1, 0.7)
+    X[rng.random(n) < 0.2] = False
+    X[:, rng.random(d) < 0.2] = False
+    subsets, P = oc.materialize(X.astype(float))
+    support = P.sum(axis=0)
+    want = [(u, c) for u, c in zip(subsets, support) if c > 0]
+    got = frequent_itemsets(AtomicMatrix(X), 0.0)
+    assert [(fs.atoms, s) for fs, s in got] == want
+
+
+@pytest.mark.parametrize("bad", [-1.0, -1e-300, np.nan, np.inf])
+def test_frequent_itemsets_rejects_bad_support(four_transactions, bad):
+    with pytest.raises(ValueError, match="min_support"):
+        frequent_itemsets(four_transactions, bad)
+
+
 # ------------------------------------------------------------ batched walk --
 
 def _weights(rng, n, mode, integer, sparse=False):
@@ -495,13 +520,14 @@ def test_screen_rejects_a_duplicate_emission(monkeypatch, four_transactions):
 @pytest.mark.parametrize("mode", ["signed", "group", "nonneg", "nonpositive", "sparse"])
 @pytest.mark.parametrize("binary", [True, False])
 def test_node_stats_do_not_depend_on_batch_width(monkeypatch, chunk, mode, binary):
-    """A node scores the same bits in a batch of any width: a screen whose
-    batches are cut into chunks (one child each at chunk=1) equals the
-    unchunked one, and critical_lambda, whose batches are narrowed by its
-    rising level, finds exactly the largest ratio of a full screen.  A
-    vector dual at chunk=1 reduces a one-column half for one child, which
-    must stay a running sum too; "sparse" is a signed dual with half its
-    rows at 0."""
+    """A node scores the same bits in a slice of any width: a screen whose
+    prefix classes are cut into slices of parents (one parent each at
+    chunk=1, so that every call of ``_stat_bound`` after the atoms' scores
+    one parent's children) equals the unsliced one, and critical_lambda,
+    whose closure tests wait for a slice's yields, finds exactly the
+    largest ratio of a full screen.  The last parent of a class reduces
+    its one child beside its own atom's column, which must stay a running
+    sum too; "sparse" is a signed dual with half its rows at 0."""
     rng = np.random.default_rng(11)
     n, d = 300, 8
     X = (rng.random((n, d)) < 0.7).astype(float)
@@ -512,8 +538,24 @@ def test_node_stats_do_not_depend_on_batch_width(monkeypatch, chunk, mode, binar
     shape = PenaltySchedule.geometric(1.0, 1.2)
     whole = screen(A, w, shape.with_base(1e-9))
     assert len(whole.emitted) == 2 ** d - 1  # every node scored in a full batch
+    calls = {"slices": 0, "parents": 0}
+    stat_bound, column, extend = screening._stat_bound, AtomicMatrix.column, AtomicMatrix.extend
+
+    def counting(name, f):
+        def g(*args):
+            calls[name] += 1
+            return f(*args)
+        return g
+
     monkeypatch.setattr(screening, "_CHUNK", chunk)
+    monkeypatch.setattr(screening, "_stat_bound", counting("slices", stat_bound))
+    monkeypatch.setattr(AtomicMatrix, "column", counting("parents", column))
+    monkeypatch.setattr(AtomicMatrix, "extend", counting("parents", extend))
     cut = screen(A, w, shape.with_base(1e-9))
+    if chunk == 1:
+        assert calls["slices"] == 1 + calls["parents"]
+    else:
+        assert calls["slices"] < 1 + calls["parents"]
     assert [(e.feature_set.atoms, e.stat) for e in cut.emitted] == \
         [(e.feature_set.atoms, e.stat) for e in whole.emitted]
     best = max(whole.emitted, key=lambda e: e.stat / shape.rho(e.feature_set.order))
@@ -524,24 +566,61 @@ def test_node_stats_do_not_depend_on_batch_width(monkeypatch, chunk, mode, binar
     assert screening.critical_lambda(A, w, shape) == lam
 
 
+@given(seed=st.integers(0, 10 ** 6), values=st.sampled_from(["binary", "quarters", "uniform"]),
+       mode=st.sampled_from(["signed", "nonneg", "nonpositive", "group"]),
+       kind=st.sampled_from(["flat", "geometric", "supergeometric"]), integer=st.booleans(),
+       max_order=st.sampled_from([20, 2, 3]), sparse=st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_critical_lambda_matches_reference_at_any_slice_width(seed, values, mode, kind, integer,
+                                                             max_order, sparse):
+    """At a rising level the walk's closure tests run after a slice's
+    yields, at a level no lower than the reference walk's, which tests each
+    child at its own turn.  critical_lambda still equals the reference's,
+    with slices of one parent and with whole classes: exactly where the
+    arithmetic is (integer weights on 0/1 or quarter values), else to 1e-12,
+    and the two widths agree bit for bit."""
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(3, 30)), int(rng.integers(1, 8))
+    X = (rng.random((n, d)) < rng.uniform(0.3, 0.9)).astype(float)
+    if values == "quarters":
+        X *= rng.integers(1, 5, size=(n, d)) / 4
+    elif values == "uniform":
+        X *= rng.random((n, d))
+    A = AtomicMatrix.from_dense(X)
+    w = _weights(rng, n, mode, integer, sparse)
+    shape = {"flat": PenaltySchedule.flat(1.0), "geometric": PenaltySchedule.geometric(1.0, 1.3),
+             "supergeometric": PenaltySchedule.supergeometric(1.0, 1.4, 1.5)}[kind]
+    cfg = ScreenConfig(max_order=max_order)
+    want = oc.reference_critical_lambda(A, w, shape, cfg)
+    got = []
+    for chunk in (1, sys.maxsize):
+        with mock.patch.object(screening, "_CHUNK", chunk):
+            got.append(screening.critical_lambda(A, w, shape, cfg))
+    assert got[0] == got[1]
+    if integer and values != "uniform":
+        assert got[0] == want
+    else:
+        assert got[0] == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 def test_walk_builds_a_column_only_for_a_parent(monkeypatch):
-    """``extend`` runs once per batch whose parent has order >= 2: a node
-    gets a column only when its children are scored, so the last member of
+    """``extend`` runs once per parent of order >= 2: a node gets a column
+    only when its row of the class matrix is reduced, so the last member of
     a prefix class, which has no later sibling, never gets one.  Of the
-    batches, one scores the atoms and d - 1 have an atom as parent."""
-    calls = {"extend": 0, "batch": 0}
-    extend, batch = AtomicMatrix.extend, screening._Walk._batch
+    reductions, one scores the atoms and d - 1 have an atom as parent."""
+    calls = {"extend": 0, "dots": 0}
+    extend, dots = AtomicMatrix.extend, screening._Walk._dots
 
     def counting_extend(self, col, j):
         calls["extend"] += 1
         return extend(self, col, j)
 
-    def counting_batch(self, *args):
-        calls["batch"] += 1
-        return batch(self, *args)
+    def counting_dots(self, *args):
+        calls["dots"] += 1
+        return dots(self, *args)
 
     monkeypatch.setattr(AtomicMatrix, "extend", counting_extend)
-    monkeypatch.setattr(screening._Walk, "_batch", counting_batch)
+    monkeypatch.setattr(screening._Walk, "_dots", counting_dots)
     rng = np.random.default_rng(5)
     deep = 0
     for _ in range(60):
@@ -551,9 +630,9 @@ def test_walk_builds_a_column_only_for_a_parent(monkeypatch):
         alpha = rng.standard_normal(n)
         sched = PenaltySchedule.geometric(float(rng.uniform(0.01, 0.2)) * np.abs(alpha).sum(), 1.2)
         cfg = ScreenConfig(max_order=int(rng.integers(2, 6)))
-        calls.update(extend=0, batch=0)
+        calls.update(extend=0, dots=0)
         screen(A, DualWeights.from_alpha(alpha), sched, cfg)
-        parents = calls["batch"] - 1 - (d - 1)
+        parents = calls["dots"] - 1 - (d - 1)
         assert calls["extend"] == parents
         deep += parents
     assert deep > 100  # the instances do descend past the pairs

@@ -26,6 +26,30 @@ def test_script_runs(script, args, header):
     assert proc.stdout.splitlines()[0] == header
 
 
+# records the thread variables at the moment numpy is first imported
+_AT_NUMPY_IMPORT = """
+import os, runpy, sys
+seen = {}
+class Hook:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.update(os.environ, loaded=True)
+sys.meta_path.insert(0, Hook())
+runpy.run_path(sys.argv[1], run_name="script")
+print(seen.get("loaded"), seen.get("OMP_NUM_THREADS"), seen.get("OPENBLAS_NUM_THREADS"))
+"""
+
+
+@pytest.mark.parametrize("script", ["path_report.py", "planted_recovery.py", "rank_sweep.py"])
+def test_scripts_pin_blas_threads_before_numpy(script):
+    """Each script sets the BLAS thread variables to 1 before numpy loads,
+    and a value already in the environment wins."""
+    proc = _run(["-c", _AT_NUMPY_IMPORT, str(ROOT / "scripts" / script)],
+                env={"OMP_NUM_THREADS": None, "OPENBLAS_NUM_THREADS": "3"})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "1", "3"]
+
+
 def test_readme_quick_start_runs():
     """The README's python block fits the planted path and prints both
     planted sets, so an API change that breaks it fails here."""
@@ -47,9 +71,15 @@ def test_perfbench_selftest_passes():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
-def _run(args, cwd=None):
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"),
-                                                        os.environ.get("PYTHONPATH")])))
+def _run(args, cwd=None, env=None):
+    """Run python with ``args``; ``env`` overrides variables, None removes one."""
+    full = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                         os.environ.get("PYTHONPATH")])))
+    for k, v in (env or {}).items():
+        if v is None:
+            full.pop(k, None)
+        else:
+            full[k] = v
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          env=env, cwd=cwd, timeout=120)
+                          env=full, cwd=cwd, timeout=120)
