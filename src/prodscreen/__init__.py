@@ -8,8 +8,8 @@ the reduced dual, and re-screening at the solution either certifies
 optimality or grows the active set.
 """
 
-from .data import (AtomicMatrix, DualWeights, FeatureSet, interaction_column,
-                   interaction_matrix, load_dense, load_transactions)
+from .data import (AtomicMatrix, FeatureSet, interaction_column, interaction_matrix,
+                   load_dense, load_transactions)
 from .duality import PrimalModel
 from .objectives import (BasketSpec, LogisticSpec, MatrixSpec, basket_dual,
                          logistic_dual, matrix_dual, rank_report)
@@ -23,8 +23,8 @@ from .synth import SynthDataset, synth_planted
 __version__ = "0.1.0"
 
 __all__ = [
-    "AtomicMatrix", "DualWeights", "FeatureSet", "interaction_column",
-    "interaction_matrix", "load_dense", "load_transactions",
+    "AtomicMatrix", "FeatureSet", "interaction_column", "interaction_matrix",
+    "load_dense", "load_transactions",
     "PrimalModel",
     "BasketSpec", "LogisticSpec", "MatrixSpec", "basket_dual", "logistic_dual",
     "matrix_dual", "rank_report",

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import AtomicMatrix, DualWeights, load_dense, load_transactions
+from .data import AtomicMatrix, load_dense, load_transactions
 from .duality import PrimalModel
 from .objectives import (BasketSpec, LogisticSpec, MatrixSpec, basket_dual,
                          logistic_dual, matrix_dual)
@@ -174,7 +174,7 @@ def _cmd_screen(args):
                              + (" without negative entries" if args.mode == "nonneg" else ""))
     schedule = _parse_penalty(args.penalty, args.lam)
     cfg = ScreenConfig(max_order=args.max_order)
-    res = screen(A, DualWeights.from_alpha(alpha), schedule, cfg)
+    res = screen(A, alpha, schedule, cfg)
     lines = list(res.to_jsonl(A.item_names))
     if args.out:
         out = _outdir(args)

@@ -28,7 +28,6 @@ import numpy as np
 __all__ = [
     "FeatureSet",
     "AtomicMatrix",
-    "DualWeights",
     "load_transactions",
     "load_dense",
     "interaction_column",
@@ -130,41 +129,6 @@ class AtomicMatrix:
         """New matrix keeping the given columns, in the given order."""
         names = [self.item_names[j] for j in columns] if self.item_names else None
         return AtomicMatrix(self._X[:, list(columns)], item_names=names)
-
-
-@dataclass(frozen=True)
-class DualWeights:
-    """Split of a dual vector into non-negative parts, pos - neg = alpha.
-
-    For the matrix objective pos/neg are (n, T) with one pair per response
-    column.  The parts never overlap: pos_i * neg_i = 0.
-    """
-
-    pos: np.ndarray
-    neg: np.ndarray
-
-    def __post_init__(self):
-        if self.pos.shape != self.neg.shape:
-            raise ValueError("pos and neg must have the same shape")
-        if not (np.all(np.isfinite(self.pos)) and np.all(np.isfinite(self.neg))):
-            raise ValueError("pos and neg must be finite")
-        if np.any(self.pos < 0) or np.any(self.neg < 0):
-            raise ValueError("pos and neg must be non-negative")
-        if np.any((self.pos > 0) & (self.neg > 0)):
-            raise ValueError("pos and neg must have disjoint supports")
-
-    @classmethod
-    def from_alpha(cls, alpha: np.ndarray) -> "DualWeights":
-        alpha = np.asarray(alpha, dtype=float)
-        return cls(np.maximum(alpha, 0.0), np.maximum(-alpha, 0.0))
-
-    @property
-    def alpha(self) -> np.ndarray:
-        return self.pos - self.neg
-
-    @property
-    def n_rows(self) -> int:
-        return self.pos.shape[0]
 
 
 def load_transactions(path) -> AtomicMatrix:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import AtomicMatrix, DualWeights, interaction_matrix
+from .data import AtomicMatrix, interaction_matrix
 from .screening import PenaltySchedule, ScreenConfig
 from .solver import ROUND_GUARD, backtrack, qn_step
 
@@ -244,8 +244,9 @@ class DualObjective:
     def screen_config(self, base: ScreenConfig | None = None) -> ScreenConfig:
         return base or ScreenConfig()
 
-    def screen_weights(self, alpha) -> DualWeights:
-        return DualWeights.from_alpha(alpha)
+    def screen_weights(self, alpha):
+        """The dual the screen reads: alpha itself."""
+        return alpha
 
     def project(self, alpha):
         return alpha
@@ -547,8 +548,9 @@ class _MatrixReduced(ReducedDual):
 
     def newton_direction(self, alpha, grad, mask, h: float):
         """CG on the curvature operator: the spectral Jacobian is not a
-        diagonal plus low rank, so there is no direct solve."""
-        return qn_step(grad, self.hessian_matvec(alpha), mask, h)
+        diagonal plus low rank, so there is no direct solve.  The matrix
+        dual is unconstrained, so ``mask`` is all true."""
+        return qn_step(grad, self.hessian_matvec(alpha), h)
 
     def free_mask(self, alpha, grad):
         return np.ones_like(alpha, dtype=bool)

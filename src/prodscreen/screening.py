@@ -1,11 +1,12 @@
 """Depth-first screening of the interaction lattice.
 
-Given a dual alpha, every interaction column c_u has an inclusion
-statistic, |c_u^T alpha| (c_u^T alpha when no entry of alpha is negative;
-the norm of that row for an n x T dual), and an order-dependent threshold
-lambda * rho(|u|).  Interactions whose statistic clears their threshold
-are emitted; everything else is certifiably inactive.  Because
-c_t <= c_u entrywise whenever t is a superset of u, the quantity
+Given a dual alpha, a vector or an n x T matrix, every interaction column
+c_u has an inclusion statistic, |c_u^T alpha| (c_u^T alpha when no entry
+of alpha is negative; the norm of that row for an n x T dual), and an
+order-dependent threshold lambda * rho(|u|).  Interactions whose statistic
+clears their threshold are emitted; everything else is certifiably
+inactive.  With alpha_+ = max(alpha, 0) and alpha_- = max(-alpha, 0), and
+because c_t <= c_u entrywise whenever t is a superset of u, the quantity
 
     bound(u) = max(c_u^T alpha_+, c_u^T alpha_-)
 
@@ -42,7 +43,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import AtomicMatrix, DualWeights, FeatureSet, cosine
+from .data import AtomicMatrix, FeatureSet, cosine
 
 __all__ = [
     "PenaltySchedule",
@@ -144,10 +145,10 @@ class ScreenResult:
             )
 
 
-def _mode(w: DualWeights) -> str:
+def _mode(alpha: np.ndarray) -> str:
     """The statistic a dual calls for: row norms for an (n, T) dual, else
     |c^T alpha|, which is c^T alpha for a dual without negative entries."""
-    return "group" if w.pos.ndim == 2 else "signed"
+    return "group" if alpha.ndim == 2 else "signed"
 
 
 def _stat_bound(p: np.ndarray, m: np.ndarray, mode: str):
@@ -171,42 +172,48 @@ _CHUNK = 1 << 12
 class _Walk:
     """One depth-first pass over the prefix classes at penalty level ``lam``.
 
-    Iterating yields ``(atoms, stat, threshold)`` for every node whose
-    statistic exceeds lam * rho(k), with atoms in join order.  All atoms
-    seed the walk; a node of order k >= 2 closes its subtree when its bound
-    is at most lam * rho(k + 1).  A stack entry is one prefix class: its
-    prefix atoms in join order, the prefix's column (None for the atoms)
-    and the int array of its m member atoms.  The class's atom columns are
-    gathered once, and its m - 1 parents, every member but the last, are
-    scored in slices of at most max(1, ``_CHUNK`` // (m * T)).  In a slice,
-    each parent gets its column and fills its row of the class matrix with
-    its dots with the later members; the strict upper triangle then gives
-    the statistics and bounds of the slice's children in one call, and
-    they are emitted row by row.  The caller may raise ``lam`` between
-    yields: each yield is tested at the level current at its turn, and a
-    slice's closure tests run after all its yields.  A test at a higher
-    level than the node's turn closes no subtree that holds a node above
-    the final level, so ``critical_lambda`` keeps its value.  The last
-    member of a class never gets a column.  ``explored`` counts the nodes
-    whose statistic was computed and ``pruned`` the subtrees closed.
+    ``alpha`` is the dual, a vector or an (n, T) matrix of finite values
+    with A's n rows (anything else raises ValueError); the walk splits it
+    into alpha_+ = max(alpha, 0) and alpha_- = max(-alpha, 0).  Iterating
+    yields ``(atoms, stat, threshold)`` for every node whose statistic
+    exceeds lam * rho(k), with atoms in join order.  All atoms seed the
+    walk; a node of order k >= 2 closes its subtree when its bound is at
+    most lam * rho(k + 1).  A stack entry is one prefix class: its prefix
+    atoms in join order, the prefix's column (None for the atoms) and the
+    int array of its m member atoms.  The class's atom columns are gathered
+    once, and its m - 1 parents, every member but the last, are scored in
+    slices of at most max(1, ``_CHUNK`` // (m * T)).  In a slice, each
+    parent gets its column and fills its row of the class matrix with its
+    dots with the later members; the strict upper triangle then gives the
+    statistics and bounds of the slice's children in one call, and they
+    are emitted row by row.  The caller may raise ``lam`` between yields:
+    each yield is tested at the level current at its turn, and a slice's
+    closure tests run after all its yields.  A test at a higher level than
+    the node's turn closes no subtree that holds a node above the final
+    level, so ``critical_lambda`` keeps its value.  The last member of a
+    class never gets a column.  ``explored`` counts the nodes whose
+    statistic was computed and ``pruned`` the subtrees closed.
     """
 
-    def __init__(self, A: AtomicMatrix, weights: DualWeights, schedule: PenaltySchedule,
+    def __init__(self, A: AtomicMatrix, alpha, schedule: PenaltySchedule,
                  cfg: ScreenConfig, lam: float):
-        if weights.n_rows != A.n_rows:
-            raise ValueError("dual weights and matrix disagree on row count")
+        alpha = np.asarray(alpha, dtype=float)
+        if alpha.ndim not in (1, 2) or alpha.shape[0] != A.n_rows:
+            raise ValueError(f"the dual must have shape (n,) or (n, T) for the matrix's "
+                             f"n = {A.n_rows} rows, not {alpha.shape}")
+        if not np.all(np.isfinite(alpha)):
+            raise ValueError("the dual must be finite")
         self.A, self.schedule, self.cfg = A, schedule, cfg
-        self._mode = _mode(weights)
+        self._mode = _mode(alpha)
         self.lam = lam
         self.explored = 0
         self.pruned = 0
-        n = A.n_rows
-        pos, neg = weights.pos.reshape(n, -1), weights.neg.reshape(n, -1)
-        self._T = pos.shape[1]
+        a = alpha.reshape(A.n_rows, -1)
+        self._T = a.shape[1]
         # each half of the dual that has a nonzero entry: its index, its (T, n)
         # weights, which rows are nonzero (None if all are) and their indices
         self._halves = []
-        for i, h in enumerate((pos, neg)):
+        for i, h in enumerate((np.maximum(a, 0.0), np.maximum(-a, 0.0))):
             nz = np.any(h > 0.0, axis=1)
             if nz.any():
                 self._halves.append((i, np.ascontiguousarray(h.T), None if nz.all() else nz,
@@ -293,7 +300,7 @@ class _Walk:
                     stack.append((prefix + (int(exts[a + i]),), cols[i], exts[keep[i]]))
 
 
-def screen(A: AtomicMatrix, weights: DualWeights, schedule: PenaltySchedule,
+def screen(A: AtomicMatrix, alpha, schedule: PenaltySchedule,
            cfg: ScreenConfig | None = None) -> ScreenResult:
     """Emit every interaction whose statistic exceeds its threshold.
 
@@ -302,7 +309,7 @@ def screen(A: AtomicMatrix, weights: DualWeights, schedule: PenaltySchedule,
     bound clears the next order's threshold.  Output is sorted by atom tuple
     and identical across runs on identical input.
     """
-    return _collect(_Walk(A, weights, schedule, cfg or ScreenConfig(), schedule.base_lambda))
+    return _collect(_Walk(A, alpha, schedule, cfg or ScreenConfig(), schedule.base_lambda))
 
 
 def _collect(walk: _Walk) -> ScreenResult:
@@ -317,7 +324,7 @@ def _collect(walk: _Walk) -> ScreenResult:
     return ScreenResult(tuple(emitted), walk.explored, walk.pruned)
 
 
-def critical_lambda(A: AtomicMatrix, weights: DualWeights, schedule: PenaltySchedule,
+def critical_lambda(A: AtomicMatrix, alpha, schedule: PenaltySchedule,
                     cfg: ScreenConfig | None = None) -> float:
     """Smallest base penalty at which ``screen`` emits nothing: the largest
     statistic(u) / rho(|u|) over the lattice.
@@ -326,7 +333,7 @@ def critical_lambda(A: AtomicMatrix, weights: DualWeights, schedule: PenaltySche
     subtree closes once its bound cannot beat the best ratio so far; the
     result does not depend on traversal order.
     """
-    walk = _Walk(A, weights, schedule, cfg or ScreenConfig(), 0.0)
+    walk = _Walk(A, alpha, schedule, cfg or ScreenConfig(), 0.0)
     for atoms, stat, _ in walk:
         rho = schedule.rho(len(atoms))
         lam = stat / rho
@@ -336,18 +343,15 @@ def critical_lambda(A: AtomicMatrix, weights: DualWeights, schedule: PenaltySche
     return walk.lam
 
 
-def verify_kkt(A: AtomicMatrix, weights: DualWeights, schedule: PenaltySchedule,
+def verify_kkt(A: AtomicMatrix, alpha, schedule: PenaltySchedule,
                cfg: ScreenConfig, active) -> tuple[ScreenResult, list[Emitted]]:
     """Re-screen at the given dual point and return the screen with the
     emissions missing from ``active`` (an iterable of FeatureSet or of
     Emitted).  An empty list certifies that no interaction outside the
     active set carries weight.
     """
-    have = set()
-    for a in active:
-        fs = a.feature_set if isinstance(a, Emitted) else a
-        have.add(fs.atoms)
-    res = screen(A, weights, schedule, cfg)
+    have = {(a.feature_set if isinstance(a, Emitted) else a).atoms for a in active}
+    res = screen(A, alpha, schedule, cfg)
     return res, [e for e in res.emitted if e.feature_set.atoms not in have]
 
 
@@ -408,7 +412,6 @@ def frequent_itemsets(A: AtomicMatrix, min_support: float, max_order: int = 20):
     """
     if not 0.0 <= min_support < math.inf:
         raise ValueError("min_support must be non-negative and finite")
-    w = DualWeights.from_alpha(np.ones(A.n_rows))
-    walk = _Walk(A, w, PenaltySchedule.flat(1.0), ScreenConfig(max_order=max_order),
-                 float(min_support))
+    walk = _Walk(A, np.ones(A.n_rows), PenaltySchedule.flat(1.0),
+                 ScreenConfig(max_order=max_order), float(min_support))
     return [(e.feature_set, e.stat) for e in _collect(walk).emitted]

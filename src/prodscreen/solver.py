@@ -140,24 +140,19 @@ def cg_solve(matvec, rhs, rel_tol: float = 1e-8, max_iter: int = 200):
     return x
 
 
-def qn_step(grad, hess_matvec, free_mask, h: float):
-    """Ascent direction (H + h I)^-1 grad restricted to the free coordinates,
-    by CG on a curvature operator (the matrix dual's direction).
+def qn_step(grad, hess_matvec, h: float):
+    """Ascent direction (H + h I)^-1 grad by CG on a curvature operator, for
+    an unconstrained dual (the matrix dual's direction).
 
-    Falls back to the masked gradient if CG misbehaves or the returned
-    direction is not an ascent direction.
+    Falls back to the gradient if CG misbehaves or the returned direction
+    is not an ascent direction.
     """
-    g = np.where(free_mask, grad, 0.0)
-
-    def op(v):
-        return np.where(free_mask, hess_matvec(np.where(free_mask, v, 0.0)), 0.0) + h * v
-
     try:
-        direction = cg_solve(op, g)
+        direction = cg_solve(lambda v: hess_matvec(v) + h * v, grad)
     except ValueError:
-        return g.copy()
-    if _vdot(direction, g) <= 0.0:
-        return g.copy()
+        return grad.copy()
+    if _vdot(direction, grad) <= 0.0:
+        return grad.copy()
     return direction
 
 
@@ -169,8 +164,6 @@ _H_SHRINK = 0.5
 # backtracking: step shrink factor and trials per direction
 _LS_SHRINK = 0.5
 _LS_MAX = 30
-_POLISH_MAX = 20
-_POLISH_BACKTRACKS = 8
 # the inner gradient tolerance tightens tenfold per uncertified round, to here
 _INNER_TOL_FLOOR = 1e-14
 # rounding allowance relative to the size of what is compared: a value of
@@ -237,25 +230,26 @@ def _newton_step(red, alpha, h: float, stop: float):
     return g, gn, red.newton_direction(alpha, grad, mask, h)
 
 
-def _polish(red, alpha, value: float, h: float, tol: float):
+def _polish(red, alpha, value: float, h: float, tol: float, budget: int):
     """Endgame refinement once value comparisons drown in rounding noise.
 
     Near the maximum the dual value is flat to double precision while the
     gradient still carries signal, so steps are accepted on gradient-norm
     decrease instead, guarded against value regressions above noise scale.
     Directions are the reduced dual's damped Newton steps on the free
-    coordinates, from its exact generalized Jacobian.
+    coordinates, from its exact generalized Jacobian; each is halved as
+    ``backtrack`` halves, and at most ``budget`` steps are taken.
     """
     iters = 0
     guard = ROUND_GUARD * (1.0 + abs(value))
     misses = 0
-    for _ in range(_POLISH_MAX):
+    for _ in range(budget):
         _, gn, direction = _newton_step(red, alpha, h, 0.1 * tol)
         if direction is None:
             break
         accepted = False
         t = 1.0
-        for _ in range(_POLISH_BACKTRACKS):
+        for _ in range(_LS_MAX):
             cand = red.project(alpha + t * direction)
             cgrad = red.gradient(cand)
             cg = np.where(red.free_mask(cand, cgrad), cgrad, 0.0)
@@ -264,7 +258,7 @@ def _polish(red, alpha, value: float, h: float, tol: float):
                 alpha, value = cand, cv
                 accepted = True
                 break
-            t *= 0.5
+            t *= _LS_SHRINK
         iters += 1
         if accepted:
             h = max(_H_INIT, h * _H_SHRINK)
@@ -282,7 +276,8 @@ def _inner_ascent(red, alpha, h: float, cfg: SolverConfig, tol: float):
 
     The last returned value says why the loop stopped: ``tol`` (gradient
     below tol), ``stalled`` (no ascent step left, then polished) or
-    ``max_inner`` (steps exhausted)."""
+    ``max_inner`` (steps exhausted).  Polish steps count as inner steps
+    and share the cap."""
     value = red.value(alpha)
     iters = 0
     stop = "max_inner"
@@ -296,7 +291,7 @@ def _inner_ascent(red, alpha, h: float, cfg: SolverConfig, tol: float):
         h = res.h
         if res.stalled:
             stop = "stalled"
-            alpha, value, h, extra = _polish(red, alpha, value, h, tol)
+            alpha, value, h, extra = _polish(red, alpha, value, h, tol, cfg.max_inner - iters)
             iters += extra
             break
         alpha, value = res.alpha, res.value

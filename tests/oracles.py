@@ -176,33 +176,42 @@ def column_dot(c, w):
     return (c[:, None] * w).sum(axis=0)
 
 
-def split_dots(col, w):
-    """(c^T pos, c^T neg) of a DualWeights; length-T vectors for an (n, T) dual."""
-    return column_dot(col, w.pos), column_dot(col, w.neg)
+def split(alpha):
+    """(pos, neg), the halves of a dual as the walk splits it:
+    max(alpha, 0) and max(-alpha, 0)."""
+    alpha = np.asarray(alpha, dtype=float)
+    return np.maximum(alpha, 0.0), np.maximum(-alpha, 0.0)
 
 
-def running_dots(col, w):
-    """(c^T pos, c^T neg) of a DualWeights as running sums in row order over
-    all n rows, each a length-T vector (T = 1 for a vector dual)."""
+def split_dots(col, alpha):
+    """(c^T pos, c^T neg) of a dual; length-T vectors for an (n, T) dual."""
+    pos, neg = split(alpha)
+    return column_dot(col, pos), column_dot(col, neg)
+
+
+def running_dots(col, alpha):
+    """(c^T pos, c^T neg) of a dual as running sums in row order over all n
+    rows, each a length-T vector (T = 1 for a vector dual)."""
     c = col[:, None]
     n = len(col)
-    return (np.cumsum(c * w.pos.reshape(n, -1), axis=0)[-1],
-            np.cumsum(c * w.neg.reshape(n, -1), axis=0)[-1])
+    pos, neg = split(alpha)
+    return (np.cumsum(c * pos.reshape(n, -1), axis=0)[-1],
+            np.cumsum(c * neg.reshape(n, -1), axis=0)[-1])
 
 
-def running_stat(col, w):
+def running_stat(col, alpha):
     """A column's statistic from its running_dots: the norm of pos - neg for
     an (n, T) dual, one BLAS dot as the walk takes it, else |pos - neg|."""
-    p, m = running_dots(col, w)
+    p, m = running_dots(col, alpha)
     diff = p - m
-    if w.pos.ndim == 2:
+    if np.ndim(alpha) == 2:
         return math.sqrt(float(diff @ diff))
     return abs(float(diff[0]))
 
 
-def closure_bound(col, w):
+def closure_bound(col, alpha):
     """Upper bound on the statistic of every superset of the column's atom set."""
-    return _node_stat_bound(col, w)[1]
+    return _node_stat_bound(col, alpha)[1]
 
 
 def jaccard(a, b):
@@ -234,22 +243,22 @@ def dedup_kept(A, sim):
 
 # ------------------------------------------------------- reference walk ---
 
-def _node_stat_bound(col, w):
+def _node_stat_bound(col, alpha):
     """Statistic and superset bound of one column, as floats.  The mode
-    follows from the weights: row norms for an (n, T) dual, c^T a for a
+    follows from the dual: row norms for an (n, T) dual, c^T a for a
     vector dual without negative entries, |c^T a| otherwise."""
-    p, m = split_dots(col, w)
-    if w.pos.ndim == 2:
+    p, m = split_dots(col, alpha)
+    if np.ndim(alpha) == 2:
         diff = p - m
         hi = np.maximum(p, m)
         return math.sqrt(float(diff @ diff)), math.sqrt(float(hi @ hi))
     p, m = float(p), float(m)
-    if not np.any(w.neg > 0):
+    if not np.any(np.asarray(alpha) < 0):
         return p - m, p - m
     return abs(p - m), max(p, m)
 
 
-def reference_walk(A, weights, schedule, cfg, lam):
+def reference_walk(A, alpha, schedule, cfg, lam):
     """The lattice walk one node at a time: a dense column and two dots per node.
 
     A generator of ``(atoms, stat, threshold)`` in join order, like the
@@ -262,7 +271,7 @@ def reference_walk(A, weights, schedule, cfg, lam):
     seeds = []
     for j in range(A.n_cols):
         col = X[:, j]
-        stat, bound = _node_stat_bound(col, weights)
+        stat, bound = _node_stat_bound(col, alpha)
         explored += 1
         thr = lam[0] * schedule.rho(1)
         if stat > thr:
@@ -280,7 +289,7 @@ def reference_walk(A, weights, schedule, cfg, lam):
             for _, ext, _, _ in cls[k + 1:]:
                 col = pcol * X[:, ext]
                 explored += 1
-                stat, bound = _node_stat_bound(col, weights)
+                stat, bound = _node_stat_bound(col, alpha)
                 thr = lam[0] * rho_k
                 if stat > thr:
                     yield atoms + (ext,), stat, thr
@@ -295,10 +304,10 @@ def reference_walk(A, weights, schedule, cfg, lam):
     return explored, pruned
 
 
-def reference_screen(A, weights, schedule, cfg):
+def reference_screen(A, alpha, schedule, cfg):
     """(emitted, explored, pruned) of the reference walk at the schedule's
     base; emitted holds (sorted atoms, stat, threshold) sorted by atoms."""
-    walk = reference_walk(A, weights, schedule, cfg, [schedule.base_lambda])
+    walk = reference_walk(A, alpha, schedule, cfg, [schedule.base_lambda])
     emitted = []
     while True:
         try:
@@ -310,11 +319,11 @@ def reference_screen(A, weights, schedule, cfg):
     return sorted(emitted), explored, pruned
 
 
-def reference_critical_lambda(A, weights, schedule, cfg):
+def reference_critical_lambda(A, alpha, schedule, cfg):
     """Largest stat / rho over the lattice by the reference walk, stepped up
     where the quotient rounds down, as ``critical_lambda`` defines it."""
     lam = [0.0]
-    for atoms, stat, _ in reference_walk(A, weights, schedule, cfg, lam):
+    for atoms, stat, _ in reference_walk(A, alpha, schedule, cfg, lam):
         rho = schedule.rho(len(atoms))
         level = stat / rho
         while stat > level * rho:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import oracles as oc
-from prodscreen import (AtomicMatrix, BasketSpec, DualWeights, FeatureSet,
+from prodscreen import (AtomicMatrix, BasketSpec, FeatureSet,
                         LogisticSpec, MatrixSpec, PathConfig, PenaltySchedule,
                         ScreenConfig, SolverConfig, basket_dual, frequent_itemsets,
                         interaction_column, lambda_max, logistic_dual, matrix_dual,
@@ -182,7 +182,7 @@ def test_2_screen_equals_enumeration():
         thr = oc.threshold_vector(subsets, schedule)
 
         cfg = ScreenConfig(max_order=d)
-        res = screen(A, DualWeights.from_alpha(alpha), schedule, cfg)
+        res = screen(A, alpha, schedule, cfg)
 
         want = {u for u, s, t in zip(subsets, stats, thr) if s > t}
         got = {e.feature_set.atoms for e in res.emitted}

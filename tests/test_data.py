@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles as oc
-from prodscreen import (AtomicMatrix, BasketSpec, DualWeights, FeatureSet,
+from prodscreen import (AtomicMatrix, BasketSpec, FeatureSet,
                         PenaltySchedule, basket_dual, interaction_column,
                         interaction_matrix, load_dense, load_transactions, screen)
 
@@ -134,7 +134,7 @@ def test_column_dot_shapes(four_transactions):
 
 def test_split_dots_example():
     c = np.array([1.0, 1.0, 1.0, 0.0])
-    w = DualWeights.from_alpha(np.array([1.0, -0.5, 0.25, 7.0]))
+    w = np.array([1.0, -0.5, 0.25, 7.0])
     p, m = oc.split_dots(c, w)
     assert p == pytest.approx(1.25)
     assert m == pytest.approx(0.5)
@@ -148,22 +148,6 @@ def test_jaccard():
     dense = np.full(5, 0.5)
     with pytest.raises(ValueError, match="binary"):
         oc.jaccard(a, dense)
-
-
-def test_dual_weights_invariants():
-    w = DualWeights.from_alpha(np.array([2.0, -3.0, 0.0]))
-    assert np.allclose(w.pos, [2, 0, 0])
-    assert np.allclose(w.neg, [0, 3, 0])
-    assert np.allclose(w.alpha, [2, -3, 0])
-    with pytest.raises(ValueError, match="disjoint"):
-        DualWeights(np.array([1.0, 1.0]), np.array([1.0, 0.0]))
-    with pytest.raises(ValueError, match="non-negative"):
-        DualWeights(np.array([-1.0]), np.array([0.0]))
-    for bad in (np.nan, np.inf, -np.inf):
-        with pytest.raises(ValueError, match="finite"):
-            DualWeights.from_alpha(np.array([1.0, bad]))
-    with pytest.raises(ValueError, match="finite"):
-        DualWeights(np.zeros((2, 2)), np.array([[0.0, np.nan], [0.0, 0.0]]))
 
 
 def test_atomic_matrix_range_validation():
@@ -204,7 +188,7 @@ def test_split_dots_reconstruction(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 20))
     alpha = rng.standard_normal(n) * 3
-    w = DualWeights.from_alpha(alpha)
+    w = alpha
     tid = np.flatnonzero(rng.random(n) < 0.5)
     c = np.zeros(n)
     c[tid] = 1.0
@@ -326,7 +310,7 @@ def test_screen_columns_are_interaction_columns(seed, values):
             assert np.array_equal(col, np.flatnonzero(X[:, j]))
         else:
             assert np.array_equal(col, X[:, j])
-    w = DualWeights.from_alpha(rng.standard_normal(n))
+    w = rng.standard_normal(n)
     res = screen(A, w, PenaltySchedule.flat(1e-9))
     assert res.emitted or not X.any()  # an all-zero draw emits nothing
     F = basket_dual(BasketSpec(), A).reduced(res.emitted).F

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles as oc
-from prodscreen import (AtomicMatrix, DualWeights, PenaltySchedule,
+from prodscreen import (AtomicMatrix, PenaltySchedule,
                         ScreenConfig, dedup_atoms,
                         frequent_itemsets, interaction_column, screen, verify_kkt)
 from prodscreen import screening
@@ -73,17 +73,13 @@ def test_screen_config_validation():
 
 def test_closure_bound_modes():
     c = np.array([1.0, 1.0, 1.0, 0.0])
-    w = DualWeights.from_alpha(np.array([1.0, -0.5, 0.25, 7.0]))
+    w = np.array([1.0, -0.5, 0.25, 7.0])
     assert oc.closure_bound(c, w) == pytest.approx(1.25)
-    w2 = DualWeights.from_alpha(np.array([1.0, 1.0, 0.0, 0.0]))
+    w2 = np.array([1.0, 1.0, 0.0, 0.0])
     c2 = np.array([1.0, 1.0, 0.0, 0.0])
     assert oc.closure_bound(c2, w2) == pytest.approx(2.0)
     # group: per-column maxima (3, 4) -> 5
-    pos = np.zeros((2, 2))
-    neg = np.zeros((2, 2))
-    pos[0, 0] = 3.0
-    neg[0, 1] = 4.0
-    w3 = DualWeights(pos, neg)
+    w3 = np.array([[3.0, -4.0], [0.0, 0.0]])
     c3 = np.array([1.0, 0.0])
     assert oc.closure_bound(c3, w3) == pytest.approx(5.0)
 
@@ -99,7 +95,7 @@ def test_matrix_dual_screens_row_norms(rng):
     mats = (AtomicMatrix.from_dense(X), AtomicMatrix(X))
     assert [A.is_binary for A in mats] == [True, False]
     for A in mats:
-        res = screen(A, DualWeights.from_alpha(alpha), sched)
+        res = screen(A, alpha, sched)
         got = [(e.feature_set.atoms, e.stat) for e in res.emitted]
         assert [u for u, _ in got] == [u for u, _ in want]
         assert [v for _, v in got] == pytest.approx([v for _, v in want], rel=1e-12)
@@ -109,7 +105,7 @@ def test_matrix_dual_screens_row_norms(rng):
 
 def test_screen_four_transactions(four_transactions):
     A = four_transactions
-    w = DualWeights.from_alpha(np.ones(4))
+    w = np.ones(4)
     res = screen(A, w, PenaltySchedule.flat(1.5))
     got = [e.feature_set.atoms for e in res.emitted]
     assert got == [(0,), (0, 1), (1,), (1, 2), (2,)]
@@ -127,7 +123,7 @@ def test_screen_four_transactions(four_transactions):
 def test_screen_zero_alpha_explores_pairs_only(rng):
     X = (rng.random((10, 6)) < 0.5).astype(float)
     A = AtomicMatrix.from_dense(X)
-    res = screen(A, DualWeights.from_alpha(np.zeros(10)), PenaltySchedule.flat(1.0))
+    res = screen(A, np.zeros(10), PenaltySchedule.flat(1.0))
     assert res.emitted == ()
     assert res.explored_count == 6 + 15     # all atoms, all pairs, nothing deeper
 
@@ -135,7 +131,7 @@ def test_screen_zero_alpha_explores_pairs_only(rng):
 def test_screen_emits_sorted_and_deterministic(rng):
     X = (rng.random((30, 8)) < 0.5).astype(float)
     A = AtomicMatrix.from_dense(X)
-    w = DualWeights.from_alpha(rng.standard_normal(30))
+    w = rng.standard_normal(30)
     sched = PenaltySchedule.geometric(0.8, 1.3)
     r1 = screen(A, w, sched)
     r2 = screen(A, w, sched)
@@ -149,7 +145,7 @@ def test_screen_emits_sorted_and_deterministic(rng):
 def test_screen_max_order_cap(rng):
     X = np.ones((6, 5))  # worst case: every subset has full support
     A = AtomicMatrix.from_dense(X)
-    w = DualWeights.from_alpha(np.ones(6))
+    w = np.ones(6)
     res = screen(A, w, PenaltySchedule.flat(0.5),
                  ScreenConfig(max_order=2))
     orders = {e.feature_set.order for e in res.emitted}
@@ -159,7 +155,7 @@ def test_screen_max_order_cap(rng):
 
 def test_jsonl_format(four_transactions):
     A = four_transactions
-    res = screen(A, DualWeights.from_alpha(np.ones(4)), PenaltySchedule.flat(1.5))
+    res = screen(A, np.ones(4), PenaltySchedule.flat(1.5))
     lines = list(res.to_jsonl(A.item_names))
     first = json.loads(lines[0])
     assert set(first) == {"atoms", "items", "stat", "threshold"}
@@ -171,7 +167,7 @@ def test_jsonl_format(four_transactions):
 
 def test_verify_kkt(four_transactions):
     A = four_transactions
-    w = DualWeights.from_alpha(np.ones(4))
+    w = np.ones(4)
     sched = PenaltySchedule.flat(1.5)
     cfg = ScreenConfig()
     full = screen(A, w, sched, cfg)
@@ -258,13 +254,13 @@ def test_screen_matches_enumeration(seed, mode):
     A = AtomicMatrix.from_dense(X)
     if mode == "group":
         alpha = rng.standard_normal((n, 3))
-        w = DualWeights.from_alpha(alpha)
+        w = alpha
     elif mode == "nonneg":
         alpha = np.abs(rng.standard_normal(n))
-        w = DualWeights.from_alpha(alpha)
+        w = alpha
     else:
         alpha = rng.standard_normal(n)
-        w = DualWeights.from_alpha(alpha)
+        w = alpha
     kind = rng.integers(0, 3)
     lam = float(0.2 + 2.0 * rng.random())
     sched = (PenaltySchedule.flat(lam) if kind == 0
@@ -290,7 +286,7 @@ def test_pruned_subtrees_are_empty(seed):
     A = AtomicMatrix.from_dense(X)
     alpha = rng.standard_normal(n)
     sched = PenaltySchedule.geometric(float(0.3 + rng.random()), 1.4)
-    res = screen(A, DualWeights.from_alpha(alpha), sched)
+    res = screen(A, alpha, sched)
     subsets, P = oc.materialize(X)
     stats = oc.enumerate_stats(P, alpha, "signed")
     bounds = oc.closure_bounds(P, alpha, "signed")
@@ -306,7 +302,7 @@ def test_explored_bounded_by_emitted_subtrees(four_transactions):
     """With a non-negative dual and low threshold, exploration stays within
     the union of power sets of emitted interactions."""
     A = four_transactions
-    w = DualWeights.from_alpha(np.ones(4))
+    w = np.ones(4)
     res = screen(A, w, PenaltySchedule.flat(0.5))
     budget = sum(2 ** e.feature_set.order for e in res.emitted)
     assert res.explored_count <= budget
@@ -361,7 +357,7 @@ def _weights(rng, n, mode, integer, sparse=False):
         alpha = np.abs(alpha)
     elif mode == "nonpositive":
         alpha = -np.abs(alpha)
-    return DualWeights.from_alpha(alpha)
+    return alpha
 
 
 @given(seed=st.integers(0, 10 ** 6), values=st.sampled_from(["binary", "quarters", "uniform"]),
@@ -394,7 +390,7 @@ def test_batched_walk_matches_reference(seed, values, mode, kind, integer, max_o
     cfg = ScreenConfig(max_order=max_order)
     for A in mats:
         exact = (integer and values != "uniform") or \
-            (A.is_binary and mode == "group" and w.pos.shape[1] >= 2)
+            (A.is_binary and mode == "group" and w.shape[1] >= 2)
         lam_ref = oc.reference_critical_lambda(A, w, shape, cfg)
         lam = screening.critical_lambda(A, w, shape, cfg)
         if exact:
@@ -429,7 +425,7 @@ def test_one_column_dual_matches_vector_dual(seed, values, sign):
     alpha = rng.standard_normal(n)
     if sign == "nonneg":
         alpha = np.abs(alpha)
-    vec, col = DualWeights.from_alpha(alpha), DualWeights.from_alpha(alpha[:, None])
+    vec, col = alpha, alpha[:, None]
     sched = PenaltySchedule.geometric(float(rng.uniform(0.05, 1.0)) * np.abs(alpha).sum(), 1.3)
     mats = [AtomicMatrix(X)] + ([AtomicMatrix.from_dense(X)] if values == "binary" else [])
     assert [A.is_binary for A in mats] == [False, True][:len(mats)]
@@ -478,7 +474,7 @@ def test_large_batches_keep_running_sums(mode):
         alpha = np.abs(alpha)
     elif mode == "sparse":
         alpha[rng.permutation(n)[:n // 2]] = 0.0
-    w = DualWeights.from_alpha(alpha)
+    w = alpha
     res = screen(A, w, PenaltySchedule.geometric(1e-9, 1.2))
     assert len(res.emitted) == 2 ** d - 1
     for e in res.emitted:
@@ -497,7 +493,7 @@ def test_dense_stats_equal_running_sums_in_join_order(mode):
         X = rng.random((n, d)) * (rng.random((n, d)) < 0.8)
         A = AtomicMatrix(X)
         alpha = rng.standard_normal((n, 3) if mode == "group" else n)
-        w = DualWeights.from_alpha(np.abs(alpha) if mode == "nonneg" else alpha)
+        w = np.abs(alpha) if mode == "nonneg" else alpha
         walk = list(screening._Walk(A, w, PenaltySchedule.flat(1.0), ScreenConfig(), 0.0))
         assert len(walk) == 2 ** d - 1
         for atoms, stat, _ in walk:
@@ -507,13 +503,30 @@ def test_dense_stats_equal_running_sums_in_join_order(mode):
             assert stat == oc.running_stat(col, w)
 
 
+@pytest.mark.parametrize("call", [screen, screening.critical_lambda])
+@pytest.mark.parametrize("alpha, message", [
+    (np.array([1.0, np.nan, 0.0]), "finite"),
+    (np.array([1.0, 0.0, -np.inf]), "finite"),
+    (np.ones(4), "rows"),
+    (np.array(1.0), r"\(\)"),
+    (np.ones((3, 2, 2)), r"\(3, 2, 2\)"),
+], ids=["nan", "inf", "rows", "0-d", "3-d"])
+def test_screen_rejects_bad_dual(call, alpha, message):
+    """A dual that is not finite, has a row count unlike A's, or is not a
+    vector or an (n, T) matrix is rejected.  A 3-D dual was screened on its
+    first column alone, and a 0-d one ended in IndexError."""
+    A = AtomicMatrix(np.array([[1], [1], [0]], dtype=bool))
+    with pytest.raises(ValueError, match=message):
+        call(A, alpha, PenaltySchedule.flat(1.0))
+
+
 def test_screen_rejects_a_duplicate_emission(monkeypatch, four_transactions):
     """The duplicate check holds under ``python -O`` too: it raises, it is
     not an assert."""
     twice = [((0, 1), 2.0, 1.0), ((1, 0), 2.0, 1.0)]
     monkeypatch.setattr(screening._Walk, "__iter__", lambda self: iter(twice))
     with pytest.raises(RuntimeError, match="duplicate emission"):
-        screen(four_transactions, DualWeights.from_alpha(np.ones(4)), PenaltySchedule.flat(1.0))
+        screen(four_transactions, np.ones(4), PenaltySchedule.flat(1.0))
 
 
 @pytest.mark.parametrize("chunk", [1, 1000, 5000])
@@ -631,7 +644,7 @@ def test_walk_builds_a_column_only_for_a_parent(monkeypatch):
         sched = PenaltySchedule.geometric(float(rng.uniform(0.01, 0.2)) * np.abs(alpha).sum(), 1.2)
         cfg = ScreenConfig(max_order=int(rng.integers(2, 6)))
         calls.update(extend=0, dots=0)
-        screen(A, DualWeights.from_alpha(alpha), sched, cfg)
+        screen(A, alpha, sched, cfg)
         parents = calls["dots"] - 1 - (d - 1)
         assert calls["extend"] == parents
         deep += parents
@@ -653,7 +666,7 @@ def test_negative_dual_screens_signed():
     assert [stats[u] for u in [(0, 1, 2), (0, 2, 3), (0, 1, 2, 3)]] == [2.0, 2.0, 2.0]
     signed = dict(zip(subsets, oc.enumerate_stats(P, alpha, "signed")))
     want = [(u, v) for u, v in signed.items() if v > 1.0]
-    w = DualWeights.from_alpha(alpha)
+    w = alpha
     flat = PenaltySchedule.flat(1.0)
     mats = (AtomicMatrix.from_dense(X), AtomicMatrix(X))
     assert [A.is_binary for A in mats] == [True, False]

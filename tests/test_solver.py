@@ -48,19 +48,14 @@ def test_cg_nonfinite_raises():
 
 def test_qn_step_limits():
     g = np.array([1.0, -2.0, 0.5])
-    mask = np.ones(3, dtype=bool)
     # zero curvature, h = 1: direction equals the gradient
-    d = qn_step(g, lambda v: np.zeros_like(v), mask, 1.0)
+    d = qn_step(g, lambda v: np.zeros_like(v), 1.0)
     assert np.allclose(d, g, atol=1e-10)
     # identity curvature, h = 1: direction halves
-    d = qn_step(g, lambda v: v, mask, 1.0)
+    d = qn_step(g, lambda v: v, 1.0)
     assert np.allclose(d, g / 2.0, atol=1e-10)
-    # masked coordinates never move
-    mask2 = np.array([True, False, True])
-    d = qn_step(g, lambda v: v, mask2, 1.0)
-    assert d[1] == 0.0
     # CG blowing up falls back to the gradient
-    d = qn_step(g, lambda v: v * np.nan, mask, 1.0)
+    d = qn_step(g, lambda v: v * np.nan, 1.0)
     assert np.allclose(d, g)
 
 
@@ -100,6 +95,39 @@ def test_line_search_stalls_at_optimum():
     assert res.stalled
     assert np.allclose(res.alpha, a)
     assert res.h == pytest.approx(1.0)  # grown once on the quasi-Newton failure
+
+
+class _Flat:
+    """A dual whose value never rises while its gradient -a halves along
+    each Newton step: the line search stalls at once, and every polish
+    step is accepted until the gradient vanishes."""
+
+    def value(self, a):
+        return 0.0
+
+    def gradient(self, a):
+        return -a
+
+    def free_mask(self, a, grad):
+        return np.ones_like(a, dtype=bool)
+
+    def newton_direction(self, a, grad, mask, h):
+        return 0.5 * grad
+
+    def project(self, a):
+        return a
+
+    def step_along(self, a, value, direction, h):
+        return prodscreen.solver.backtrack(self, a, value, direction, h)
+
+
+def test_polish_stays_inside_the_inner_cap():
+    """Polish steps count as inner steps, so a round that stalls and then
+    polishes still takes at most max_inner of them."""
+    cfg = SolverConfig(max_inner=5)
+    *_, iters, stop = prodscreen.solver._inner_ascent(_Flat(), np.ones(2), 1e-4, cfg, 1e-12)
+    assert stop == "stalled"
+    assert iters == cfg.max_inner
 
 
 def _basket_ray_case(rng, nonneg, gamma, n=9, d=4):
