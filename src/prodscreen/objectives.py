@@ -13,8 +13,13 @@ same surface to the solver:
     value / gradient                    on the reduced problem,
     newton_direction                    its damped Newton direction,
     step_along                          and the step taken along it,
-    project / free_mask                 for the feasible set,
+    project                             for the feasible set,
     primal_map / primal_value           to recover and score coefficients.
+
+Every coordinate is free to move (``free_mask``) except in the basket
+dual, which pins coordinates on its orthant's face: the logistic dual's
+step keeps its iterates strictly inside its box, and the matrix dual is
+unconstrained.
 
 Each reduced dual writes its conjugate pair once: ``value`` holds the
 conjugates of loss and penalty, and ``primal_map`` the coefficient map that
@@ -47,6 +52,8 @@ __all__ = [
 ]
 
 _EPS = 1e-12
+# share of its distance to a face of the logistic box that one step may cover
+_TO_FACE = 0.9
 # relative cutoff of both rank_report counts
 _RANK_TOL = 1e-8
 
@@ -203,7 +210,8 @@ class ReducedDual:
         By Woodbury, with E = D + h, w = mask / E and G = sqrt(w) F_B,
         x = w g - sqrt(w) G S^-1 G^T (sqrt(w) g) where S = c I + G^T G is
         m x m for m live columns.  S >= c I, so its solve stays well
-        conditioned however large D grows at the faces of the feasible box.
+        conditioned however large D grows near the faces of the logistic
+        box, which that dual's capped step approaches but never reaches.
         (An LU solve: at m of a few hundred it is not where the time goes.)
         """
         diag, live, c = self._curvature(alpha)
@@ -228,6 +236,10 @@ class ReducedDual:
 
     def project(self, alpha):
         return self.obj.project(alpha)
+
+    def free_mask(self, alpha, grad):
+        """The coordinates a step may move: all of them here."""
+        return np.ones_like(alpha, dtype=bool)
 
     def feature_sets(self):
         return tuple(e.feature_set for e in self.active)
@@ -456,12 +468,17 @@ class _LogisticReduced(ReducedDual):
         s = np.clip(self.y - alpha, _EPS, 1.0 - _EPS)
         return 1.0 / s + 1.0 / (1.0 - s), np.abs(self.dots(alpha)) > self.thr, self.tau
 
-    def free_mask(self, alpha, grad):
-        lo = self.y - 1.0
-        hi = self.y
-        pinned_lo = (alpha <= lo) & (grad <= 0.0)
-        pinned_hi = (alpha >= hi) & (grad >= 0.0)
-        return ~(pinned_lo | pinned_hi)
+    def step_along(self, alpha, value: float, direction, h: float):
+        """Backtrack from the longest step t <= 1 that leaves every
+        s = y - alpha at least a tenth of its distance to 0 and to 1 (the
+        fraction-to-the-boundary rule of interior-point methods).  From a
+        point inside the box every iterate stays strictly inside, where the
+        curvature 1/s stays finite, so no coordinate is ever pinned."""
+        s = self.y - alpha
+        up, down = direction > 0.0, direction < 0.0  # s falls, s rises
+        room = np.concatenate((s[up] / direction[up], (s[down] - 1.0) / direction[down]))
+        t = min(1.0, _TO_FACE * room.min(initial=np.inf))
+        return backtrack(self, alpha, value, t * direction, h)
 
     def primal_value(self, beta) -> float:
         scores = self.F @ beta
@@ -551,9 +568,6 @@ class _MatrixReduced(ReducedDual):
         diagonal plus low rank, so there is no direct solve.  The matrix
         dual is unconstrained, so ``mask`` is all true."""
         return qn_step(grad, self.hessian_matvec(alpha), h)
-
-    def free_mask(self, alpha, grad):
-        return np.ones_like(alpha, dtype=bool)
 
     def primal_value(self, W) -> float:
         P = self.F @ W

@@ -9,15 +9,17 @@ small SPD system (Woodbury); the matrix dual runs conjugate gradients
 dual's too (``step_along``), along the Newton direction and, when that
 finds no step, along the projected gradient: the basket dual, piecewise
 quadratic along its projected ray, steps exactly to the first maximum
-there; the logistic and matrix duals backtrack until the value strictly
-increases, and their damping h grows when the quadratic model misleads
-and shrinks when a full step is accepted first try.  The outer loop
-alternates inner convergence with an exact re-screen of the lattice: any
-interaction the screen emits that is missing from the active set joins
-it, and the solve finishes when the screen certifies the active set
-complete and the duality gap is below tolerance.  Otherwise the inner
-tolerance tightens, down to a floor, and the solve stalls when no step is
-left or a round at the floor takes none (the next would repeat it).
+there; the logistic dual caps its step so that every row keeps a tenth
+of its distance to the faces of its box, and it and the matrix dual then
+backtrack until the value strictly increases.  Their damping h grows when
+the quadratic model misleads and shrinks when a first trial is accepted.
+The outer loop alternates inner convergence with an exact re-screen of
+the lattice: any interaction the screen emits that is missing from the
+active set joins it, and the solve finishes when the screen certifies the
+active set complete and the duality gap is below tolerance.  Otherwise
+the inner tolerance tightens, down to a floor, and the solve stalls when
+no step is left or a round at the floor takes none (the next would repeat
+it).
 """
 
 from __future__ import annotations
@@ -203,10 +205,12 @@ def line_search(red, alpha, value: float, direction, gradient_dir,
     """Step along the quasi-Newton direction, then along the gradient.
 
     The reduced dual sets both steps (``red.step_along``): the basket dual
-    steps exactly to the first maximum along its projected ray, and the
-    logistic and matrix duals ``backtrack``.  When no step is found along
-    the direction, h grows and the projected gradient is tried; failing
-    both reports a stall and leaves the iterate unchanged.
+    steps exactly to the first maximum along its projected ray, the
+    logistic dual ``backtrack``s from a step capped short of its box's
+    faces, and the matrix dual ``backtrack``s from the full step.  When no
+    step is found along the direction, h grows and the projected gradient
+    is tried; failing both reports a stall and leaves the iterate
+    unchanged.
     """
     found = red.step_along(alpha, value, direction, h)
     if found is not None:

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 import oracles as oc
+import prodscreen.path
 import prodscreen.solver
 from prodscreen import (AtomicMatrix, BasketSpec, FeatureSet, LogisticSpec, MatrixSpec,
                         PathConfig, PenaltySchedule, PrimalModel, ScreenConfig,
@@ -229,6 +230,61 @@ def test_logistic_solve_matches_scalar_oracle():
     assert res.state.dual_value == pytest.approx(oracle, abs=1e-8)
     # the fitted score must solve sigma(s) = 1 - alpha with soft-threshold map
     assert res.model.n_active == 1
+
+
+@given(st.integers(0, 10 ** 6), st.floats(0.05, 0.9), st.floats(1.0, 2.0),
+       st.floats(0.1, 5.0))
+@settings(max_examples=120, deadline=None)
+def test_logistic_iterates_keep_off_the_box_faces(seed, share, base, tau):
+    """Every step a logistic solve accepts leaves each s = y - alpha inside
+    (0, 1) with at least a tenth of its distance to the face it moves
+    toward, so the entropy's curvature 1/s + 1/(1 - s) stays finite."""
+    rng = np.random.default_rng(seed)
+    n, d = 14, 6
+    A = AtomicMatrix.from_dense((rng.random((n, d)) < rng.uniform(0.2, 0.8)).astype(float))
+    y = (rng.random(n) < 0.5).astype(float)
+    obj = logistic_dual(LogisticSpec(labels=y, tau_l2=tau), A)
+    sched = PenaltySchedule.geometric(1.0, base)
+    lm = lambda_max(obj, A, sched)
+    assume(lm > 0.0)
+    steps = []
+    search = prodscreen.solver.line_search
+
+    def recording(red, alpha, *args):
+        res = search(red, alpha, *args)
+        if not res.stalled:
+            steps.append((alpha, res.alpha))
+        return res
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(prodscreen.solver, "line_search", recording)
+        solve(obj, A, sched.with_base(share * lm))
+    assert steps
+    for before, after in steps:
+        s0, s1 = y - before, y - after
+        assert np.all((s1 > 0.0) & (s1 < 1.0))
+        falls = s1 < s0
+        assert np.all(s1[falls] >= 0.1 * s0[falls] - 1e-15)
+        assert np.all(1.0 - s1[~falls] >= 0.1 * (1.0 - s0[~falls]) - 1e-15)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_logistic_solve_from_a_box_face(seed):
+    """A start on a face of the box, every s = 0 (alpha = y) or every s = 1
+    (alpha = y - 1), steps inward and ends where the default start ends."""
+    rng = np.random.default_rng(seed)
+    A = AtomicMatrix.from_dense((rng.random((60, 6)) < 0.4).astype(float))
+    y = (rng.random(60) < 0.5).astype(float)
+    obj = logistic_dual(LogisticSpec(labels=y), A)
+    sched = PenaltySchedule.geometric(1.0, 1.5)
+    sched = sched.with_base(0.3 * lambda_max(obj, A, sched))
+    ref = solve(obj, A, sched)
+    assert ref.state.converged and ref.model.n_active > 0
+    for face in (y, y - 1.0):
+        res = solve(obj, A, sched, face)
+        assert res.state.converged
+        assert {fs.atoms for fs in res.model.active} == {fs.atoms for fs in ref.model.active}
+        assert res.state.primal_value == pytest.approx(ref.state.primal_value, rel=1e-9)
 
 
 def test_solve_above_lambda_max_gives_empty_model(rng):
@@ -496,6 +552,47 @@ def test_stop_reasons(rng):
     res = solve(obj, A, PenaltySchedule.flat(3.0), cfg=SolverConfig(max_outer=1, max_inner=1))
     assert res.state.stop_reason == "max_outer" and not res.state.converged
     assert res.state.outer_iterations == 1
+
+
+def test_logistic_path_does_not_stall(monkeypatch):
+    """perfbench's ``logistic_cli`` instance at seed 1: 5,000 binary rows
+    over 60 atoms with three planted sets, fitted along its 10-level path.
+    A Newton step that drove rows of s = y - alpha against the box faces
+    left the ascent crawling there, and the crawl ended in a stall that
+    reached ``_polish``; this instance did, before each step was kept a
+    tenth of its distance from the faces.  Now every level converges
+    without one.  Rounding stalls are not gone in general: seeds 6 and 8
+    of the same generator still stall once, with a predicted ascent below
+    the value's rounding scale."""
+    rng = np.random.default_rng(1)
+    X = rng.random((7000, 60)) < 0.3  # 5,000 fit rows and 2,000 held out
+    planted = (((0, 1), 6.0), ((4, 5, 6), 5.5), ((10,), 5.0))
+    for atoms, _ in planted:
+        rows = rng.choice(7000, size=700, replace=False)
+        X[np.ix_(rows, list(atoms))] = True
+    logit = sum(w * X[:, list(atoms)].all(axis=1) for atoms, w in planted) - 3.0
+    y = (rng.random(7000) < 1.0 / (1.0 + np.exp(-logit))).astype(float)
+    A = AtomicMatrix.from_dense(X[:5000].astype(float))
+
+    def no_polish(*args, **kwargs):
+        raise AssertionError("_polish reached")
+
+    logs = []
+    path_solve = prodscreen.path.solve
+
+    def logging_solve(*args, **kwargs):
+        res = path_solve(*args, **kwargs)
+        logs.append(res.log)
+        return res
+
+    monkeypatch.setattr(prodscreen.solver, "_polish", no_polish)
+    monkeypatch.setattr(prodscreen.path, "solve", logging_solve)
+    pr = run_path(logistic_dual(LogisticSpec(labels=y[:5000], tau_l2=1.0), A), A,
+                  PathConfig(n_lambdas=10, lambda_min_ratio=0.05), ScreenConfig(max_order=20),
+                  schedule=PenaltySchedule.geometric(1.0, 1.5))
+    assert len(pr.points) == len(logs) == 10
+    assert all(p.converged for p in pr.points)
+    assert all(row[-1] != "stalled" for log in logs for row in log)
 
 
 def _sign_free_basket(seed, n, d, tau, gamma, share, cfg):
