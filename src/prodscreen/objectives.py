@@ -10,16 +10,15 @@ n x m matrix F from ``interaction_matrix``, the routine that builds
 ``predict``'s and ``rank_report``'s columns too.  All three expose the
 same surface to the solver:
 
+    ascend                              the round's solve of the reduced problem,
     value / gradient                    on the reduced problem,
-    newton_direction                    its damped Newton direction,
-    step_along                          and the step taken along it,
     project                             for the feasible set,
     primal_map / primal_value           to recover and score coefficients.
 
-Every coordinate is free to move (``free_mask``) except in the basket
-dual, which pins coordinates on its orthant's face: the logistic dual's
-step keeps its iterates strictly inside its box, and the matrix dual is
-unconstrained.
+The logistic and matrix duals ascend by damped Newton, each along its own
+``newton_direction`` and ``step_along`` it; the logistic step keeps its
+iterates strictly inside its box.  The basket solves its reduced primal on
+[0, 1]^m instead and hands back the dual point of its last iterate.
 
 Each reduced dual writes its conjugate pair once: ``value`` holds the
 conjugates of loss and penalty, and ``primal_map`` the coefficient map that
@@ -37,7 +36,7 @@ import numpy as np
 
 from .data import AtomicMatrix, interaction_matrix
 from .screening import PenaltySchedule, ScreenConfig
-from .solver import ROUND_GUARD, backtrack, qn_step
+from .solver import _LS_MAX, _LS_SHRINK, ROUND_GUARD, _inner_ascent, backtrack, qn_step
 
 __all__ = [
     "BasketSpec",
@@ -54,6 +53,10 @@ __all__ = [
 _EPS = 1e-12
 # share of its distance to a face of the logistic box that one step may cover
 _TO_FACE = 0.9
+# the basket primal's projected Newton: Armijo's share of the predicted
+# decrease, and the widest band along a face of the box that binds
+_ARMIJO = 1e-4
+_BIND_MAX = 1e-3
 # relative cutoff of both rank_report counts
 _RANK_TOL = 1e-8
 
@@ -197,37 +200,10 @@ class ReducedDual:
     def dots(self, alpha):
         return self.F.T @ alpha
 
-    def _curvature(self, alpha):
-        """(D, live, c) with negative Hessian D + F_B F_B^T / c, where D is
-        a diagonal (vector or scalar) and F_B the columns flagged live."""
-        raise NotImplementedError
-
-    def newton_direction(self, alpha, grad, mask, h: float):
-        """Solution x of (H + h I) x = grad on the free coordinates (mask),
-        with x = 0 on the others; the masked gradient when x is not finite
-        or not an ascent direction.
-
-        By Woodbury, with E = D + h, w = mask / E and G = sqrt(w) F_B,
-        x = w g - sqrt(w) G S^-1 G^T (sqrt(w) g) where S = c I + G^T G is
-        m x m for m live columns.  S >= c I, so its solve stays well
-        conditioned however large D grows near the faces of the logistic
-        box, which that dual's capped step approaches but never reaches.
-        (An LU solve: at m of a few hundred it is not where the time goes.)
-        """
-        diag, live, c = self._curvature(alpha)
-        g = np.where(mask, grad, 0.0)
-        w = np.where(mask, 1.0 / (diag + h), 0.0)
-        x = w * g
-        if live.any():
-            sw = np.sqrt(w)
-            G = self.F[:, live]
-            G *= sw[:, None]
-            S = G.T @ G
-            S[np.diag_indices_from(S)] += c
-            x -= sw * (G @ np.linalg.solve(S, G.T @ (sw * g)))
-        if not np.all(np.isfinite(x)) or float(np.vdot(x, g)) <= 0.0:
-            return g
-        return x
+    def ascend(self, alpha, h: float, cfg, tol: float):
+        """(point, value, next h, steps, stop) of the round's solve from
+        alpha: here the damped Newton ascent ``_inner_ascent``."""
+        return _inner_ascent(self, alpha, h, cfg, tol)
 
     def step_along(self, alpha, value: float, direction, h: float):
         """(point, value, next h) of an ascent step along direction from
@@ -277,6 +253,7 @@ class _BasketReduced(ReducedDual):
         super().__init__(obj, active)
         self.tau = obj.spec.tau_target
         self.gamma = obj.spec.gamma
+        self._scale = np.einsum("ij,ij->j", self.F, self.F) + self.gamma  # P's diagonal bound
 
     def _excess(self, z):
         """Penalty contribution per active column: the conjugate of the
@@ -296,112 +273,102 @@ class _BasketReduced(ReducedDual):
     def gradient(self, alpha):
         return self.tau - alpha - self.F @ self.primal_map(alpha)
 
-    def _curvature(self, alpha):
+    def ascend(self, alpha, h: float, cfg, tol: float):
+        """Solve the reduced primal instead, by projected Newton from
+        beta = primal_map(alpha): minimize over the box [0, 1]^m
+        P(beta) = 0.5 ||(tau - F beta)_+||^2 + thr^T beta + gamma/2 ||beta||^2,
+        the loss unhinged without ``enforce_nonneg``.  Returns the dual
+        point alpha(beta) = project(tau - F beta) and the dual ascent's stop
+        reasons: ``tol`` when the dual's projected gradient there is at most
+        tol, ``stalled`` when no projected step lowers P, or ``max_inner``.
+        The damping h is not used."""
+        beta = self.primal_map(alpha)
+        r, alpha, z, gn = self._dual_point(beta)
+        steps, stop = 0, "max_inner"
+        for _ in range(cfg.max_inner):
+            if gn <= tol:
+                stop = "tol"
+                break
+            nxt = self._projected_newton(beta, r, alpha, z)
+            if nxt is None:
+                stop = "stalled"
+                break
+            beta = nxt
+            steps += 1
+            r, alpha, z, gn = self._dual_point(beta)
+        return alpha, self.value(alpha), h, steps, stop
+
+    def _dual_point(self, beta):
+        """(r = tau - F beta, alpha = project(r), z = F^T alpha - thr, the
+        norm of the dual's gradient at alpha on its free coordinates)."""
+        r = self.tau - self.F @ beta
+        alpha = self.project(r)
         z = self.dots(alpha) - self.thr
-        return 1.0, (z > 0.0) & (z < self.gamma), self.gamma
+        grad = self.tau - alpha - self.F @ self._slope_weights(z)
+        g = np.where(self.free_mask(alpha, grad), grad, 0.0)
+        return r, alpha, z, float(np.sqrt(g @ g))
 
-    def step_along(self, alpha, value: float, direction, h: float):
-        """The first maximizer along the projected ray, accepted when its
-        value is not below ``value`` by more than rounding.  Its ascent is
-        certified by the slope at t = 0+, so a value that is flat to double
-        precision still moves; h is left as it is."""
-        t = self._ray_max(alpha, direction)
-        if t is None or not np.isfinite(t):
+    def _projected_newton(self, beta, r, alpha, z):
+        """Bertsekas's projected Newton step from beta, or None when no step
+        is known to lower P.  With P's gradient g = gamma beta - z, the
+        coordinates within eps of a face that g pushes them against bind
+        and take a gradient step scaled by ||F_j||^2 + gamma (eps is that
+        step's projected length, at most ``_BIND_MAX``); the rest take the
+        Newton step of F_R^T F_R + gamma I over the rows R where the hinge
+        is live.  The step halves until Armijo's condition holds along the
+        arc clip(beta + t d, 0, 1), where P's change is the exact
+        g^T s + gamma/2 ||s||^2 + (the loss's curvature along F s).  The
+        arc's slope at t = 0+ must be negative beyond ``ROUND_GUARD`` times
+        the magnitudes of its terms."""
+        g = self.gamma * beta - z
+        # each nonzero alpha_i = tau - (F beta)_i carries the rounding of
+        # tau + (F beta)_i into g = gamma beta + thr - F^T alpha
+        sizes = np.where(alpha != 0.0, 2.0 * self.tau - r, 0.0)
+        mag = self.gamma * beta + self.thr + self.dots(sizes)
+        d = -g / self._scale
+        eps = min(_BIND_MAX, float(np.linalg.norm(beta - np.clip(beta + d, 0.0, 1.0))))
+        free = ~(((beta <= eps) & (g > 0.0)) | ((beta >= 1.0 - eps) & (g < 0.0)))
+        if free.any():
+            rows = r > 0.0 if self.obj.enforce_nonneg else np.ones(r.size, dtype=bool)
+            d[free] = -self._newton_solve(self.F[np.ix_(rows, free)], g[free])
+        # as t -> 0+, coordinates on a face that d pushes out of the box stay put
+        start = np.where(((beta <= 0.0) & (d < 0.0)) | ((beta >= 1.0) & (d > 0.0)), 0.0, d)
+        if not g @ start < -ROUND_GUARD * (np.abs(start) @ mag):
             return None
-        cand = self.project(alpha + t * direction)
-        v = self.value(cand)
-        if not v >= value - ROUND_GUARD * (1.0 + abs(value)):  # NaN fails too
-            return None
-        return cand, v, h
+        t = 1.0
+        for _ in range(_LS_MAX):
+            nxt = np.clip(beta + t * d, 0.0, 1.0)
+            s = nxt - beta
+            slope = float(g @ s)
+            rise = 0.5 * self.gamma * float(s @ s) + self._loss_curvature(r, self.F @ s)
+            if slope < 0.0 and (1.0 - _ARMIJO) * slope + rise <= 0.0:
+                return nxt
+            t *= _LS_SHRINK
+        return None
 
-    def _ray_max(self, alpha, d):
-        """First maximizer t > 0 of V(t) = value(project(alpha + t d)) for a
-        feasible alpha (inf if V rises without end), or None when V'(0+) is
-        not above its rounding error.
+    def _newton_solve(self, G, v):
+        """(G^T G + gamma I)^-1 v over the smaller side of G: its columns, or
+        by Woodbury its rows when the columns outnumber them."""
+        k, f = G.shape
+        if f <= k:
+            return np.linalg.solve(G.T @ G + self.gamma * np.eye(f), v)
+        S = G @ G.T + self.gamma * np.eye(k)
+        return (v - G.T @ np.linalg.solve(S, G @ v)) / self.gamma
 
-        Between the sorted breakpoints t_i = alpha_i / -d_i (d_i < 0, none
-        without ``enforce_nonneg``) the point moves along p, d with the
-        clipped coordinates zeroed, so V is quadratic there up to the
-        penalty's kinks, and V'(t) = c - t p.p - b.e'(z(t)) with
-        c = tau sum(p) - alpha.p, b = F^T p, z(t) = F^T alpha(t) - thr:
-        decreasing on each segment.  The segments are scanned in blocks of
-        doubling width; within a block, clipping coordinate i takes F_i d_i
-        off b, and the slopes at all segment ends are checked at once.  The
-        first segment that ends with V' <= 0 holds the answer.
-        """
-        tau = self.tau
-        if self.obj.enforce_nonneg:
-            d = np.where((alpha <= 0.0) & (d < 0.0), 0.0, d)  # clipped from t = 0
-            cut = np.flatnonzero(d < 0.0)
-            ts = alpha[cut] / -d[cut]
-            order = np.argsort(ts, kind="stable")
-            cut, ts = cut[order], ts[order]
-        else:
-            cut, ts = np.zeros(0, dtype=np.intp), np.zeros(0)
-        start, k0, width = 0.0, 0, 16
-        while True:
-            # the state at the block's start, computed afresh
-            p = d.copy()
-            p[cut[:k0]] = 0.0
-            b = self.F.T @ p
-            z = self.dots(self.project(alpha + start * d)) - self.thr
-            c = tau * p.sum() - alpha @ p
-            pp = p @ p
-            if k0 == 0:
-                w = self._slope_weights(z)
-                size = tau * np.abs(p).sum() + np.abs(alpha) @ np.abs(p) + np.abs(b) @ w
-                if c - b @ w <= ROUND_GUARD * size:  # no slope above rounding
-                    return None
-            if k0 >= ts.size:
-                return start + self._segment_root(c - start * pp, pp, b, z, np.inf)
-            rows = cut[k0:k0 + width]
-            ends = ts[k0:k0 + width]
-            dr = d[rows]
-            # each segment of the block, before the clip at its end
-            P = self.F[rows] * dr[:, None]
-            B = b - np.cumsum(P, axis=0) + P
-            q = dr * (tau - alpha[rows])
-            C = c - np.cumsum(q) + q
-            PP = pp - np.cumsum(dr * dr) + dr * dr
-            lengths = np.diff(ends, prepend=start)
-            zend = z + np.cumsum(lengths[:, None] * B, axis=0)
-            slope = C - ends * PP - np.sum(B * self._slope_weights(zend), axis=1)
-            hit = np.flatnonzero((lengths > 0.0) & (slope <= 0.0))
-            if hit.size:
-                j = hit[0]
-                s0, zs = (ends[j - 1], zend[j - 1]) if j else (start, z)
-                return s0 + self._segment_root(C[j] - s0 * PP[j], PP[j], B[j], zs,
-                                               lengths[j])
-            start = ends[-1]
-            k0 += width
-            width *= 2
+    def _loss_curvature(self, r, u):
+        """The loss's change from residual r to r - u less its first-order
+        part -alpha^T u: 0.5 u_i^2 where the row stays live, written out
+        where the hinge turns on or off (there |r_i| <= |u_i|)."""
+        if not self.obj.enforce_nonneg:
+            return 0.5 * float(u @ u)
+        a, b = np.maximum(r, 0.0), np.maximum(r - u, 0.0)
+        return float(np.where(a > 0.0, np.where(b > 0.0, 0.5 * u * u, a * (u - 0.5 * a)),
+                              0.5 * b * b).sum())
 
     def _slope_weights(self, z):
         """e'(z) = clip(z / gamma, 0, 1), the derivative of the penalty
         ``_excess`` and the coefficient of a column at z = c^T a - lam."""
         return np.clip(z / self.gamma, 0.0, 1.0)
-
-    def _segment_root(self, a, pp, b, z, length):
-        """First zero in [0, length] of f(s) = a - s pp - b.e'(z + s b),
-        which is decreasing and piecewise linear, with kinks where some
-        z_j + s b_j crosses 0 or gamma; length (which may be infinite) when
-        f stays positive."""
-        g = self.gamma
-        on = b != 0.0
-        kinks = np.concatenate((-z[on] / b[on], (g - z[on]) / b[on]))
-        kinks = np.sort(kinks[(kinks > 0.0) & (kinks < length)])
-        f = a - kinks * pp - b @ self._slope_weights(z[:, None] + b[:, None] * kinks)
-        i = int(np.argmax(f <= 0.0)) if np.any(f <= 0.0) else kinks.size
-        lo = kinks[i - 1] if i > 0 else 0.0
-        hi = kinks[i] if i < kinks.size else length
-        # on (lo, hi) every column is below, inside or above the band alike
-        w = z + (lo + 0.5 * (hi - lo) if np.isfinite(hi) else 2.0 * lo + 1.0) * b
-        live = (w > 0.0) & (w < g)
-        rate = pp + b[live] @ b[live] / g
-        top = a - b[w >= g].sum() - b[live] @ z[live] / g
-        if rate <= 0.0:  # f is constant on (lo, hi)
-            return lo if top <= 0.0 else hi
-        return min(max(top / rate, lo), hi)
 
     def free_mask(self, alpha, grad):
         if not self.obj.enforce_nonneg:
@@ -465,8 +432,36 @@ class _LogisticReduced(ReducedDual):
         return np.log(s / (1.0 - s)) - self.F @ self.primal_map(alpha)
 
     def _curvature(self, alpha):
+        """(D, live, c) with negative Hessian D + F_B F_B^T / c."""
         s = np.clip(self.y - alpha, _EPS, 1.0 - _EPS)
         return 1.0 / s + 1.0 / (1.0 - s), np.abs(self.dots(alpha)) > self.thr, self.tau
+
+    def newton_direction(self, alpha, grad, mask, h: float):
+        """Solution x of (H + h I) x = grad on the free coordinates (mask),
+        with x = 0 on the others; the masked gradient when x is not finite
+        or not an ascent direction.
+
+        By Woodbury, with E = D + h, w = mask / E and G = sqrt(w) F_B,
+        x = w g - sqrt(w) G S^-1 G^T (sqrt(w) g) where S = c I + G^T G is
+        m x m for m live columns.  S >= c I, so its solve stays well
+        conditioned however large D grows near the faces of the box, which
+        the capped step approaches but never reaches.
+        (An LU solve: at m of a few hundred it is not where the time goes.)
+        """
+        diag, live, c = self._curvature(alpha)
+        g = np.where(mask, grad, 0.0)
+        w = np.where(mask, 1.0 / (diag + h), 0.0)
+        x = w * g
+        if live.any():
+            sw = np.sqrt(w)
+            G = self.F[:, live]
+            G *= sw[:, None]
+            S = G.T @ G
+            S[np.diag_indices_from(S)] += c
+            x -= sw * (G @ np.linalg.solve(S, G.T @ (sw * g)))
+        if not np.all(np.isfinite(x)) or float(np.vdot(x, g)) <= 0.0:
+            return g
+        return x
 
     def step_along(self, alpha, value: float, direction, h: float):
         """Backtrack from the longest step t <= 1 that leaves every

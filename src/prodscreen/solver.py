@@ -1,18 +1,21 @@
-"""Projected damped-Newton ascent on the reduced dual.
+"""Working-set solve of the reduced dual, and its damped-Newton ascent.
 
-The inner loop maximizes the concave reduced dual.  Each step takes the
+Each outer round solves the reduced problem by the reduced dual's own
+``ascend``.  For the logistic and matrix duals that is the projected
+damped-Newton ascent here (``_inner_ascent``): each step takes the
 direction (H + h I)^-1 grad on the free coordinates from the reduced dual
-itself (``newton_direction``): the basket and logistic duals, whose
-curvature is a diagonal plus a low-rank term, solve it exactly through one
-small SPD system (Woodbury); the matrix dual runs conjugate gradients
-(``qn_step``) on its curvature operator.  The step length is the reduced
-dual's too (``step_along``), along the Newton direction and, when that
-finds no step, along the projected gradient: the basket dual, piecewise
-quadratic along its projected ray, steps exactly to the first maximum
-there; the logistic dual caps its step so that every row keeps a tenth
-of its distance to the faces of its box, and it and the matrix dual then
-backtrack until the value strictly increases.  Their damping h grows when
-the quadratic model misleads and shrinks when a first trial is accepted.
+(``newton_direction``), which the logistic dual, whose curvature is a
+diagonal plus a low-rank term, solves exactly through one small SPD system
+(Woodbury), and the matrix dual by conjugate gradients (``qn_step``) on its
+curvature operator.  The step length is the reduced dual's too
+(``step_along``), along the Newton direction and, when that finds no step,
+along the projected gradient: the logistic dual caps its step so that
+every row keeps a tenth of its distance to the faces of its box, and it
+and the matrix dual then backtrack until the value strictly increases.
+The damping h grows when the quadratic model misleads and shrinks when a
+first trial is accepted.  The basket dual solves its reduced primal by
+projected Newton instead and hands back that solve's dual point; its
+rounds stop on the same projected-gradient test.
 The outer loop alternates inner convergence with an exact re-screen of
 the lattice: any interaction the screen emits that is missing from the
 active set joins it, and the solve finishes when the screen certifies the
@@ -204,13 +207,12 @@ def line_search(red, alpha, value: float, direction, gradient_dir,
                 h: float) -> LineSearchResult:
     """Step along the quasi-Newton direction, then along the gradient.
 
-    The reduced dual sets both steps (``red.step_along``): the basket dual
-    steps exactly to the first maximum along its projected ray, the
-    logistic dual ``backtrack``s from a step capped short of its box's
-    faces, and the matrix dual ``backtrack``s from the full step.  When no
-    step is found along the direction, h grows and the projected gradient
-    is tried; failing both reports a stall and leaves the iterate
-    unchanged.
+    The reduced dual sets both steps (``red.step_along``): the logistic
+    dual ``backtrack``s from a step capped short of its box's faces, and
+    the matrix dual ``backtrack``s from the full step.  (The basket never
+    gets here: it solves its reduced primal.)  When no step is found along
+    the direction, h grows and the projected gradient is tried; failing
+    both reports a stall and leaves the iterate unchanged.
     """
     found = red.step_along(alpha, value, direction, h)
     if found is not None:
@@ -348,7 +350,7 @@ def solve(obj, A: AtomicMatrix, schedule: PenaltySchedule, alpha0=None,
     for outer in range(1, cfg.max_outer + 1):
         if outer == 1 or missing:  # the active set grew in the last round
             red = obj.reduced(list(active.values()))
-        alpha, dval, h, inners, inner_stop = _inner_ascent(red, alpha, h, cfg, inner_tol)
+        alpha, dval, h, inners, inner_stop = red.ascend(alpha, h, cfg, inner_tol)
         total_inner += inners
         cap_hits += inner_stop == "max_inner"
 

@@ -19,12 +19,11 @@ second copy of:
   for binary data, the library's cosine for dense data), which
   ``dedup_atoms`` and its similarity matrix must match;
 * hessian_matvec, a reduced dual's curvature operator, D + F_B F_B^T / c
-  from the ``_curvature`` that the direct Newton solve reads (the matrix
-  dual's own operator for the matrix dual), and dense_hessian, that
-  operator written out as a dense matrix, which the direct Newton solve
-  is checked against;
-* ray_first_max, the basket dual along a projected ray searched point by
-  point, which the exact step length is checked against.
+  from the logistic dual's ``_curvature``, which its direct Newton solve
+  reads, and from the basket dual's band, which the library no longer
+  keeps (the matrix dual's own operator for the matrix dual), and
+  dense_hessian, that operator written out as a dense matrix, which the
+  direct Newton solve is checked against.
 """
 
 from __future__ import annotations
@@ -33,17 +32,24 @@ import math
 from itertools import combinations
 
 import numpy as np
+from scipy.optimize import minimize
 
 from prodscreen.data import cosine
 
 
 def hessian_matvec(red, alpha):
-    """v -> (D + F_B F_B^T / c) v, the negative Hessian at alpha from
+    """v -> (D + F_B F_B^T / c) v, the negative Hessian at alpha: for the
+    basket dual D = I, c = gamma and F_B the columns with
+    0 < c^T alpha - thr < gamma, and for the logistic dual from
     ``red._curvature``; the matrix dual, whose curvature is not a diagonal
     plus low rank, uses its own ``hessian_matvec``."""
     if hasattr(red, "hessian_matvec"):
         return red.hessian_matvec(alpha)
-    diag, live, c = red._curvature(alpha)
+    if red.obj.kind == "basket":
+        z = red.dots(alpha) - red.thr
+        diag, live, c = 1.0, (z > 0.0) & (z < red.gamma), red.gamma
+    else:
+        diag, live, c = red._curvature(alpha)
     FB = red.F[:, live]
 
     def hv(v):
@@ -62,61 +68,6 @@ def dense_hessian(red, alpha):
         e.flat[i] = 1.0
         H[:, i] = hv(e).ravel()
     return H
-
-
-def ray_first_max(red, alpha, d):
-    """(t, value) at the first local maximum over t >= 0 of the basket
-    reduced dual along the projected ray, V(t) = red.value(path(t)) with
-    path(t) = max(alpha + t d, 0) (alpha + t d when the dual does not
-    enforce non-negativity).
-
-    V is quadratic between consecutive breakpoints: where a coordinate
-    reaches 0 and where a column's z = F_j^T path(t) - thr_j crosses 0 or
-    gamma.  The candidates are every breakpoint and each piece's vertex,
-    from the parabola through three values on the piece.  V is monotone
-    between consecutive candidates, so the first local maximum is the first
-    candidate that the next one does not exceed.  It need not be the
-    highest: clipping a coordinate whose gradient is positive raises the
-    slope, so V can fall and then rise again.
-    """
-    def path(t):
-        x = alpha + t * d
-        return np.maximum(x, 0.0) if red.obj.enforce_nonneg else x
-
-    def V(t):
-        return red.value(path(t))
-
-    gamma = red.obj.spec.gamma
-    coord = {0.0}
-    if red.obj.enforce_nonneg:
-        coord |= {a / -x for a, x in zip(alpha, d) if x < 0.0}
-    coord = sorted(coord)
-    breaks = set(coord)
-    for lo, hi in zip(coord, coord[1:] + [math.inf]):
-        top = hi if math.isfinite(hi) else lo + 1.0  # path is affine on [lo, top]
-        z_lo = red.F.T @ path(lo) - red.thr
-        z_top = red.F.T @ path(top) - red.thr
-        for level in (0.0, gamma):
-            for a, b in zip(z_lo, z_top):
-                if a != b:
-                    s = (level - a) / (b - a)
-                    if 0.0 < s and (s < 1.0 or not math.isfinite(hi)):
-                        breaks.add(lo + s * (top - lo))
-    breaks = sorted(breaks)
-    cands = set(breaks)
-    for lo, hi in zip(breaks, breaks[1:] + [breaks[-1] + 2.0]):
-        h = 0.5 * (hi - lo)
-        f0, f1, f2 = V(lo), V(lo + h), V(hi)
-        curv = f0 - 2.0 * f1 + f2
-        if curv < 0.0:
-            vertex = lo + h - h * (f2 - f0) / (2.0 * curv)
-            if lo < vertex < hi or (hi == breaks[-1] + 2.0 and vertex > lo):
-                cands.add(vertex)
-    cands = sorted(cands)
-    cands.append(2.0 * cands[-1] + 1.0)  # past every piece
-    values = [V(t) for t in cands]
-    k = next(i for i in range(len(cands) - 1) if values[i + 1] <= values[i])
-    return cands[k], values[k]
 
 
 def all_subsets(d: int):
@@ -362,28 +313,39 @@ def _fista(prox, grad, L, x0, max_iter, rel_stop=1e-14, objective=None):
     return x
 
 
-def solve_basket_primal(P, tau, lam_vec, gamma, max_iter=60000):
-    """min 0.5||(tau - P b)_+||^2 + lam^T b + gamma/2 ||b||^2, b in [0, 1]^M.
+def solve_basket_primal(P, tau, lam_vec, gamma, max_iter=60000, hinge=True):
+    """min 0.5||(tau - P b)_+||^2 + lam^T b + gamma/2 ||b||^2, b in [0, 1]^M
+    (with the loss unhinged, 0.5||tau - P b||^2, when ``hinge`` is false).
 
     Smooth within the box (the l1 term is linear for b >= 0), solved by
-    projected accelerated gradient.
+    projected accelerated gradient and then by L-BFGS-B from its end point:
+    FISTA's stop on slow progress can leave it 1e-5 relative short on
+    instances that are flat along directions curved only by a small gamma.
     """
     n, M = P.shape
     L = np.linalg.norm(P, 2) ** 2 + gamma
 
+    def residual(b):
+        r = tau - P @ b
+        return np.maximum(r, 0.0) if hinge else r
+
     def obj(b):
-        r = np.maximum(tau - P @ b, 0.0)
+        r = residual(b)
         return 0.5 * r @ r + lam_vec @ b + 0.5 * gamma * b @ b
 
     def grad(b):
-        r = np.maximum(tau - P @ b, 0.0)
-        return -P.T @ r + lam_vec + gamma * b
+        return -P.T @ residual(b) + lam_vec + gamma * b
 
     def prox(v, _):
         return np.clip(v, 0.0, 1.0)
 
     # fold the linear term into the gradient; prox is the box projection
     b = _fista(lambda v, s: prox(v, s), grad, L, np.zeros(M), max_iter, objective=obj)
+    out = minimize(lambda v: (obj(v), grad(v)), b, jac=True, method="L-BFGS-B",
+                   bounds=[(0.0, 1.0)] * M, options={"ftol": 0.0, "gtol": 1e-13,
+                                                     "maxiter": 20000, "maxcor": 30})
+    if out.fun < obj(b):
+        b = np.clip(out.x, 0.0, 1.0)
     return b, obj(b)
 
 

@@ -9,8 +9,9 @@ import prodscreen.path
 import prodscreen.solver
 from prodscreen import (AtomicMatrix, BasketSpec, FeatureSet, LogisticSpec, MatrixSpec,
                         PathConfig, PenaltySchedule, PrimalModel, ScreenConfig,
-                        SolverConfig, basket_dual, interaction_column, lambda_max, logistic_dual,
-                        matrix_dual, rank_report, run_path, screen, solve, synth_planted)
+                        SolverConfig, basket_dual, interaction_column, interaction_matrix,
+                        lambda_max, logistic_dual, matrix_dual, rank_report, run_path, screen,
+                        solve, synth_planted)
 from prodscreen.screening import Emitted
 from prodscreen.solver import LineSearchResult, cg_solve, line_search, qn_step
 
@@ -131,69 +132,64 @@ def test_polish_stays_inside_the_inner_cap():
     assert iters == cfg.max_inner
 
 
-def _basket_ray_case(rng, nonneg, gamma, n=9, d=4):
-    """A basket reduced dual over every atom column at a feasible alpha
-    (some coordinates at 0 when non-negativity is enforced), with each
-    column's z = c^T alpha - thr drawn on either side of 0 and gamma, on
-    the scale of the band or well past it."""
+def _basket_primal_case(rng, nonneg, wide):
+    """A basket reduced dual over every product column of dense atoms, m of
+    them against n rows: m > n when ``wide``, m < n otherwise.  Each
+    threshold is a random share of its column's dot with the empty model's
+    dual point, so the optimum has coefficients at 0, at 1 and between."""
+    n, d = (12, 5) if wide else (60, 4)
     A = AtomicMatrix.from_dense(rng.random((n, d)))
-    obj = basket_dual(BasketSpec(tau_target=rng.uniform(0.5, 3.0), gamma=gamma), A,
-                      enforce_nonneg=nonneg)
-    if nonneg:
-        alpha = np.where(rng.random(n) < 0.2, 0.0, rng.uniform(0.0, 2.0, n))
-    else:
-        alpha = rng.normal(0.5, 1.0, n)
-    cols = [interaction_column(A, (j,)) for j in range(d)]
-    z = rng.uniform(-1.0, 2.0, d) * np.where(rng.random(d) < 0.5, gamma, 2.0)
-    red = obj.reduced([Emitted(FeatureSet((j,)), float(c @ alpha - zj), 0.0)
-                       for j, (c, zj) in enumerate(zip(cols, z))])
-    return red, alpha
+    spec = BasketSpec(tau_target=float(rng.uniform(0.5, 3.0)),
+                      gamma=float(10.0 ** rng.uniform(-3.0, 0.0)))
+    obj = basket_dual(spec, A, enforce_nonneg=nonneg)
+    sets = [FeatureSet(atoms) for atoms in oc.all_subsets(d)]
+    cols = interaction_matrix(A, sets)
+    thr = rng.uniform(0.05, 1.0, len(sets)) * spec.tau_target * cols.sum(axis=0)
+    red = obj.reduced([Emitted(fs, float(t), 0.0) for fs, t in zip(sets, thr)])
+    assert red.F.shape == (n, len(sets)) and (red.F.shape[1] > n) == wide
+    return red
 
 
-@given(st.integers(0, 10 ** 6), st.booleans(), st.floats(1e-3, 1.0))
-@settings(max_examples=150, deadline=None)
-def test_basket_step_reaches_first_ray_maximum(seed, nonneg, gamma):
-    """The basket dual's step lands on the first maximum of its value along
-    the projected ray, which the oracle finds by evaluating every coordinate
-    and z breakpoint and every piece's vertex; no step is taken only where
-    the value does not rise from t = 0."""
+@given(st.integers(0, 10 ** 6), st.booleans(), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_basket_reduced_solve_reaches_the_primal_optimum(seed, nonneg, wide):
+    """The basket's reduced solve, a projected Newton method on the boxed
+    primal, ends at a primal value within 1e-9 relative of
+    ``oracles.solve_basket_primal``'s, hinged or not, from a random start,
+    with more columns than rows (Woodbury over the rows) and fewer (the
+    direct solve).  The dual point it hands back is project(tau - F beta)
+    at its last iterate beta, with that point's dual value."""
     rng = np.random.default_rng(seed)
-    red, alpha = _basket_ray_case(rng, nonneg, gamma)
-    direction = rng.normal(0.0, 1.0, alpha.size)  # crosses coordinate breakpoints
-    value = red.value(alpha)
-    _, best = oc.ray_first_max(red, alpha, direction)
-    tol = 1e-9 * (1.0 + abs(best))
-    found = red.step_along(alpha, value, direction, 1e-4)
-    if found is None:
-        assert best <= value + tol
-    else:
-        cand, v, h = found
-        assert h == 1e-4
-        assert v == red.value(cand)
-        assert v >= best - tol
+    red = _basket_primal_case(rng, nonneg, wide)
+    start = np.abs(rng.normal(0.0, red.tau, red.F.shape[0]))
+    if not nonneg:
+        start -= 0.5 * red.tau
+    iterates = []
+    dual_point = red._dual_point
+    red._dual_point = lambda beta: iterates.append(beta) or dual_point(beta)
+    alpha, value, h, steps, stop = red.ascend(start, 1e-4, SolverConfig(), 1e-9)
+    assert stop == "tol" and h == 1e-4 and steps == len(iterates) - 1
+    beta = iterates[-1]
+    assert np.all((beta >= 0.0) & (beta <= 1.0))
+    assert np.array_equal(alpha, red.project(red.tau - red.F @ beta))
+    assert value == red.value(alpha)
+    _, best = oc.solve_basket_primal(red.F, red.tau, red.thr, red.gamma, hinge=nonneg)
+    r = red.tau - red.F @ beta
+    loss = r if not nonneg else np.maximum(r, 0.0)
+    got = 0.5 * loss @ loss + red.thr @ beta + 0.5 * red.gamma * beta @ beta
+    assert abs(got - best) <= 1e-9 * (1.0 + abs(best))
 
 
-def test_basket_line_search_makes_one_value_call(rng):
-    """Along the Newton direction the basket dual takes its exact step: one
-    value evaluation, no gradient retry."""
-    X = (rng.random((40, 6)) < 0.5).astype(float)
-    A = AtomicMatrix.from_dense(X)
-    obj = basket_dual(BasketSpec(tau_target=4.0), A)
-    alpha = obj.project(obj.alpha0())
-    first = screen(A, obj.screen_weights(alpha), PenaltySchedule.flat(2.0))
-    red = obj.reduced(first.emitted)
-    assert red.F.shape[1] > 0
-    value = red.value(alpha)
-    grad = red.gradient(alpha)
-    mask = red.free_mask(alpha, grad)
-    direction = red.newton_direction(alpha, grad, mask, 1e-4)
-    calls = []
-    evaluate = red.value
-    red.value = lambda a: calls.append(1) or evaluate(a)
-    res = line_search(red, alpha, value, direction, np.where(mask, grad, 0.0), 1e-4)
-    assert len(calls) == 1
-    assert not res.used_gradient and not res.stalled
-    assert res.value > value and res.h == 1e-4
+@pytest.mark.parametrize("rows", [3, 40])
+def test_basket_newton_solve_on_either_side(rng, rows):
+    """(G^T G + gamma I)^-1 v through 20 columns: directly when the rows
+    are as many or more, by Woodbury over 3 rows."""
+    red = _basket_primal_case(rng, True, False)
+    G = rng.random((rows, 20))
+    v = rng.standard_normal(20)
+    x = red._newton_solve(G, v)
+    M = G.T @ G + red.gamma * np.eye(20)
+    assert np.linalg.norm(M @ x - v) <= 1e-9 * np.linalg.norm(v)
 
 
 def _scalar_dual_max(fn, lo, hi):
@@ -442,38 +438,33 @@ def _picks(rng, kind, size):
 
 
 def _reduced_with_live(obj, A, alpha, want):
-    """Reduced dual over every atom column, with thresholds placed so that
-    exactly the columns flagged in ``want`` are live at alpha."""
+    """Logistic reduced dual over every atom column, with thresholds placed
+    so that exactly the columns flagged in ``want`` are live (|dots| > thr)
+    at alpha."""
     cols = [interaction_column(A, (j,)) for j in range(A.n_cols)]
     dots = np.array([c @ alpha for c in cols])
-    if obj.kind == "basket":  # live: 0 < dots - thr < gamma
-        thr = np.where(want, dots - 0.5 * obj.spec.gamma, dots + 1.0)
-    else:  # live: |dots| > thr
-        thr = np.where(want, 0.5 * np.abs(dots), np.abs(dots) + 1.0)
+    thr = np.where(want, 0.5 * np.abs(dots), np.abs(dots) + 1.0)
     red = obj.reduced([Emitted(FeatureSet((j,)), float(t), 0.0)
                        for j, (c, t) in enumerate(zip(cols, thr))])
     assert np.array_equal(red._curvature(alpha)[1], want)
     return red
 
 
-@given(st.integers(0, 10 ** 6), st.sampled_from(("basket", "logistic")),
-       st.sampled_from(("none", "some", "all")), st.sampled_from(("none", "some", "all")),
-       st.floats(1e-4, 10.0), st.booleans())
+@given(st.integers(0, 10 ** 6), st.sampled_from(("none", "some", "all")),
+       st.sampled_from(("none", "some", "all")), st.floats(1e-4, 10.0), st.booleans())
 @settings(max_examples=120, deadline=None)
-def test_newton_direction_matches_dense_solve(seed, kind, live, free, h, faces):
+def test_newton_direction_matches_dense_solve(seed, live, free, h, faces):
+    """The logistic dual's direct Newton direction solves the dense damped
+    system on the free coordinates, also where rows sit on the box faces."""
     rng = np.random.default_rng(seed)
     n, d = 14, 6
     A = AtomicMatrix.from_dense(rng.random((n, d)))
-    if kind == "basket":
-        obj = basket_dual(BasketSpec(tau_target=2.0, gamma=float(rng.uniform(0.01, 2.0))), A)
-        alpha = rng.uniform(0.0, 3.0, n)
-    else:
-        y = (rng.random(n) < 0.5).astype(float)
-        obj = logistic_dual(LogisticSpec(labels=y, tau_l2=float(rng.uniform(0.1, 5.0))), A)
-        alpha = y - rng.uniform(0.0, 1.0, n)
-        if faces:  # curvature 1/s + 1/(1 - s) reaches 1e12 at the box faces
-            at = rng.random(n) < 0.5
-            alpha[at] = np.where(rng.random(at.sum()) < 0.5, y[at], y[at] - 1.0)
+    y = (rng.random(n) < 0.5).astype(float)
+    obj = logistic_dual(LogisticSpec(labels=y, tau_l2=float(rng.uniform(0.1, 5.0))), A)
+    alpha = y - rng.uniform(0.0, 1.0, n)
+    if faces:  # curvature 1/s + 1/(1 - s) reaches 1e12 at the box faces
+        at = rng.random(n) < 0.5
+        alpha[at] = np.where(rng.random(at.sum()) < 0.5, y[at], y[at] - 1.0)
     red = _reduced_with_live(obj, A, alpha, _picks(rng, live, d))
     mask = _picks(rng, free, n)
     grad = rng.standard_normal(n)
@@ -595,6 +586,61 @@ def test_logistic_path_does_not_stall(monkeypatch):
     assert all(row[-1] != "stalled" for log in logs for row in log)
 
 
+def _basket_path_logs(X, tau, base, n_lambdas, ratio, monkeypatch):
+    """The basket path on binary atoms X (gamma = 1e-3) with every level's
+    solve log and state."""
+    A = AtomicMatrix(X)
+    solves = []
+    path_solve = prodscreen.path.solve
+
+    def logging_solve(*args, **kwargs):
+        res = path_solve(*args, **kwargs)
+        solves.append(res)
+        return res
+
+    monkeypatch.setattr(prodscreen.path, "solve", logging_solve)
+    pr = run_path(basket_dual(BasketSpec(tau_target=tau, gamma=1e-3), A), A,
+                  PathConfig(n_lambdas=n_lambdas, lambda_min_ratio=ratio),
+                  ScreenConfig(max_order=20), schedule=PenaltySchedule.geometric(1.0, base))
+    assert len(pr.points) == len(solves) == n_lambdas
+    assert all(p.converged for p in pr.points)
+    return pr, solves
+
+
+def test_basket_path_stays_under_the_inner_cap(monkeypatch):
+    """1,000 binary rows over 15 atoms at density 0.6, tau = 12, along a
+    10-level path down to 0.05 lambda_max.  The dual ascent spent all 500
+    inner steps of one level's round here, with a projected gradient of
+    39.4 left, and 942 steps over the path; the primal Newton solve needs
+    a few per level."""
+    X = np.random.default_rng(102).random((1000, 15)) < 0.6
+    pr, solves = _basket_path_logs(X, 12.0, 1.15, 10, 0.05, monkeypatch)
+    assert all(res.state.inner_cap_hits == 0 for res in solves)
+    assert sum(res.state.inner_iterations for res in solves) <= 100
+    assert [p.active_count for p in pr.points] == [0, 9, 14, 15, 15, 15, 15, 18, 37, 41]
+
+
+def test_basket_path_never_reaches_the_dual_line_search(monkeypatch):
+    """perfbench's ``basket_path`` instance at seed 1: 300 transactions over
+    20 items at density 0.65, item 0 in every basket, rows and items
+    permuted by the seed, fitted along its 14-level path.  The basket's
+    reduced problem is solved in its primal, so the dual's line search
+    and ``_polish`` are never reached; every level converges and the last
+    one keeps 35 sets."""
+    X = np.random.default_rng(11).random((300, 20)) < 0.65
+    X[:, 0] = True
+    rng = np.random.default_rng(1)
+    X = X[rng.permutation(300)][:, rng.permutation(20)]
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("dual line search reached")
+
+    monkeypatch.setattr(prodscreen.solver, "line_search", unreachable)
+    monkeypatch.setattr(prodscreen.solver, "_polish", unreachable)
+    pr, _ = _basket_path_logs(X, 18.0, 1.15, 14, 0.02, monkeypatch)
+    assert pr.points[-1].active_count == 35
+
+
 def _sign_free_basket(seed, n, d, tau, gamma, share, cfg):
     """A sign-free basket solve at share * lambda_max of the constrained
     dual, on an overcovered binary instance whose sign-free peak has a
@@ -609,9 +655,10 @@ def _sign_free_basket(seed, n, d, tau, gamma, share, cfg):
 
 @pytest.mark.parametrize("seed", range(24))
 def test_sign_free_basket_stalls_in_few_steps(seed):
-    """The gradient retry takes the basket dual's exact step too, so the
-    sign-free solve stops at its flat peak in a few dozen steps instead of
-    creeping up on rounding noise for thousands."""
+    """The sign-free solve reaches its peak in a few projected Newton steps
+    on the primal and stops there, stalled on its uncertified gap, within a
+    few dozen steps instead of creeping up on rounding noise for
+    thousands."""
     res = _sign_free_basket(seed, 60, 7, 3.0, 2e-3, 0.1,
                             SolverConfig(kkt_tol=1e-8, max_outer=20))
     assert res.state.stop_reason == "stalled"
