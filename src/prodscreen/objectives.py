@@ -16,9 +16,11 @@ same surface to the solver:
     primal_map / primal_value           to recover and score coefficients.
 
 The logistic and matrix duals ascend by damped Newton, each along its own
-``newton_direction`` and ``step_along`` it; the logistic step keeps its
-iterates strictly inside its box.  The basket solves its reduced primal on
-[0, 1]^m instead and hands back the dual point of its last iterate.
+``newton_direction`` (the only place the damping h reaches them) and
+``step_along`` it; the logistic step keeps every trial inside its box,
+and the matrix dual is unconstrained.  The basket solves its reduced
+primal on [0, 1]^m instead and hands back the dual point of its last
+iterate.
 
 Each reduced dual writes its conjugate pair once: ``value`` holds the
 conjugates of loss and penalty, and ``primal_map`` the coefficient map that
@@ -200,22 +202,19 @@ class ReducedDual:
     def dots(self, alpha):
         return self.F.T @ alpha
 
-    def ascend(self, alpha, h: float, cfg, tol: float):
-        """(point, value, next h, steps, stop) of the round's solve from
-        alpha: here the damped Newton ascent ``_inner_ascent``."""
-        return _inner_ascent(self, alpha, h, cfg, tol)
+    def ascend(self, alpha, cfg, tol: float):
+        """(point, value, steps, stop) of the round's solve from alpha: here
+        the damped Newton ascent ``_inner_ascent``."""
+        return _inner_ascent(self, alpha, cfg, tol)
 
-    def step_along(self, alpha, value: float, direction, h: float):
-        """(point, value, next h) of an ascent step along direction from
-        alpha, or None when none is found: here, by backtracking."""
-        return backtrack(self, alpha, value, direction, h)
+    def step_along(self, alpha, value: float, direction):
+        """(point, value, whether the full step was taken) of an ascent
+        step along direction from alpha, or None when none is found: here,
+        by backtracking."""
+        return backtrack(self, alpha, value, direction)
 
     def project(self, alpha):
         return self.obj.project(alpha)
-
-    def free_mask(self, alpha, grad):
-        """The coordinates a step may move: all of them here."""
-        return np.ones_like(alpha, dtype=bool)
 
     def feature_sets(self):
         return tuple(e.feature_set for e in self.active)
@@ -273,15 +272,14 @@ class _BasketReduced(ReducedDual):
     def gradient(self, alpha):
         return self.tau - alpha - self.F @ self.primal_map(alpha)
 
-    def ascend(self, alpha, h: float, cfg, tol: float):
+    def ascend(self, alpha, cfg, tol: float):
         """Solve the reduced primal instead, by projected Newton from
         beta = primal_map(alpha): minimize over the box [0, 1]^m
         P(beta) = 0.5 ||(tau - F beta)_+||^2 + thr^T beta + gamma/2 ||beta||^2,
         the loss unhinged without ``enforce_nonneg``.  Returns the dual
         point alpha(beta) = project(tau - F beta) and the dual ascent's stop
         reasons: ``tol`` when the dual's projected gradient there is at most
-        tol, ``stalled`` when no projected step lowers P, or ``max_inner``.
-        The damping h is not used."""
+        tol, ``stalled`` when no projected step lowers P, or ``max_inner``."""
         beta = self.primal_map(alpha)
         r, alpha, z, gn = self._dual_point(beta)
         steps, stop = 0, "max_inner"
@@ -296,7 +294,7 @@ class _BasketReduced(ReducedDual):
             beta = nxt
             steps += 1
             r, alpha, z, gn = self._dual_point(beta)
-        return alpha, self.value(alpha), h, steps, stop
+        return alpha, self.value(alpha), steps, stop
 
     def _dual_point(self, beta):
         """(r = tau - F beta, alpha = project(r), z = F^T alpha - thr, the
@@ -436,12 +434,11 @@ class _LogisticReduced(ReducedDual):
         s = np.clip(self.y - alpha, _EPS, 1.0 - _EPS)
         return 1.0 / s + 1.0 / (1.0 - s), np.abs(self.dots(alpha)) > self.thr, self.tau
 
-    def newton_direction(self, alpha, grad, mask, h: float):
-        """Solution x of (H + h I) x = grad on the free coordinates (mask),
-        with x = 0 on the others; the masked gradient when x is not finite
-        or not an ascent direction.
+    def newton_direction(self, alpha, grad, h: float):
+        """Solution x of (H + h I) x = grad; the gradient when x is not
+        finite or not an ascent direction.
 
-        By Woodbury, with E = D + h, w = mask / E and G = sqrt(w) F_B,
+        By Woodbury, with E = D + h, w = 1 / E and G = sqrt(w) F_B,
         x = w g - sqrt(w) G S^-1 G^T (sqrt(w) g) where S = c I + G^T G is
         m x m for m live columns.  S >= c I, so its solve stays well
         conditioned however large D grows near the faces of the box, which
@@ -449,21 +446,20 @@ class _LogisticReduced(ReducedDual):
         (An LU solve: at m of a few hundred it is not where the time goes.)
         """
         diag, live, c = self._curvature(alpha)
-        g = np.where(mask, grad, 0.0)
-        w = np.where(mask, 1.0 / (diag + h), 0.0)
-        x = w * g
+        w = 1.0 / (diag + h)
+        x = w * grad
         if live.any():
             sw = np.sqrt(w)
             G = self.F[:, live]
             G *= sw[:, None]
             S = G.T @ G
             S[np.diag_indices_from(S)] += c
-            x -= sw * (G @ np.linalg.solve(S, G.T @ (sw * g)))
-        if not np.all(np.isfinite(x)) or float(np.vdot(x, g)) <= 0.0:
-            return g
+            x -= sw * (G @ np.linalg.solve(S, G.T @ (sw * grad)))
+        if not np.all(np.isfinite(x)) or float(np.vdot(x, grad)) <= 0.0:
+            return grad
         return x
 
-    def step_along(self, alpha, value: float, direction, h: float):
+    def step_along(self, alpha, value: float, direction):
         """Backtrack from the longest step t <= 1 that leaves every
         s = y - alpha at least a tenth of its distance to 0 and to 1 (the
         fraction-to-the-boundary rule of interior-point methods).  From a
@@ -473,7 +469,7 @@ class _LogisticReduced(ReducedDual):
         up, down = direction > 0.0, direction < 0.0  # s falls, s rises
         room = np.concatenate((s[up] / direction[up], (s[down] - 1.0) / direction[down]))
         t = min(1.0, _TO_FACE * room.min(initial=np.inf))
-        return backtrack(self, alpha, value, t * direction, h)
+        return backtrack(self, alpha, value, t * direction)
 
     def primal_value(self, beta) -> float:
         scores = self.F @ beta
@@ -558,10 +554,9 @@ class _MatrixReduced(ReducedDual):
 
         return hv
 
-    def newton_direction(self, alpha, grad, mask, h: float):
+    def newton_direction(self, alpha, grad, h: float):
         """CG on the curvature operator: the spectral Jacobian is not a
-        diagonal plus low rank, so there is no direct solve.  The matrix
-        dual is unconstrained, so ``mask`` is all true."""
+        diagonal plus low rank, so there is no direct solve."""
         return qn_step(grad, self.hessian_matvec(alpha), h)
 
     def primal_value(self, W) -> float:

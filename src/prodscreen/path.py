@@ -110,7 +110,7 @@ def run_path(obj, A: AtomicMatrix, pcfg: PathConfig | None = None,
         grid = lam_hi * np.power(pcfg.lambda_min_ratio,
                                  np.arange(pcfg.n_lambdas) / (pcfg.n_lambdas - 1))
     result = PathResult()
-    alpha = obj.project(np.asarray(obj.alpha0(), dtype=float))
+    alpha = None  # the first solve starts at obj.alpha0()
     first = ScreenResult((), 0, 0)  # nothing clears lambda_max
     lams = grid.tolist()
     for lam, nxt in zip(lams, lams[1:] + [None]):

@@ -1,21 +1,21 @@
 """Working-set solve of the reduced dual, and its damped-Newton ascent.
 
 Each outer round solves the reduced problem by the reduced dual's own
-``ascend``.  For the logistic and matrix duals that is the projected
-damped-Newton ascent here (``_inner_ascent``): each step takes the
-direction (H + h I)^-1 grad on the free coordinates from the reduced dual
-(``newton_direction``), which the logistic dual, whose curvature is a
-diagonal plus a low-rank term, solves exactly through one small SPD system
-(Woodbury), and the matrix dual by conjugate gradients (``qn_step``) on its
-curvature operator.  The step length is the reduced dual's too
-(``step_along``), along the Newton direction and, when that finds no step,
-along the projected gradient: the logistic dual caps its step so that
-every row keeps a tenth of its distance to the faces of its box, and it
-and the matrix dual then backtrack until the value strictly increases.
-The damping h grows when the quadratic model misleads and shrinks when a
-first trial is accepted.  The basket dual solves its reduced primal by
-projected Newton instead and hands back that solve's dual point; its
-rounds stop on the same projected-gradient test.
+``ascend``.  For the logistic and matrix duals that is the damped-Newton
+ascent here (``_inner_ascent``): each step takes the direction
+(H + h I)^-1 grad from the reduced dual (``newton_direction``), which the
+logistic dual, whose curvature is a diagonal plus a low-rank term, solves
+exactly through one small SPD system (Woodbury), and the matrix dual by
+conjugate gradients (``qn_step``) on its curvature operator.  The step
+length is the reduced dual's too (``step_along``), along the Newton
+direction and, when that finds no step, along the gradient: the logistic
+dual caps its step so that every row keeps a tenth of its distance to the
+faces of its box, and it and the matrix dual then backtrack until the
+value strictly increases, so no trial leaves the feasible set.  The
+damping h starts afresh in each round, grows when the quadratic model
+misleads and shrinks when a first trial is accepted.  The basket dual
+solves its reduced primal by projected Newton instead and hands back that
+solve's dual point; its rounds stop on the dual's projected-gradient test.
 The outer loop alternates inner convergence with an exact re-screen of
 the lattice: any interaction the screen emits that is missing from the
 active set joins it, and the solve finishes when the screen certifies the
@@ -187,18 +187,19 @@ class LineSearchResult:
     used_gradient: bool
 
 
-def backtrack(red, alpha, value: float, direction, h: float):
+def backtrack(red, alpha, value: float, direction):
     """Halve the step along direction until the value strictly increases.
 
-    Returns (point, value, next h), or None after _LS_MAX trials.  The full
-    step accepted on the first try shrinks h, floored at its starting value.
+    Returns (point, value, whether the full step was taken), or None after
+    _LS_MAX trials.  The trials are not projected: the direction must keep
+    alpha + direction feasible, as the logistic dual's capped step does.
     """
     t = 1.0
     for trial in range(_LS_MAX):
-        cand = red.project(alpha + t * direction)
+        cand = alpha + t * direction
         v = red.value(cand)
         if v > value:
-            return cand, v, (max(_H_INIT, h * _H_SHRINK) if trial == 0 else h)
+            return cand, v, trial == 0
         t *= _LS_SHRINK
     return None
 
@@ -210,30 +211,31 @@ def line_search(red, alpha, value: float, direction, gradient_dir,
     The reduced dual sets both steps (``red.step_along``): the logistic
     dual ``backtrack``s from a step capped short of its box's faces, and
     the matrix dual ``backtrack``s from the full step.  (The basket never
-    gets here: it solves its reduced primal.)  When no step is found along
-    the direction, h grows and the projected gradient is tried; failing
-    both reports a stall and leaves the iterate unchanged.
+    gets here: it solves its reduced primal.)  A full step taken at once
+    shrinks h, floored at its starting value.  When no step is found along
+    the direction, h grows and the gradient is tried; failing both reports
+    a stall and leaves the iterate unchanged.
     """
-    found = red.step_along(alpha, value, direction, h)
+    found = red.step_along(alpha, value, direction)
     if found is not None:
-        return LineSearchResult(*found, False, False)
+        cand, v, full = found
+        return LineSearchResult(cand, v, max(_H_INIT, h * _H_SHRINK) if full else h,
+                                False, False)
     h = h * _H_GROW
-    found = red.step_along(alpha, value, gradient_dir, h)
+    found = red.step_along(alpha, value, gradient_dir)
     if found is not None:
         return LineSearchResult(found[0], found[1], h, False, True)
     return LineSearchResult(alpha, value, h, True, True)
 
 
 def _newton_step(red, alpha, h: float, stop: float):
-    """(masked gradient, its norm, Newton direction) at alpha.  The
-    direction is None, and no solve is spent, when the norm is <= stop."""
+    """(gradient, its norm, Newton direction) at alpha.  The direction is
+    None, and no solve is spent, when the norm is <= stop."""
     grad = red.gradient(alpha)
-    mask = red.free_mask(alpha, grad)
-    g = np.where(mask, grad, 0.0)
-    gn = math.sqrt(_vdot(g, g))
+    gn = math.sqrt(_vdot(grad, grad))
     if gn <= stop:
-        return g, gn, None
-    return g, gn, red.newton_direction(alpha, grad, mask, h)
+        return grad, gn, None
+    return grad, gn, red.newton_direction(alpha, grad, h)
 
 
 def _polish(red, alpha, value: float, h: float, tol: float, budget: int):
@@ -242,9 +244,10 @@ def _polish(red, alpha, value: float, h: float, tol: float, budget: int):
     Near the maximum the dual value is flat to double precision while the
     gradient still carries signal, so steps are accepted on gradient-norm
     decrease instead, guarded against value regressions above noise scale.
-    Directions are the reduced dual's damped Newton steps on the free
-    coordinates, from its exact generalized Jacobian; each is halved as
-    ``backtrack`` halves, and at most ``budget`` steps are taken.
+    Directions are the reduced dual's damped Newton steps, from its exact
+    generalized Jacobian; each full trial is projected onto the feasible
+    set and halved as ``backtrack`` halves, and at most ``budget`` steps
+    are taken.  Returns (point, value, steps).
     """
     iters = 0
     guard = ROUND_GUARD * (1.0 + abs(value))
@@ -257,8 +260,7 @@ def _polish(red, alpha, value: float, h: float, tol: float, budget: int):
         t = 1.0
         for _ in range(_LS_MAX):
             cand = red.project(alpha + t * direction)
-            cgrad = red.gradient(cand)
-            cg = np.where(red.free_mask(cand, cgrad), cgrad, 0.0)
+            cg = red.gradient(cand)
             cv = red.value(cand)
             if math.sqrt(_vdot(cg, cg)) < gn * (1.0 - 1e-3) and cv >= value - guard:
                 alpha, value = cand, cv
@@ -274,16 +276,18 @@ def _polish(red, alpha, value: float, h: float, tol: float, budget: int):
             misses += 1
             if misses > 2:
                 break
-    return alpha, value, h, iters
+    return alpha, value, iters
 
 
-def _inner_ascent(red, alpha, h: float, cfg: SolverConfig, tol: float):
-    """Run quasi-Newton ascent until the projected gradient is below tol.
+def _inner_ascent(red, alpha, cfg: SolverConfig, tol: float):
+    """Run damped-Newton ascent until the gradient norm is at most tol.
 
-    The last returned value says why the loop stopped: ``tol`` (gradient
-    below tol), ``stalled`` (no ascent step left, then polished) or
-    ``max_inner`` (steps exhausted).  Polish steps count as inner steps
-    and share the cap."""
+    Returns (point, value, steps, stop), where stop says why the loop
+    ended: ``tol`` (gradient at most tol), ``stalled`` (no ascent step
+    left, then polished) or ``max_inner`` (steps exhausted).  Polish steps
+    count as inner steps and share the cap.  The damping starts at
+    ``_H_INIT``."""
+    h = _H_INIT
     value = red.value(alpha)
     iters = 0
     stop = "max_inner"
@@ -297,11 +301,11 @@ def _inner_ascent(red, alpha, h: float, cfg: SolverConfig, tol: float):
         h = res.h
         if res.stalled:
             stop = "stalled"
-            alpha, value, h, extra = _polish(red, alpha, value, h, tol, cfg.max_inner - iters)
+            alpha, value, extra = _polish(red, alpha, value, h, tol, cfg.max_inner - iters)
             iters += extra
             break
         alpha, value = res.alpha, res.value
-    return alpha, value, h, iters, stop
+    return alpha, value, iters, stop
 
 
 def solve(obj, A: AtomicMatrix, schedule: PenaltySchedule, alpha0=None,
@@ -338,7 +342,6 @@ def solve(obj, A: AtomicMatrix, schedule: PenaltySchedule, alpha0=None,
     predicted = first.feature_sets()
     active = {e.feature_set.atoms: e for e in first.emitted}
 
-    h = _H_INIT
     inner_tol = cfg.kkt_tol
     expansions = 0
     total_inner = 0
@@ -350,7 +353,7 @@ def solve(obj, A: AtomicMatrix, schedule: PenaltySchedule, alpha0=None,
     for outer in range(1, cfg.max_outer + 1):
         if outer == 1 or missing:  # the active set grew in the last round
             red = obj.reduced(list(active.values()))
-        alpha, dval, h, inners, inner_stop = red.ascend(alpha, h, cfg, inner_tol)
+        alpha, dval, inners, inner_stop = red.ascend(alpha, cfg, inner_tol)
         total_inner += inners
         cap_hits += inner_stop == "max_inner"
 

@@ -1,9 +1,11 @@
 """perfbench drives prodscreen by name.  Its tracer wraps functions and
 classes: a renamed function or class makes ``--trace 1`` fail when it
 installs, and a renamed objective method silently loses its span.  Its
-worker runs CLI command lines: a removed flag or choice makes a workload
-exit 1.  It calls ``solve`` by position: a reordered signature would
-silently hand its arguments to other parameters.  The perfbench modules are compiled from their files, so no
+hooks read fields of what the wrapped calls return: a renamed field makes
+``--trace 1`` fail mid-run.  Its worker runs CLI command lines: a removed
+flag or choice makes a workload exit 1.  It calls ``solve`` by position: a
+reordered signature would silently hand its arguments to other
+parameters.  The perfbench modules are compiled from their files, so no
 bytecode cache lands in perfbench/, and the tracer is not installed.
 """
 
@@ -14,12 +16,14 @@ import sys
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import prodscreen.objectives
+from prodscreen import LogisticSpec, PathConfig, PenaltySchedule, logistic_dual, run_path
 from prodscreen.cli import build_parser
 from prodscreen.data import AtomicMatrix
-from prodscreen.solver import solve
+from prodscreen.solver import SolverConfig, line_search, solve
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 CLI_WORKLOADS = ("basket_path", "logistic_cli", "itemset_lattice")
@@ -44,6 +48,45 @@ def test_traced_names_exist():
     for meth in tracing.OBJECTIVE_METHODS:
         assert any(meth in vars(getattr(prodscreen.objectives, c)) for c in classes), meth
     assert isinstance(vars(AtomicMatrix).get("from_dense"), classmethod)
+
+
+def test_tracer_hooks_read_real_results():
+    """The tracer's counting hooks take what a tiny logistic path, one of
+    its solves, its last walk, a reduced dual and a line search return, and
+    count what those results hold.  The hooks are called directly, so
+    nothing is installed."""
+    rng = np.random.default_rng(0)
+    A = AtomicMatrix.from_dense((rng.random((40, 5)) < 0.5).astype(float))
+    y = (rng.random(40) < 0.5).astype(float)
+    obj = logistic_dual(LogisticSpec(labels=y), A)
+    schedule = PenaltySchedule.geometric(1.0, 1.5)
+    pr = run_path(obj, A, PathConfig(n_lambdas=3, lambda_min_ratio=0.2), schedule=schedule)
+    res = pr.final
+    red = obj.reduced(res.screen_result.emitted)
+    alpha = obj.project(obj.alpha0())
+    grad = red.gradient(alpha)
+    ls = line_search(red, alpha, red.value(alpha), red.newton_direction(alpha, grad, 1e-4),
+                     grad, 1e-4)
+
+    tracer = _load("tracing").Tracer()
+    tracer._after_run_path(pr, (), {})
+    # read against a cap of one step, every round that stepped hit the cap
+    tracer._after_solve(res, (obj, A, schedule), {"cfg": SolverConfig(max_inner=1)})
+    tracer._after_screen(res.walk, (), {})
+    tracer._after_reduced(red, (), {})
+    tracer._after_line_search(ls, (), {})
+    counts, maxima = tracer.counts, tracer.maxima
+    assert counts["path.levels"] == len(pr.points) == 3
+    assert counts["path.active"] == sum(p.active_count for p in pr.points) > 0
+    assert counts["solver.inner_iters"] == res.state.inner_iterations
+    assert counts["solver.outer_iters"] == res.state.outer_iterations
+    inner = [row[1] for row in res.log]
+    assert counts["solver.inner_cap_hits"] == sum(b > a for a, b in zip([0] + inner, inner)) > 0
+    assert counts["screening.nodes"] == res.walk.explored_count > 0
+    assert counts["screening.emitted"] == len(res.walk.emitted)
+    assert maxima["objectives.active_max"] == red.F.shape[1] > 0
+    assert counts["solver.stalls"] == int(ls.stalled) == 0
+    assert counts["solver.ls_gradient_fallbacks"] == int(ls.used_gradient) == 0
 
 
 @pytest.mark.parametrize("workload", CLI_WORKLOADS)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 import oracles as oc
+import prodscreen.objectives
 import prodscreen.path
 import prodscreen.solver
 from prodscreen import (AtomicMatrix, BasketSpec, FeatureSet, LogisticSpec, MatrixSpec,
@@ -67,11 +68,8 @@ class _Quad:
     def value(self, a):
         return float(-0.5 * (a[0] - 3.0) ** 2)
 
-    def project(self, a):
-        return a
-
-    def step_along(self, a, value, direction, h):
-        return prodscreen.solver.backtrack(self, a, value, direction, h)
+    def step_along(self, a, value, direction):
+        return prodscreen.solver.backtrack(self, a, value, direction)
 
 
 def test_line_search_accepts_and_shrinks_h():
@@ -110,24 +108,21 @@ class _Flat:
     def gradient(self, a):
         return -a
 
-    def free_mask(self, a, grad):
-        return np.ones_like(a, dtype=bool)
-
-    def newton_direction(self, a, grad, mask, h):
+    def newton_direction(self, a, grad, h):
         return 0.5 * grad
 
     def project(self, a):
         return a
 
-    def step_along(self, a, value, direction, h):
-        return prodscreen.solver.backtrack(self, a, value, direction, h)
+    def step_along(self, a, value, direction):
+        return prodscreen.solver.backtrack(self, a, value, direction)
 
 
 def test_polish_stays_inside_the_inner_cap():
     """Polish steps count as inner steps, so a round that stalls and then
     polishes still takes at most max_inner of them."""
     cfg = SolverConfig(max_inner=5)
-    *_, iters, stop = prodscreen.solver._inner_ascent(_Flat(), np.ones(2), 1e-4, cfg, 1e-12)
+    *_, iters, stop = prodscreen.solver._inner_ascent(_Flat(), np.ones(2), cfg, 1e-12)
     assert stop == "stalled"
     assert iters == cfg.max_inner
 
@@ -167,8 +162,8 @@ def test_basket_reduced_solve_reaches_the_primal_optimum(seed, nonneg, wide):
     iterates = []
     dual_point = red._dual_point
     red._dual_point = lambda beta: iterates.append(beta) or dual_point(beta)
-    alpha, value, h, steps, stop = red.ascend(start, 1e-4, SolverConfig(), 1e-9)
-    assert stop == "tol" and h == 1e-4 and steps == len(iterates) - 1
+    alpha, value, steps, stop = red.ascend(start, SolverConfig(), 1e-9)
+    assert stop == "tol" and steps == len(iterates) - 1
     beta = iterates[-1]
     assert np.all((beta >= 0.0) & (beta <= 1.0))
     assert np.array_equal(alpha, red.project(red.tau - red.F @ beta))
@@ -234,7 +229,11 @@ def test_logistic_solve_matches_scalar_oracle():
 def test_logistic_iterates_keep_off_the_box_faces(seed, share, base, tau):
     """Every step a logistic solve accepts leaves each s = y - alpha inside
     (0, 1) with at least a tenth of its distance to the face it moves
-    toward, so the entropy's curvature 1/s + 1/(1 - s) stays finite."""
+    toward, so the entropy's curvature 1/s + 1/(1 - s) stays finite.
+    Every point whose value the solve takes, rejected backtracking trials,
+    gradient retries and polish trials included, lies in the closed box
+    [y - 1, y]: ``value`` clips s, so a trial outside would be scored as
+    another point, and ``backtrack`` does not project its trials."""
     rng = np.random.default_rng(seed)
     n, d = 14, 6
     A = AtomicMatrix.from_dense((rng.random((n, d)) < rng.uniform(0.2, 0.8)).astype(float))
@@ -243,8 +242,10 @@ def test_logistic_iterates_keep_off_the_box_faces(seed, share, base, tau):
     sched = PenaltySchedule.geometric(1.0, base)
     lm = lambda_max(obj, A, sched)
     assume(lm > 0.0)
-    steps = []
+    steps, scored = [], []
     search = prodscreen.solver.line_search
+    reduced = prodscreen.objectives._LogisticReduced
+    value = reduced.value
 
     def recording(red, alpha, *args):
         res = search(red, alpha, *args)
@@ -252,10 +253,18 @@ def test_logistic_iterates_keep_off_the_box_faces(seed, share, base, tau):
             steps.append((alpha, res.alpha))
         return res
 
+    def scoring(red, alpha):
+        scored.append(alpha.copy())
+        return value(red, alpha)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(prodscreen.solver, "line_search", recording)
+        mp.setattr(reduced, "value", scoring)
         solve(obj, A, sched.with_base(share * lm))
     assert steps
+    assert len(scored) > len(steps)
+    for alpha in scored:
+        assert np.all((alpha >= y - 1.0) & (alpha <= y))
     for before, after in steps:
         s0, s1 = y - before, y - after
         assert np.all((s1 > 0.0) & (s1 < 1.0))
@@ -451,11 +460,11 @@ def _reduced_with_live(obj, A, alpha, want):
 
 
 @given(st.integers(0, 10 ** 6), st.sampled_from(("none", "some", "all")),
-       st.sampled_from(("none", "some", "all")), st.floats(1e-4, 10.0), st.booleans())
+       st.floats(1e-4, 10.0), st.booleans())
 @settings(max_examples=120, deadline=None)
-def test_newton_direction_matches_dense_solve(seed, live, free, h, faces):
+def test_newton_direction_matches_dense_solve(seed, live, h, faces):
     """The logistic dual's direct Newton direction solves the dense damped
-    system on the free coordinates, also where rows sit on the box faces."""
+    system, also where rows sit on the box faces."""
     rng = np.random.default_rng(seed)
     n, d = 14, 6
     A = AtomicMatrix.from_dense(rng.random((n, d)))
@@ -466,34 +475,28 @@ def test_newton_direction_matches_dense_solve(seed, live, free, h, faces):
         at = rng.random(n) < 0.5
         alpha[at] = np.where(rng.random(at.sum()) < 0.5, y[at], y[at] - 1.0)
     red = _reduced_with_live(obj, A, alpha, _picks(rng, live, d))
-    mask = _picks(rng, free, n)
     grad = rng.standard_normal(n)
-    x = red.newton_direction(alpha, grad, mask, h)
-    assert np.all(x[~mask] == 0.0)
-    if not mask.any():
-        return
-    M = oc.dense_hessian(red, alpha)[np.ix_(mask, mask)] + h * np.eye(mask.sum())
-    g = grad[mask]
-    ref = np.linalg.solve(M, g)
-    assert np.linalg.norm(M @ x[mask] - g) <= 1e-8 * np.linalg.norm(g)
-    assert np.linalg.norm(x[mask] - ref) <= 1e-8 * np.linalg.norm(ref)
+    x = red.newton_direction(alpha, grad, h)
+    M = oc.dense_hessian(red, alpha) + h * np.eye(n)
+    ref = np.linalg.solve(M, grad)
+    assert np.linalg.norm(M @ x - grad) <= 1e-8 * np.linalg.norm(grad)
+    assert np.linalg.norm(x - ref) <= 1e-8 * np.linalg.norm(ref)
 
 
-def test_newton_direction_falls_back_to_masked_gradient(monkeypatch):
+def test_newton_direction_falls_back_to_the_gradient(monkeypatch):
     A = AtomicMatrix.from_dense(np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
     y = np.array([1.0, 0.0, 1.0])
     obj = logistic_dual(LogisticSpec(labels=y), A)
     alpha = y - 0.3
     grad = np.array([0.5, -1.0, 2.0])
-    mask = np.array([True, False, True])
     for live in (np.zeros(2, dtype=bool), np.ones(2, dtype=bool)):
         red = _reduced_with_live(obj, A, alpha, live)
         # a negative curvature makes the solve descend (no live column) or
         # leaves it non-finite (live columns scaled by sqrt of negative weights)
         monkeypatch.setattr(red, "_curvature", lambda a, live=live: (-np.ones(3), live, 1.0))
         with np.errstate(invalid="ignore"):
-            x = red.newton_direction(alpha, grad, mask, 1e-4)
-        assert np.array_equal(x, np.where(mask, grad, 0.0))
+            x = red.newton_direction(alpha, grad, 1e-4)
+        assert np.array_equal(x, grad)
 
 
 def test_basket_and_logistic_never_reach_cg(monkeypatch, rng):
