@@ -412,27 +412,41 @@ class _LogisticReduced(ReducedDual):
         super().__init__(obj, active)
         self.y = obj.spec.labels
         self.tau = obj.spec.tau_l2
+        self._seen = (None, None, None)
+
+    def _point(self, alpha):
+        """(s = y - alpha, z = F^T alpha), computed once per dual point:
+        ``value``, ``gradient``, ``primal_map``, ``_curvature`` and
+        ``step_along`` at the same point share them.  The last point's pair
+        is served again only for the same array with unchanged contents."""
+        last, copy, pair = self._seen
+        if alpha is not last or not np.array_equal(alpha, copy):
+            pair = (self.y - alpha, self.dots(alpha))
+            self._seen = (alpha, alpha.copy(), pair)
+        return pair
 
     def value(self, alpha) -> float:
         """Binary entropy of s = y - alpha, the negated conjugate of the
         logistic loss, less the l1 + l2 conjugate of the active columns."""
-        s = np.clip(self.y - alpha, 0.0, 1.0)
-        shr = np.maximum(np.abs(self.dots(alpha)) - self.thr, 0.0)
+        s, z = self._point(alpha)
+        s = np.clip(s, 0.0, 1.0)
+        shr = np.maximum(np.abs(z) - self.thr, 0.0)
         return float(-(_xlogx(s) + _xlogx(1.0 - s)).sum() - 0.5 * (shr @ shr) / self.tau)
 
     def primal_map(self, alpha):
         """Soft threshold of c^T a at lam, over tau."""
-        z = self.dots(alpha)
+        z = self._point(alpha)[1]
         return np.sign(z) * np.maximum(np.abs(z) - self.thr, 0.0) / self.tau
 
     def gradient(self, alpha):
-        s = np.clip(self.y - alpha, _EPS, 1.0 - _EPS)
+        s = np.clip(self._point(alpha)[0], _EPS, 1.0 - _EPS)
         return np.log(s / (1.0 - s)) - self.F @ self.primal_map(alpha)
 
     def _curvature(self, alpha):
         """(D, live, c) with negative Hessian D + F_B F_B^T / c."""
-        s = np.clip(self.y - alpha, _EPS, 1.0 - _EPS)
-        return 1.0 / s + 1.0 / (1.0 - s), np.abs(self.dots(alpha)) > self.thr, self.tau
+        s, z = self._point(alpha)
+        s = np.clip(s, _EPS, 1.0 - _EPS)
+        return 1.0 / s + 1.0 / (1.0 - s), np.abs(z) > self.thr, self.tau
 
     def newton_direction(self, alpha, grad, h: float):
         """Solution x of (H + h I) x = grad; the gradient when x is not
@@ -465,7 +479,7 @@ class _LogisticReduced(ReducedDual):
         fraction-to-the-boundary rule of interior-point methods).  From a
         point inside the box every iterate stays strictly inside, where the
         curvature 1/s stays finite, so no coordinate is ever pinned."""
-        s = self.y - alpha
+        s = self._point(alpha)[0]
         up, down = direction > 0.0, direction < 0.0  # s falls, s rises
         room = np.concatenate((s[up] / direction[up], (s[down] - 1.0) / direction[down]))
         t = min(1.0, _TO_FACE * room.min(initial=np.inf))

@@ -136,13 +136,20 @@ class ScreenResult:
         return tuple(e.feature_set for e in self.emitted)
 
     def to_jsonl(self, item_names=None):
-        """One JSON object per emitted interaction, in emission order."""
+        """One JSON object per emitted interaction, in emission order: the
+        bytes ``json.dumps`` gives {"atoms", "items", "stat", "threshold"},
+        written directly, with each item name escaped once."""
+        quoted = [json.dumps(name) for name in item_names] if item_names else None
         for e in self.emitted:
-            atoms = list(e.feature_set.atoms)
-            items = [item_names[a] if item_names else str(a) for a in atoms]
-            yield json.dumps(
-                {"atoms": atoms, "items": items, "stat": e.stat, "threshold": e.threshold}
-            )
+            atoms = e.feature_set.atoms
+            items = [quoted[a] for a in atoms] if quoted else [f'"{a}"' for a in atoms]
+            yield (f'{{"atoms": [{", ".join(map(str, atoms))}], "items": [{", ".join(items)}], '
+                   f'"stat": {_json_float(e.stat)}, "threshold": {_json_float(e.threshold)}}}')
+
+
+def _json_float(x: float) -> str:
+    """``json.dumps(x)`` for a float: its repr, or NaN / Infinity."""
+    return float.__repr__(x) if math.isfinite(x) else json.dumps(x)
 
 
 def _mode(alpha: np.ndarray) -> str:
@@ -176,11 +183,14 @@ class _Walk:
     with A's n rows (anything else raises ValueError); the walk splits it
     into alpha_+ = max(alpha, 0) and alpha_- = max(-alpha, 0).  Iterating
     yields ``(atoms, stat, threshold)`` for every node whose statistic
-    exceeds lam * rho(k), with atoms in join order.  All atoms seed the
-    walk; a node of order k >= 2 closes its subtree when its bound is at
-    most lam * rho(k + 1).  A stack entry is one prefix class: its prefix
-    atoms in join order, the prefix's column (None for the atoms) and the
-    int array of its m member atoms.  The class's atom columns are gathered
+    exceeds lam * rho(k), with atoms in join order.  A node of any order k,
+    an atom too, closes its subtree when its bound is at most
+    lam * rho(k + 1); the atoms' tests run after all their yields, and the
+    atoms left open seed the walk lightest first (ascending bound, ties by
+    index: Eclat's item order), so the widest class is the lightest atom's,
+    whose children close soonest.  A stack entry is one prefix class: its
+    prefix atoms in join order, the prefix's column (None for the atoms)
+    and the int array of its m member atoms.  The class's atom columns are gathered
     once, and its m - 1 parents, every member but the last, are scored in
     slices of at most max(1, ``_CHUNK`` // (m * T)).  In a slice, each
     parent gets its column and fills its row of the class matrix with its
@@ -264,9 +274,13 @@ class _Walk:
         self.explored += d
         for j, thr in self._passing(stat, rho(1)):
             yield (j,), float(stat[j]), thr
-        seeds = np.lexsort((np.arange(d), -bound))
-
-        stack = [((), None, seeds)] if d > 1 and cfg.max_order > 1 else []
+        stack = []
+        if d > 1 and cfg.max_order > 1:
+            seeds = np.lexsort((np.arange(d), bound))
+            seeds = seeds[bound[seeds] > self.lam * rho(2)]
+            self.pruned += d - len(seeds)
+            if len(seeds) > 1:
+                stack.append(((), None, seeds))
         while stack:
             prefix, pcol, exts = stack.pop()
             order = len(prefix) + 2
@@ -304,10 +318,11 @@ def screen(A: AtomicMatrix, alpha, schedule: PenaltySchedule,
            cfg: ScreenConfig | None = None) -> ScreenResult:
     """Emit every interaction whose statistic exceeds its threshold.
 
-    The walk seeds on all atoms (heaviest first), joins pairs within prefix
-    classes, and descends into a candidate's class only while the closure
-    bound clears the next order's threshold.  Output is sorted by atom tuple
-    and identical across runs on identical input.
+    The walk scores every atom, seeds on those whose closure bound clears
+    the pair threshold (lightest first), joins pairs within prefix classes,
+    and descends into a candidate's class only while its bound clears the
+    next order's threshold.  Output is sorted by atom tuple and identical
+    across runs on identical input.
     """
     return _collect(_Walk(A, alpha, schedule, cfg or ScreenConfig(), schedule.base_lambda))
 

@@ -228,8 +228,13 @@ def reference_walk(A, alpha, schedule, cfg, lam):
         if stat > thr:
             yield (j,), stat, thr
         seeds.append(((j,), j, col, bound))
-    seeds.sort(key=lambda c: (-c[3], c[1]))
-    stack = [seeds] if A.n_cols > 1 and cfg.max_order > 1 else []
+    stack = []
+    if A.n_cols > 1 and cfg.max_order > 1:
+        seeds.sort(key=lambda c: (c[3], c[1]))
+        kept = [c for c in seeds if c[3] > lam[0] * schedule.rho(2)]
+        pruned += len(seeds) - len(kept)
+        if len(kept) > 1:
+            stack.append(kept)
     while stack:
         cls = stack.pop()
         order = len(cls[0][0]) + 1

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import oracles as oc
+import prodscreen.objectives
 from prodscreen import (AtomicMatrix, BasketSpec, LogisticSpec, MatrixSpec,
                         PenaltySchedule, ScreenConfig, SolverConfig, basket_dual,
                         lambda_max, logistic_dual, matrix_dual, rank_report,
@@ -440,3 +441,62 @@ def test_rank_report_reads_exact_rank_one():
         spec = MatrixSpec(responses=Y, rho_nuclear=0.0, eta_l2=1e-2, fit_intercept=False)
         pred_rank, _ = rank_report(spec, A, Y, model)
         assert pred_rank == 1
+
+
+def _logistic_instance(seed):
+    rng = np.random.default_rng(seed)
+    X, A = random_binary(rng, 80, 6, density=0.5)
+    y = (rng.random(80) < 0.5).astype(float)
+    obj = logistic_dual(LogisticSpec(labels=y, tau_l2=0.5), A)
+    sched = PenaltySchedule.geometric(1.0, 1.5)
+    return rng, y, obj, A, sched.with_base(0.2 * lambda_max(obj, A, sched))
+
+
+def test_logistic_point_changed_in_place_is_evaluated_afresh():
+    """The logistic reduced dual computes F^T alpha once per point; a point
+    changed in place after one evaluation is a new point, and every method
+    at it gives the bits of a fresh reduced dual."""
+    rng, y, obj, A, sched = _logistic_instance(0)
+    res = solve(obj, A, sched)
+    assert res.model.n_active > 0
+    active = list(res.screen_result.emitted)
+    red = obj.reduced(active)
+    alpha = y - np.clip(rng.random(y.size), 0.1, 0.9)
+    red.value(alpha)
+    alpha[:] = res.state.alpha
+    fresh = obj.reduced(active)
+    at = res.state.alpha
+    grad = fresh.gradient(at)
+    assert red.gradient(alpha).tolist() == grad.tolist()
+    assert red.value(alpha) == fresh.value(at)
+    assert red.primal_map(alpha).tolist() == fresh.primal_map(at).tolist()
+    assert red.newton_direction(alpha, grad, 1e-4).tolist() == \
+        fresh.newton_direction(at, grad, 1e-4).tolist()
+    step = -grad
+    assert [np.asarray(v).tolist() for v in red.step_along(alpha, -np.inf, step)] == \
+        [np.asarray(v).tolist() for v in fresh.step_along(at, -np.inf, step)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_logistic_solve_computes_each_product_once_per_point(monkeypatch, seed):
+    """Over a logistic solve, ``F^T alpha`` is computed once per point
+    whose value is taken: the gradient, the curvature, the step cap and
+    the primal map at an accepted point reuse its product."""
+    _, _, obj, A, sched = _logistic_instance(seed)
+    calls = {"dots": 0, "value": 0}
+    reduced = prodscreen.objectives._LogisticReduced
+    dots, value = reduced.dots, reduced.value
+
+    def counting_dots(red, alpha):
+        calls["dots"] += 1
+        return dots(red, alpha)
+
+    def counting_value(red, alpha):
+        calls["value"] += 1
+        return value(red, alpha)
+
+    monkeypatch.setattr(reduced, "dots", counting_dots)
+    monkeypatch.setattr(reduced, "value", counting_value)
+    res = solve(obj, A, sched)
+    assert res.state.converged and res.state.inner_iterations > 0
+    assert calls["dots"] == calls["value"]

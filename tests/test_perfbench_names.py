@@ -143,3 +143,24 @@ def test_worker_marks_cli_fits(workload, tmp_path, monkeypatch):
     assert marks.loaded is not None
     assert marks.fits
     assert sorted(PERFBENCH.rglob("*")) == before
+
+
+def test_matrix_rank_solves_pass_the_benchmark_checks(tmp_path, monkeypatch):
+    """Both ``matrix_rank`` solves, written by the worker, pass perfbench's
+    independent recomputation, rank recount included.  The rho = 0.165
+    solve's third residual singular value ends just below rho, where a
+    change of rounding can carry it across the recount's strict
+    ``sigma > rho`` while ``rank_report`` does not count it."""
+    before = sorted(PERFBENCH.rglob("*"))
+    inputs = _load("inputs")
+    monkeypatch.setitem(sys.modules, "inputs", inputs)
+    X, Y, rhos = inputs.matrix_instance()
+    np.savez(tmp_path / "matrix.npz", X=X, Y=Y)
+    desc = {"data": "matrix.npz", "rhos": rhos}
+    out = tmp_path / "out"
+    out.mkdir()
+    worker, checks = _load("worker"), _load("checks")
+    assert worker.run_matrix(tmp_path, desc, out, worker.Marks(False)) == [0, 0]
+    for k in range(len(rhos)):
+        checks.check_matrix(tmp_path, desc, out, k)
+    assert sorted(PERFBENCH.rglob("*")) == before

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles as oc
-from prodscreen import (AtomicMatrix, PenaltySchedule,
+from prodscreen import (AtomicMatrix, FeatureSet, PenaltySchedule,
                         ScreenConfig, dedup_atoms,
                         frequent_itemsets, interaction_column, screen, verify_kkt)
 from prodscreen import screening
@@ -120,12 +120,13 @@ def test_screen_four_transactions(four_transactions):
     assert all(e.threshold == 1.5 for e in res.emitted)
 
 
-def test_screen_zero_alpha_explores_pairs_only(rng):
+def test_screen_zero_alpha_explores_atoms_only(rng):
+    """Every atom's bound is 0, so each closes its subtree and no pair is scored."""
     X = (rng.random((10, 6)) < 0.5).astype(float)
-    A = AtomicMatrix.from_dense(X)
-    res = screen(A, np.zeros(10), PenaltySchedule.flat(1.0))
-    assert res.emitted == ()
-    assert res.explored_count == 6 + 15     # all atoms, all pairs, nothing deeper
+    for A in (AtomicMatrix.from_dense(X), AtomicMatrix(X * rng.random(X.shape))):
+        res = screen(A, np.zeros(10), PenaltySchedule.flat(1.0))
+        assert res.emitted == ()
+        assert (res.explored_count, res.pruned_by_closure) == (6, 6)
 
 
 def test_screen_emits_sorted_and_deterministic(rng):
@@ -161,6 +162,29 @@ def test_jsonl_format(four_transactions):
     assert set(first) == {"atoms", "items", "stat", "threshold"}
     assert first["atoms"] == [0] and first["items"] == ["a"]
     assert first["stat"] == 3.0 and first["threshold"] == 1.5
+
+
+def test_jsonl_lines_are_json_dumps_bytes():
+    """Each line is byte for byte what ``json.dumps`` writes for the set's
+    dict, with names that need escaping (quotes, backslashes, control and
+    non-ASCII characters) and stats whose repr takes all 17 digits."""
+    names = ['plain', 'qu"ote', 'back\\slash', 'tab\tnew\nline', 'caf\u00e9', '\u6f22\u5b57',
+             '\U0001f600', '']
+    stats = [0.1 + 0.2, 1.0 / 3.0, 2.0 ** -1074, 1e16, 123456789.12345679, 7.0, 1e-7,
+             1.7976931348623157e308]
+    emitted = tuple(
+        screening.Emitted(FeatureSet(atoms), thr, stat)
+        for atoms, thr, stat in zip([(0,), (1, 2), (3, 4, 5), (6, 7), (0, 7), (2,), (5, 6), (1,)],
+                                    [0.7 * (1.0 + 2.0 ** -52), 1.5 ** 2] + stats[:6], stats))
+    res = screening.ScreenResult(emitted, 10, 0)
+    for item_names in (names, None):
+        want = []
+        for e in emitted:
+            atoms = list(e.feature_set.atoms)
+            items = [item_names[a] if item_names else str(a) for a in atoms]
+            want.append(json.dumps({"atoms": atoms, "items": items, "stat": e.stat,
+                                    "threshold": e.threshold}))
+        assert list(res.to_jsonl(item_names)) == want
 
 
 # ------------------------------------------------------------- verify_kkt --
@@ -616,13 +640,44 @@ def test_critical_lambda_matches_reference_at_any_slice_width(seed, values, mode
         assert got[0] == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
+def test_critical_lambda_scores_no_pair_when_every_atom_closes(monkeypatch):
+    """With a dual without negative entries an atom's bound is its
+    statistic, so under a geometric schedule no atom's bound exceeds the
+    best atom ratio times rho(2): the level risen through the atoms closes
+    every atom's subtree, and only the atom pass is reduced."""
+    calls = []
+    dots = screening._Walk._dots
+    monkeypatch.setattr(screening._Walk, "_dots",
+                        lambda self, col, *args: calls.append(col) or dots(self, col, *args))
+    rng = np.random.default_rng(3)
+    shape = PenaltySchedule.geometric(1.0, 1.5)
+    for _ in range(20):
+        n, d = int(rng.integers(5, 40)), int(rng.integers(2, 9))
+        X = (rng.random((n, d)) < rng.uniform(0.3, 0.9)).astype(float)
+        w = np.abs(rng.standard_normal(n))
+        for A in (AtomicMatrix.from_dense(X), AtomicMatrix(X * rng.random((n, d)))):
+            calls.clear()
+            lam = screening.critical_lambda(A, w, shape)
+            assert calls == [None]
+            assert lam == pytest.approx(oc.reference_critical_lambda(A, w, shape, ScreenConfig()),
+                                        rel=1e-12, abs=0.0)
+            atoms = screen(A, w, shape.with_base(lam))
+            assert atoms.emitted == () and atoms.explored_count == d
+
+
 def test_walk_builds_a_column_only_for_a_parent(monkeypatch):
-    """``extend`` runs once per parent of order >= 2: a node gets a column
-    only when its row of the class matrix is reduced, so the last member of
-    a prefix class, which has no later sibling, never gets one.  Of the
-    reductions, one scores the atoms and d - 1 have an atom as parent."""
-    calls = {"extend": 0, "dots": 0}
-    extend, dots = AtomicMatrix.extend, screening._Walk._dots
+    """``column`` and ``extend`` run once per parent, of order 1 and of
+    order >= 2: a node gets a column only when its row of the class matrix
+    is reduced, so the last member of a prefix class, which has no later
+    sibling, never gets one.  Of the reductions, one scores the atoms, and
+    the atom parents are the atoms whose bound clears the pair threshold,
+    all but the last of them."""
+    calls = {"column": 0, "extend": 0, "dots": 0}
+    column, extend, dots = AtomicMatrix.column, AtomicMatrix.extend, screening._Walk._dots
+
+    def counting_column(self, j):
+        calls["column"] += 1
+        return column(self, j)
 
     def counting_extend(self, col, j):
         calls["extend"] += 1
@@ -632,10 +687,11 @@ def test_walk_builds_a_column_only_for_a_parent(monkeypatch):
         calls["dots"] += 1
         return dots(self, *args)
 
+    monkeypatch.setattr(AtomicMatrix, "column", counting_column)
     monkeypatch.setattr(AtomicMatrix, "extend", counting_extend)
     monkeypatch.setattr(screening._Walk, "_dots", counting_dots)
     rng = np.random.default_rng(5)
-    deep = 0
+    deep = closed = 0
     for _ in range(60):
         n, d = int(rng.integers(3, 40)), int(rng.integers(2, 8))
         X = rng.random((n, d)) < rng.uniform(0.4, 0.9)
@@ -643,12 +699,16 @@ def test_walk_builds_a_column_only_for_a_parent(monkeypatch):
         alpha = rng.standard_normal(n)
         sched = PenaltySchedule.geometric(float(rng.uniform(0.01, 0.2)) * np.abs(alpha).sum(), 1.2)
         cfg = ScreenConfig(max_order=int(rng.integers(2, 6)))
-        calls.update(extend=0, dots=0)
+        calls.update(column=0, extend=0, dots=0)
         screen(A, alpha, sched, cfg)
-        parents = calls["dots"] - 1 - (d - 1)
-        assert calls["extend"] == parents
-        deep += parents
+        Xf = A.atom_matrix().astype(float)
+        open_atoms = sum(oc.closure_bound(Xf[:, j], alpha) > sched.threshold(2) for j in range(d))
+        assert calls["column"] == max(open_atoms - 1, 0)
+        assert calls["dots"] == 1 + calls["column"] + calls["extend"]
+        deep += calls["extend"]
+        closed += d - open_atoms
     assert deep > 100  # the instances do descend past the pairs
+    assert closed > 0  # and some atoms close their subtrees
 
 
 def test_negative_dual_screens_signed():
